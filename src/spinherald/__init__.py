@@ -44,7 +44,6 @@ from .engine import (
     PulseSequence,
     RotationSpec,
     ShotFrame,
-    ShotRecord,
     correction_for,
     get_sequence,
     noisy_joint_state,

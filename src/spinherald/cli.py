@@ -52,8 +52,9 @@ from .tomography import (
 
 RECORD_COLUMNS = ("shot_id", "setting_id", "branch", "phi_tac", "outcome", "n_attempts")
 FILTERS = ("all", "V", "H", "unconditioned", "corrected")
+_OUTCOMES = {"up": True, "down": False}
 
-_CONFIG_KEYS = ("p_exc", "eta", "omega0")
+_CONFIG_KEYS = ("p_exc", "eta")
 _ERROR_KEYS = (
     "p_multi",
     "p_dark",
@@ -180,7 +181,6 @@ def load_manifest(path) -> RunManifest:
         seed=_get_int(parser, "run", "seed", 0),
         p_exc=_get_float(parser, "config", "p_exc", 1.0),
         eta=_get_float(parser, "config", "eta", 1.0),
-        omega0=_get_float(parser, "config", "omega0", 2.0 * math.pi * 3.5e6),
         errors=errors,
     )
 
@@ -224,26 +224,6 @@ def load_manifest(path) -> RunManifest:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RecordTable:
-    """Record columns of one setting as read back from a records file."""
-
-    shot_id: np.ndarray
-    branch: np.ndarray
-    phi_tac: np.ndarray
-    outcome_up: np.ndarray
-    n_attempts: np.ndarray
-
-    def select(self, mask) -> "RecordTable":
-        return RecordTable(
-            self.shot_id[mask],
-            self.branch[mask],
-            self.phi_tac[mask],
-            self.outcome_up[mask],
-            self.n_attempts[mask],
-        )
-
-
 def _frame_rows(frame: ShotFrame, setting_id: int):
     for i in range(len(frame)):
         yield (
@@ -268,7 +248,10 @@ def write_records(path, frames_by_setting: dict) -> None:
                 writer.writerow(row)
 
 
-def read_records(path) -> dict[int, RecordTable]:
+def read_records(path) -> dict[int, ShotFrame]:
+    """Parse a records file into one frame per setting.  A line with the
+    wrong field count, a non-integer id, a branch outside {0, 1, 2}, a
+    non-finite phi_tac or an outcome other than up/down is rejected."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"records file not found: {path}")
@@ -281,34 +264,37 @@ def read_records(path) -> dict[int, RecordTable]:
         for lineno, row in enumerate(reader, start=2):
             try:
                 shot, setting, branch, phi, outcome, n_att = row
-                buckets.setdefault(int(setting), []).append(
-                    (int(shot), int(branch), float(phi), outcome == "up", int(n_att))
+                record = (
+                    int(shot), int(branch), float(phi), _OUTCOMES[outcome], int(n_att)
                 )
-            except (ValueError, IndexError):
+                if record[1] not in (0, 1, 2) or not math.isfinite(record[2]):
+                    raise ValueError
+                buckets.setdefault(int(setting), []).append(record)
+            except (ValueError, KeyError):
                 raise ValueError(f"{path}:{lineno}: malformed record {row!r}") from None
-    tables = {}
+    frames = {}
     for setting, rows in buckets.items():
         arr = list(zip(*rows))
-        tables[setting] = RecordTable(
+        frames[setting] = ShotFrame(
             shot_id=np.array(arr[0], dtype=np.int64),
             branch=np.array(arr[1], dtype=np.int8),
             phi_tac=np.array(arr[2], dtype=float),
             outcome_up=np.array(arr[3], dtype=bool),
             n_attempts=np.array(arr[4], dtype=np.int64),
         )
-    return tables
+    return frames
 
 
-def apply_filter(table, name: str):
+def apply_filter(frame: ShotFrame, name: str) -> ShotFrame:
     """Condition records on the recorded branch; 'all', 'unconditioned' and
     'corrected' keep every shot, 'V'/'H' select branch 1/2."""
     if name not in FILTERS:
         raise ValueError(f"filter must be one of {FILTERS}, got {name!r}")
     if name == "V":
-        return table.select(table.branch == 1)
+        return frame.select(frame.branch == 1)
     if name == "H":
-        return table.select(table.branch == 2)
-    return table
+        return frame.select(frame.branch == 2)
+    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +335,8 @@ def _branch_stats(frames_by_setting: dict) -> dict:
     return stats
 
 
-def _config_echo(manifest: RunManifest) -> dict:
-    cfg = manifest.config
-    return {
-        "sequence": manifest.sequence_name,
-        "shots": cfg.shots,
-        "seed": cfg.seed,
-        "p_exc": cfg.p_exc,
-        "eta": cfg.eta,
-        "omega0": cfg.omega0,
-        "errors": asdict(cfg.errors),
-        "basis_override": dict(manifest.basis_override),
-    }
-
-
-def _tomography_summary(tables: dict, flt: str) -> dict:
-    filtered = {k: apply_filter(t, flt) for k, t in tables.items()}
+def _tomography_summary(frames_by_setting: dict, flt: str) -> dict:
+    filtered = {k: apply_filter(f, flt) for k, f in frames_by_setting.items()}
     result = reconstruct(filtered)
     return {
         "filter": flt,
@@ -380,13 +352,13 @@ def _tomography_summary(tables: dict, flt: str) -> dict:
     }
 
 
-def _fringe_summary(tables: dict, harmonic: int, n_bins: int) -> list[dict]:
+def _fringe_summary(frames_by_setting: dict, harmonic: int, n_bins: int) -> list[dict]:
     out = []
-    for setting_id in sorted(tables):
-        t = tables[setting_id]
+    for setting_id in sorted(frames_by_setting):
+        f = frames_by_setting[setting_id]
         for b in (1, 2):
-            sel = t.select(t.branch == b)
-            if len(sel.shot_id) == 0:
+            sel = f.select(f.branch == b)
+            if len(sel) == 0:
                 continue
             bins = binned_fringe(sel.phi_tac, sel.outcome_up, n_bins)
             fit = fit_fringe(bins, harmonic)
@@ -431,13 +403,6 @@ class ResultBundle:
     summary: dict
 
 
-def _frames_to_tables(frames_by_setting: dict) -> dict[int, RecordTable]:
-    return {
-        k: RecordTable(f.shot_id, f.branch, f.phi_tac, f.outcome_up, f.n_attempts)
-        for k, f in frames_by_setting.items()
-    }
-
-
 def _run_manifest(manifest: RunManifest) -> dict:
     seq = manifest.sequence()
     if manifest.analysis.tomography:
@@ -446,20 +411,30 @@ def _run_manifest(manifest: RunManifest) -> dict:
 
 
 def _build_summary(manifest: RunManifest, frames_by_setting: dict) -> dict:
-    tables = _frames_to_tables(frames_by_setting)
+    """Summary of one manifest run: config echo and branch statistics, plus
+    the analyses its [analysis] section requests."""
+    cfg, analysis = manifest.config, manifest.analysis
     summary = {
         "version": __version__,
-        "seed": manifest.config.seed,
-        "config": _config_echo(manifest),
+        "seed": cfg.seed,
+        "config": {
+            "sequence": manifest.sequence_name,
+            "shots": cfg.shots,
+            "seed": cfg.seed,
+            "p_exc": cfg.p_exc,
+            "eta": cfg.eta,
+            "errors": asdict(cfg.errors),
+            "basis_override": dict(manifest.basis_override),
+        },
         "branch_stats": _branch_stats(frames_by_setting),
     }
-    if manifest.analysis.tomography:
-        summary["tomography"] = _tomography_summary(tables, manifest.analysis.filter)
-    if manifest.analysis.fringe_harmonic is not None:
+    if analysis.tomography:
+        summary["tomography"] = _tomography_summary(frames_by_setting, analysis.filter)
+    if analysis.fringe_harmonic is not None:
         summary["fringes"] = _fringe_summary(
-            tables, manifest.analysis.fringe_harmonic, manifest.analysis.bins
+            frames_by_setting, analysis.fringe_harmonic, analysis.bins
         )
-    if manifest.analysis.entanglement_fidelity:
+    if analysis.entanglement_fidelity:
         summary["entanglement_fidelity"] = _entanglement_summary(manifest)
     return summary
 
@@ -510,24 +485,20 @@ def cmd_tomo(
     projected chi, the identity overlap and the Bloch ellipsoid.
     """
     if records_path is not None:
-        tables = read_records(records_path)
-        summary = {"version": __version__, "records": str(records_path)}
+        summary = {
+            "version": __version__,
+            "records": str(records_path),
+            "tomography": _tomography_summary(read_records(records_path), flt),
+        }
     elif manifest_path is not None:
         manifest = _apply_overrides(load_manifest(manifest_path), seed, shots)
         manifest = replace(
-            manifest, analysis=replace(manifest.analysis, tomography=True)
+            manifest, analysis=AnalysisRequest(tomography=True, filter=flt)
         )
-        frames = _run_manifest(manifest)
-        tables = _frames_to_tables(frames)
-        summary = {
-            "version": __version__,
-            "seed": manifest.config.seed,
-            "config": _config_echo(manifest),
-        }
+        summary = _build_summary(manifest, _run_manifest(manifest))
     else:
         raise ValueError("cmd_tomo needs a records file or a manifest")
 
-    summary["tomography"] = _tomography_summary(tables, flt)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -549,16 +520,12 @@ def cmd_ramsey(
     harmonic = manifest.analysis.fringe_harmonic
     if harmonic is None:
         harmonic = 1 if seq.scatter_first else 2
-
-    frame = run_experiment(manifest.config, seq)
-    tables = {0: _frames_to_tables({0: frame})[0]}
-    summary = {
-        "version": __version__,
-        "seed": manifest.config.seed,
-        "config": _config_echo(manifest),
-        "branch_stats": _branch_stats({0: frame}),
-        "fringes": _fringe_summary(tables, harmonic, manifest.analysis.bins),
-    }
+    bins = manifest.analysis.bins
+    manifest = replace(
+        manifest, analysis=AnalysisRequest(fringe_harmonic=harmonic, bins=bins)
+    )
+    frames = _run_manifest(manifest)
+    summary = _build_summary(manifest, frames)
 
     out = Path(out_dir if out_dir is not None else manifest.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -567,10 +534,8 @@ def cmd_ramsey(
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("branch", "phi_bin_center", "p_up", "count"))
         for b in (1, 2):
-            sel = tables[0].select(tables[0].branch == b)
-            for phi_c, p, cnt in binned_fringe(
-                sel.phi_tac, sel.outcome_up, manifest.analysis.bins
-            ):
+            sel = frames[0].select(frames[0].branch == b)
+            for phi_c, p, cnt in binned_fringe(sel.phi_tac, sel.outcome_up, bins):
                 writer.writerow(
                     (b, format(phi_c, ".9g"), format(p, ".9g"), int(cnt))
                 )

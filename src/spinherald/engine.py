@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -42,7 +42,6 @@ __all__ = [
     "ErrorBudget",
     "ExperimentConfig",
     "PulseSequence",
-    "ShotRecord",
     "ShotFrame",
     "PREPARATIONS",
     "correction_for",
@@ -225,6 +224,10 @@ class ErrorBudget:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
+        for name in ("pol_misalign", "biref_phase", "phi_jitter_sigma"):
+            a = getattr(self, name)
+            if not math.isfinite(a):
+                raise ValueError(f"{name} must be finite, got {a!r}")
         if self.phi_jitter_sigma < 0.0:
             raise ValueError("phi_jitter_sigma must be >= 0")
 
@@ -246,7 +249,7 @@ class ErrorBudget:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Run parameters: shot count, seed, excitation and detection
-    probabilities, qubit splitting and the error budget.
+    probabilities and the error budget.
 
     eta = 1 folds every scattering event into a herald; with eta < 1 each
     unheralded attempt that scattered applies the unconditioned decoherence
@@ -258,7 +261,6 @@ class ExperimentConfig:
     seed: int
     p_exc: float = 1.0
     eta: float = 1.0
-    omega0: float = TAU * 3.5e6
     errors: ErrorBudget = field(default_factory=ErrorBudget)
 
     def __post_init__(self):
@@ -277,109 +279,33 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    """Full trace of one repetition.  branch 0 / n_attempts 0 mark sequences
-    without a scatter block.  is_dark is ground truth for diagnostics only
-    and must never feed back into correction logic."""
-
-    shot_id: int
-    prep_applied: RotationSpec | None
-    n_attempts: int
-    branch: int
-    phi_tac_recorded: float
-    is_dark: bool
-    correction_applied: RotationSpec | None
-    outcome: str  # "up" | "down"
-
-
+@dataclass(frozen=True, eq=False)
 class ShotFrame:
-    """Columnar collection of shot records from one run.
+    """Columnar shot records of one setting: the records-file columns
+    except setting_id.
 
-    Iterating yields ShotRecord objects; `select` filters by boolean mask and
-    keeps run metadata.  Column arrays are never mutated after construction.
+    branch 0 / n_attempts 0 mark sequences without a scatter block.  `select`
+    indexes every column alike; column arrays are never mutated.
     """
 
-    def __init__(
-        self,
-        shot_id: np.ndarray,
-        n_attempts: np.ndarray,
-        branch: np.ndarray,
-        phi_tac: np.ndarray,
-        is_dark: np.ndarray,
-        correction_angle: np.ndarray,
-        correction_azimuth: np.ndarray,
-        outcome_up: np.ndarray,
-        sequence: PulseSequence,
-        seed: int,
-    ):
-        self.shot_id = shot_id
-        self.n_attempts = n_attempts
-        self.branch = branch
-        self.phi_tac = phi_tac
-        self.is_dark = is_dark
-        self.correction_angle = correction_angle
-        self.correction_azimuth = correction_azimuth
-        self.outcome_up = outcome_up
-        self.sequence = sequence
-        self.seed = seed
+    shot_id: np.ndarray
+    branch: np.ndarray
+    phi_tac: np.ndarray
+    outcome_up: np.ndarray
+    n_attempts: np.ndarray
 
     def __len__(self) -> int:
         return len(self.shot_id)
 
-    def select(self, mask: np.ndarray) -> "ShotFrame":
-        return ShotFrame(
-            self.shot_id[mask],
-            self.n_attempts[mask],
-            self.branch[mask],
-            self.phi_tac[mask],
-            self.is_dark[mask],
-            self.correction_angle[mask],
-            self.correction_azimuth[mask],
-            self.outcome_up[mask],
-            self.sequence,
-            self.seed,
-        )
+    def _columns(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
 
-    def branch_filter(self, branch: int) -> "ShotFrame":
-        return self.select(self.branch == branch)
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self.record(i)
-
-    def record(self, i: int) -> ShotRecord:
-        corr = None
-        if np.isfinite(self.correction_angle[i]):
-            corr = RotationSpec.equatorial(
-                float(self.correction_angle[i]), float(self.correction_azimuth[i])
-            )
-        return ShotRecord(
-            shot_id=int(self.shot_id[i]),
-            prep_applied=self.sequence.prep,
-            n_attempts=int(self.n_attempts[i]),
-            branch=int(self.branch[i]),
-            phi_tac_recorded=float(self.phi_tac[i]),
-            is_dark=bool(self.is_dark[i]),
-            correction_applied=corr,
-            outcome="up" if self.outcome_up[i] else "down",
-        )
+    def select(self, mask) -> "ShotFrame":
+        return ShotFrame(*(col[mask] for col in self._columns()))
 
     def equals(self, other: "ShotFrame") -> bool:
-        return (
-            np.array_equal(self.shot_id, other.shot_id)
-            and np.array_equal(self.n_attempts, other.n_attempts)
-            and np.array_equal(self.branch, other.branch)
-            and np.array_equal(self.phi_tac, other.phi_tac)
-            and np.array_equal(self.is_dark, other.is_dark)
-            and np.array_equal(
-                self.correction_angle, other.correction_angle, equal_nan=True
-            )
-            and np.array_equal(
-                self.correction_azimuth, other.correction_azimuth, equal_nan=True
-            )
-            and np.array_equal(self.outcome_up, other.outcome_up)
-        )
+        pairs = zip(self._columns(), other._columns())
+        return all(np.array_equal(a, b) for a, b in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +320,7 @@ def _philox_key(seed: int) -> np.ndarray:
 def shot_stream(seed: int, shot_id: int) -> np.random.Generator:
     """Random stream of one shot: the run's Philox stream advanced to the
     shot's counter block.  run_shot on this stream reproduces exactly the
-    record that run_experiment emits at the same index."""
+    row that run_experiment emits at the same index, as a one-row frame."""
     bg = np.random.Philox(key=_philox_key(seed))
     bg.advance(shot_id * _BLOCKS_PER_SHOT)
     return np.random.Generator(bg)
@@ -458,7 +384,7 @@ def _rotate_rows(bloch: np.ndarray, spec: RotationSpec | None) -> np.ndarray:
 
 def _apply_scatter_block(config, seq, draws, bloch):
     """Attempts, herald, scattering kick.  Returns updated state and the
-    per-shot (n_attempts, branch, phi_rec, dark) columns."""
+    per-shot (n_attempts, branch, phi_rec) columns."""
     err = config.errors
     n = draws.shape[0]
     if config.p_exc * config.eta <= 0.0 and err.p_dark < 1.0:
@@ -518,14 +444,14 @@ def _apply_scatter_block(config, seq, draws, bloch):
         keep_z = np.where(multi, 0.0, 1.0)
         bloch = bloch * np.column_stack([keep_xy, keep_xy, keep_z])
 
-    return bloch, n_att, branch, phi_rec, dark
+    return bloch, n_att, branch, phi_rec
 
 
 def _apply_correction(rule, branch, phi_rec, bloch):
     """Per-shot heralded correction pulses (vectorized Rodrigues rotation)."""
     n = len(branch)
     angle = np.zeros(n)
-    azimuth = np.full(n, np.nan)
+    azimuth = np.zeros(n)
     for b, entry in ((1, rule.branch_1), (2, rule.branch_2)):
         if entry is None:
             continue
@@ -547,9 +473,7 @@ def _apply_correction(rule, branch, phi_rec, bloch):
         out = bloch.copy()
         out[active] = rotated
         bloch = out
-
-    applied_angle = np.where(np.isnan(azimuth), np.nan, angle)
-    return bloch, applied_angle, azimuth
+    return bloch
 
 
 def _simulate_rows(
@@ -569,19 +493,14 @@ def _simulate_rows(
     n_att = np.zeros(n, dtype=np.int64)
     branch = np.zeros(n, dtype=np.int8)
     phi_rec = np.zeros(n)
-    dark = np.zeros(n, dtype=bool)
-    corr_angle = np.full(n, np.nan)
-    corr_azimuth = np.full(n, np.nan)
 
     def scatter_and_correct(state):
-        nonlocal n_att, branch, phi_rec, dark, corr_angle, corr_azimuth
-        state, n_att, branch, phi_rec, dark = _apply_scatter_block(
+        nonlocal n_att, branch, phi_rec
+        state, n_att, branch, phi_rec = _apply_scatter_block(
             config, seq, draws, state
         )
         if seq.correction is not None:
-            state, corr_angle, corr_azimuth = _apply_correction(
-                seq.correction, branch, phi_rec, state
-            )
+            state = _apply_correction(seq.correction, branch, phi_rec, state)
         return state
 
     if seq.scatter is not None and seq.scatter_first:
@@ -600,15 +519,10 @@ def _simulate_rows(
 
     return ShotFrame(
         shot_id=first_shot_id + np.arange(n, dtype=np.int64),
-        n_attempts=n_att,
         branch=branch,
         phi_tac=phi_rec,
-        is_dark=dark,
-        correction_angle=corr_angle,
-        correction_azimuth=corr_azimuth,
         outcome_up=up,
-        sequence=seq,
-        seed=config.seed,
+        n_attempts=n_att,
     )
 
 
@@ -622,11 +536,11 @@ def run_shot(
     seq: PulseSequence,
     stream: np.random.Generator,
     shot_id: int = 0,
-) -> ShotRecord:
-    """Execute a single shot, drawing all randomness from `stream`."""
+) -> ShotFrame:
+    """Execute a single shot, drawing all randomness from `stream`; returns
+    a one-row frame."""
     draws = stream.random(DRAWS_PER_SHOT).reshape(1, -1)
-    frame = _simulate_rows(config, seq, draws, shot_id)
-    return frame.record(0)
+    return _simulate_rows(config, seq, draws, shot_id)
 
 
 def run_experiment(
@@ -652,18 +566,7 @@ def run_experiment(
     with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
         parts = list(pool.map(lambda r: job(*r), ranges))
 
-    return ShotFrame(
-        shot_id=np.concatenate([p.shot_id for p in parts]),
-        n_attempts=np.concatenate([p.n_attempts for p in parts]),
-        branch=np.concatenate([p.branch for p in parts]),
-        phi_tac=np.concatenate([p.phi_tac for p in parts]),
-        is_dark=np.concatenate([p.is_dark for p in parts]),
-        correction_angle=np.concatenate([p.correction_angle for p in parts]),
-        correction_azimuth=np.concatenate([p.correction_azimuth for p in parts]),
-        outcome_up=np.concatenate([p.outcome_up for p in parts]),
-        sequence=seq,
-        seed=config.seed,
-    )
+    return ShotFrame(*map(np.concatenate, zip(*(p._columns() for p in parts))))
 
 
 def run_plan(config: ExperimentConfig, seq: PulseSequence, settings) -> dict:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -78,9 +79,14 @@ def test_manifest_bad_number(tmp_path):
 
 def test_manifest_unknown_key(tmp_path):
     path = tmp_path / "m.ini"
-    path.write_text("[run]\nsequence = scatter_HV\ncolour = blue\n")
-    with pytest.raises(ManifestError, match="colour"):
-        load_manifest(path)
+    for text, key in (
+        ("[run]\nsequence = scatter_HV\ncolour = blue\n", "colour"),
+        # no qubit-splitting key: the engine draws phi_tac uniformly
+        ("[run]\nsequence = scatter_HV\n[config]\nomega0 = 2.2e7\n", "omega0"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ManifestError, match=key):
+            load_manifest(path)
 
 
 def test_manifest_missing_file(tmp_path):
@@ -155,20 +161,9 @@ def test_records_file_round_trip(tmp_path):
     bundle = cmd_simulate(manifest, tmp_path / "out")
     tables = read_records(bundle.records_path)
     assert sorted(tables) == list(range(12))
-    # writing the parsed tables back reproduces the file byte for byte
-    class _Frame:
-        def __init__(self, t):
-            self.shot_id = t.shot_id
-            self.branch = t.branch
-            self.phi_tac = t.phi_tac
-            self.outcome_up = t.outcome_up
-            self.n_attempts = t.n_attempts
-
-        def __len__(self):
-            return len(self.shot_id)
-
+    # writing the parsed frames back reproduces the file byte for byte
     out2 = tmp_path / "copy.csv"
-    write_records(out2, {k: _Frame(t) for k, t in tables.items()})
+    write_records(out2, tables)
     assert out2.read_bytes() == bundle.records_path.read_bytes()
 
 
@@ -184,14 +179,35 @@ def test_summary_json_round_trip(tmp_path):
 
 def test_read_records_rejects_malformed(tmp_path):
     bad = tmp_path / "r.csv"
-    bad.write_text("shot_id,setting_id,branch,phi_tac,outcome,n_attempts\n0,0,x,0,up,1\n")
-    with pytest.raises(ValueError, match="malformed"):
-        read_records(bad)
+    for row in (
+        "0,0,x,0,up,1",
+        "0,0,1,0.5,UP,1",  # outcome other than up/down
+        "0,0,7,0.5,up,1",  # branch outside {0, 1, 2}
+        "0,0,1,nan,up,1",  # non-finite phi_tac
+        "0,0,1,inf,down,1",
+        "0,0,7,nan,UP,1",
+        "0,0,1,0.5,up",  # missing field
+    ):
+        bad.write_text(f"shot_id,setting_id,branch,phi_tac,outcome,n_attempts\n{row}\n")
+        with pytest.raises(ValueError, match=r"r\.csv:2: malformed record"):
+            read_records(bad)
 
 
 # ---------------------------------------------------------------------------
 # tomo
 # ---------------------------------------------------------------------------
+
+
+def test_demo_records_bytes_are_pinned(tmp_path):
+    # demos/corrected_hv.ini at 2000 shots per setting; the digest is the
+    # engine's output under its randomness contract, so a change here is a
+    # change of program output
+    manifest = Path(__file__).resolve().parents[1] / "demos" / "corrected_hv.ini"
+    bundle = cmd_simulate(manifest, tmp_path / "out", shots=2000)
+    digest = hashlib.sha256(bundle.records_path.read_bytes()).hexdigest()
+    assert digest == "d31e3d95af2136a8c710cee973abd0e0d8a8865798166f7c0ab0a17f6f4b88df"
+    regenerated = cmd_tomo(records_path=bundle.records_path, flt="corrected")
+    assert regenerated["tomography"] == bundle.summary["tomography"]
 
 
 def test_tomo_from_records_matches_in_memory(tmp_path):

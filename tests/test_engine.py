@@ -118,9 +118,8 @@ def test_uncorrected_raman_branch_flips_up():
 
 def test_corrected_raman_branch_restored():
     frame = run_experiment(ideal_config(500, 5), get_sequence("corrected_HV"))
+    assert (frame.branch == 2).any()
     assert frame.outcome_up.all()
-    h = frame.select(frame.branch == 2)
-    assert np.allclose(h.correction_angle, math.pi)
 
 
 def test_corrected_45_restores_up():
@@ -162,7 +161,6 @@ def test_dark_heralds_carry_random_branch_and_skip_scattering():
     errors = ErrorBudget(p_dark=1.0)
     cfg = ExperimentConfig(shots=2000, seed=10, errors=errors)
     frame = run_experiment(cfg, get_sequence("corrected_HV"))
-    assert frame.is_dark.all()
     assert abs(np.mean(frame.branch == 1) - 0.5) < 0.05
     # no scattering happened: the branch-1 "correction" (none) leaves |up>,
     # while the spurious branch-2 pi pulse flips it
@@ -170,8 +168,6 @@ def test_dark_heralds_carry_random_branch_and_skip_scattering():
     h = frame.select(frame.branch == 2)
     assert v.outcome_up.all()
     assert not h.outcome_up.any()
-    assert np.isnan(v.correction_angle).all()
-    assert np.allclose(h.correction_angle, math.pi)
 
 
 def test_ramsey_hv_fringe_shapes_follow_convention():
@@ -268,14 +264,15 @@ def test_run_shot_matches_run_experiment_rows():
     seq = get_sequence("corrected_HV")
     frame = run_experiment(cfg, seq)
     for i in (0, 1, 17, 49):
-        record = run_shot(cfg, seq, shot_stream(cfg.seed, i), shot_id=i)
-        assert record == frame.record(i)
+        shot = run_shot(cfg, seq, shot_stream(cfg.seed, i), shot_id=i)
+        assert len(shot) == 1
+        assert shot.equals(frame.select(frame.shot_id == i))
 
 
 def test_single_shot_run():
     frame = run_experiment(ideal_config(1, 17), get_sequence("scatter_HV"))
     assert len(frame) == 1
-    assert frame.record(0).n_attempts >= 1
+    assert frame.n_attempts[0] >= 1
 
 
 def test_derive_seed_is_stable_and_distinct():
@@ -320,6 +317,13 @@ def test_probability_bounds_enforced():
         ErrorBudget(p_dark=-0.1)
     with pytest.raises(ValueError):
         ErrorBudget(phi_jitter_sigma=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["pol_misalign", "biref_phase", "phi_jitter_sigma"])
+def test_error_budget_rejects_non_finite_angles(name, value):
+    with pytest.raises(ValueError, match=name):
+        ErrorBudget(**{name: value})
 
 
 def test_scatter_needs_herald_probability():
