@@ -38,7 +38,6 @@ from .scattering import (
     unconditioned_channel,
 )
 from .engine import (
-    CorrectionRule,
     ErrorBudget,
     ExperimentConfig,
     PulseSequence,

@@ -31,7 +31,6 @@ import numpy as np
 
 from . import __version__
 from .engine import (
-    CorrectionRule,
     ErrorBudget,
     ExperimentConfig,
     PulseSequence,
@@ -41,7 +40,7 @@ from .engine import (
     run_experiment,
     run_plan,
 )
-from .scattering import PolarizationBasis, entanglement_fidelity
+from .scattering import entanglement_fidelity
 from .spinalg import KET_UP
 from .tomography import (
     binned_fringe,
@@ -97,16 +96,7 @@ class RunManifest:
                 raise ManifestError(
                     f"[basis] overrides given but sequence {seq.name!r} has no scatter block"
                 )
-            basis = PolarizationBasis(
-                theta=self.basis_override.get("theta", seq.scatter.theta),
-                ellipticity=self.basis_override.get(
-                    "ellipticity", seq.scatter.ellipticity
-                ),
-            )
-            correction = seq.correction
-            if correction is not None:
-                correction = CorrectionRule.inverse_of(basis)
-            seq = replace(seq, scatter=basis, correction=correction)
+            seq = replace(seq, scatter=replace(seq.scatter, **self.basis_override))
         return seq
 
 
@@ -198,10 +188,13 @@ def load_manifest(path) -> RunManifest:
         if raw:
             harmonic = _get_int(parser, "analysis", "fringe_harmonic", None)
 
+    bins = _get_int(parser, "analysis", "bins", 20)
+    if bins < 1:
+        raise ManifestError(f"[analysis] bins must be >= 1, got {bins!r}")
     analysis = AnalysisRequest(
         tomography=_get_bool(parser, "analysis", "tomography", False),
         fringe_harmonic=harmonic,
-        bins=_get_int(parser, "analysis", "bins", 20),
+        bins=bins,
         filter=flt,
         entanglement_fidelity=_get_bool(
             parser, "analysis", "entanglement_fidelity", False
@@ -250,8 +243,9 @@ def write_records(path, frames_by_setting: dict) -> None:
 
 def read_records(path) -> dict[int, ShotFrame]:
     """Parse a records file into one frame per setting.  A line with the
-    wrong field count, a non-integer id, a branch outside {0, 1, 2}, a
-    non-finite phi_tac or an outcome other than up/down is rejected."""
+    wrong field count, a non-integer or negative id, a negative n_attempts, a
+    branch outside {0, 1, 2}, a non-finite phi_tac or an outcome other than
+    up/down is rejected."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"records file not found: {path}")
@@ -264,12 +258,17 @@ def read_records(path) -> dict[int, ShotFrame]:
         for lineno, row in enumerate(reader, start=2):
             try:
                 shot, setting, branch, phi, outcome, n_att = row
+                setting = int(setting)
                 record = (
                     int(shot), int(branch), float(phi), _OUTCOMES[outcome], int(n_att)
                 )
-                if record[1] not in (0, 1, 2) or not math.isfinite(record[2]):
+                if (
+                    record[1] not in (0, 1, 2)
+                    or not math.isfinite(record[2])
+                    or min(record[0], setting, record[4]) < 0
+                ):
                     raise ValueError
-                buckets.setdefault(int(setting), []).append(record)
+                buckets.setdefault(setting, []).append(record)
             except (ValueError, KeyError):
                 raise ValueError(f"{path}:{lineno}: malformed record {row!r}") from None
     frames = {}
@@ -302,7 +301,7 @@ def apply_filter(frame: ShotFrame, name: str) -> ShotFrame:
 # ---------------------------------------------------------------------------
 
 
-def _branch_stats(frames_by_setting: dict) -> dict:
+def _branch_stats(frames_by_setting: dict, n_bins: int) -> dict:
     branch = np.concatenate([f.branch for f in frames_by_setting.values()])
     att = np.concatenate([f.n_attempts for f in frames_by_setting.values()])
     phi = np.concatenate([f.phi_tac for f in frames_by_setting.values()])
@@ -316,17 +315,12 @@ def _branch_stats(frames_by_setting: dict) -> dict:
     }
     heralded = stats["n_branch_1"] + stats["n_branch_2"]
     stats["branch_1_fraction"] = stats["n_branch_1"] / heralded if heralded else 0.0
-    # phase-resolved branch asymmetry: 0 for a linear analysis basis (both
-    # branches fire with probability 1/2 at every phase) and maximal in the
-    # projective circular limit
+    # phase-resolved branch asymmetry over the populated phi_tac bins: 0 for
+    # a linear analysis basis (both branches fire with probability 1/2 at
+    # every phase) and maximal in the projective circular limit
     if heralded:
-        edges = np.linspace(0.0, 2.0 * math.pi, 21)
-        idx = np.clip(np.digitize(phi[scattering], edges) - 1, 0, 19)
-        ones = (branch[scattering] == 1).astype(float)
-        counts = np.bincount(idx, minlength=20)
-        sums = np.bincount(idx, weights=ones, minlength=20)
-        live = counts > 0
-        frac = sums[live] / counts[live]
+        bins = binned_fringe(phi[scattering], branch[scattering] == 1, n_bins)
+        frac = bins[bins[:, 2] > 0, 1]
         stats["phase_resolved_branch_asymmetry"] = float(
             np.mean(np.abs(2.0 * frac - 1.0))
         )
@@ -426,7 +420,7 @@ def _build_summary(manifest: RunManifest, frames_by_setting: dict) -> dict:
             "errors": asdict(cfg.errors),
             "basis_override": dict(manifest.basis_override),
         },
-        "branch_stats": _branch_stats(frames_by_setting),
+        "branch_stats": _branch_stats(frames_by_setting, analysis.bins),
     }
     if analysis.tomography:
         summary["tomography"] = _tomography_summary(frames_by_setting, analysis.filter)
@@ -492,9 +486,10 @@ def cmd_tomo(
         }
     elif manifest_path is not None:
         manifest = _apply_overrides(load_manifest(manifest_path), seed, shots)
-        manifest = replace(
-            manifest, analysis=AnalysisRequest(tomography=True, filter=flt)
+        analysis = AnalysisRequest(
+            tomography=True, bins=manifest.analysis.bins, filter=flt
         )
+        manifest = replace(manifest, analysis=analysis)
         summary = _build_summary(manifest, _run_manifest(manifest))
     else:
         raise ValueError("cmd_tomo needs a records file or a manifest")

@@ -32,12 +32,11 @@ from .scattering import (
     PolarizationBasis,
     branch_operators_from_vectors,
 )
-from .spinalg import ID2, PAULIS, SIGMA_X, SIGMA_Y, rotation_bloch
+from .spinalg import ID2, SIGMA_X, SIGMA_Y, pauli_transfer, rotation_bloch
 
 __all__ = [
     "DRAWS_PER_SHOT",
     "RotationSpec",
-    "CorrectionRule",
     "UnsupportedCorrectionError",
     "ErrorBudget",
     "ExperimentConfig",
@@ -143,41 +142,13 @@ def correction_for(
 
 
 @dataclass(frozen=True)
-class CorrectionRule:
-    """Heralded correction: per-branch (angle, phase offset added to phi_tac).
-
-    None for a branch means no pulse.  Angles must lie in (-2*pi, 2*pi].
-    """
-
-    branch_1: tuple[float, float] | None
-    branch_2: tuple[float, float] | None
-
-    def __post_init__(self):
-        for entry in (self.branch_1, self.branch_2):
-            if entry is not None and not (-TAU < entry[0] <= TAU):
-                raise ValueError(f"correction angle out of (-2pi, 2pi]: {entry[0]!r}")
-
-    @classmethod
-    def inverse_of(cls, basis: PolarizationBasis) -> "CorrectionRule":
-        """The rule that undoes each branch of a linear basis at phase phi_tac."""
-        entries = []
-        for branch in (1, 2):
-            spec = correction_for(basis, branch, 0.0)
-            entries.append(None if spec is None else (spec.angle, 0.0))
-        return cls(entries[0], entries[1])
-
-    def rotation_for(self, branch: int, phi_tac: float) -> RotationSpec | None:
-        entry = self.branch_1 if branch == 1 else self.branch_2
-        if entry is None:
-            return None
-        angle, offset = entry
-        return RotationSpec.equatorial(angle, phi_tac + offset)
-
-
-@dataclass(frozen=True)
 class PulseSequence:
     """One experimental sequence: prep pulse, at most one scatter block with
     optional heralded correction, analysis pulse, projective z measurement.
+
+    corrected applies, after the scatter block, the pulse that correction_for
+    derives from the scatter basis, the detector branch and the recorded
+    phi_tac; it needs a linear scatter basis.
 
     scatter_first reorders the pipeline so the scattering kick (plus its
     correction) acts before the prep pulse; the double-fringe experiment in
@@ -188,13 +159,15 @@ class PulseSequence:
     name: str
     prep: RotationSpec | None = None
     scatter: PolarizationBasis | None = None
-    correction: CorrectionRule | None = None
+    corrected: bool = False
     analysis: RotationSpec | None = None
     scatter_first: bool = False
 
     def __post_init__(self):
-        if self.correction is not None and self.scatter is None:
-            raise ValueError("correction requires a scatter block")
+        if self.corrected:
+            if self.scatter is None:
+                raise ValueError("correction requires a scatter block")
+            correction_for(self.scatter, 1, 0.0)  # rejects a non-linear basis
 
 
 @dataclass(frozen=True)
@@ -352,15 +325,6 @@ def _binomial_icdf(u: np.ndarray, n: np.ndarray, p: float) -> np.ndarray:
     return np.clip(k, 0, np.maximum(n, 0)).astype(np.int64)
 
 
-def _transfer_4x4(op: np.ndarray) -> np.ndarray:
-    """Pauli transfer matrix of rho -> op rho op^dag (not normalized)."""
-    t = np.empty((4, 4))
-    for a in range(4):
-        for b in range(4):
-            t[a, b] = 0.5 * np.trace(PAULIS[a] @ op @ PAULIS[b] @ op.conj().T).real
-    return t
-
-
 def _effective_vectors(basis: PolarizationBasis, errors: ErrorBudget) -> np.ndarray:
     """Analysis vectors actually implemented by the imperfect optics."""
     eff = PolarizationBasis(basis.theta + errors.pol_misalign, basis.ellipticity)
@@ -380,6 +344,14 @@ def _rotate_rows(bloch: np.ndarray, spec: RotationSpec | None) -> np.ndarray:
     if spec is None:
         return bloch
     return bloch @ spec.bloch_matrix().T
+
+
+def _rz(rows: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Rotate each Bloch row right-handedly about +z by its own angle."""
+    c, s = np.cos(phi), np.sin(phi)
+    return np.column_stack(
+        [c * rows[:, 0] - s * rows[:, 1], s * rows[:, 0] + c * rows[:, 1], rows[:, 2]]
+    )
 
 
 def _apply_scatter_block(config, seq, draws, bloch):
@@ -415,14 +387,12 @@ def _apply_scatter_block(config, seq, draws, bloch):
 
     vecs = _effective_vectors(seq.scatter, err)
     m1, m2 = branch_operators_from_vectors(vecs, DEFAULT_EXCITATION, 0.0)
-    t1, t2 = _transfer_4x4(m1), _transfer_4x4(m2)
+    # unnormalized Pauli transfer matrices of rho -> m rho m^dag
+    t1, t2 = pauli_transfer(m1, m1).real, pauli_transfer(m2, m2).real
 
     # conjugate by Rz(phi_true): rotate the state into the phase-0 frame,
     # apply the fixed transfer matrices, rotate back
-    c, s = np.cos(phi_true), np.sin(phi_true)
-    s4 = np.column_stack(
-        [np.ones(n), c * bloch[:, 0] + s * bloch[:, 1], -s * bloch[:, 0] + c * bloch[:, 1], bloch[:, 2]]
-    )
+    s4 = np.column_stack([np.ones(n), _rz(bloch, -phi_true)])
     w1 = s4 @ t1.T
     w2 = s4 @ t2.T
     p1 = np.where(dark, 0.5, w1[:, 0])
@@ -432,10 +402,7 @@ def _apply_scatter_block(config, seq, draws, bloch):
     w = np.where(pick1[:, None], w1, w2)
     norm = np.where(np.abs(w[:, 0]) < 1e-300, 1.0, w[:, 0])
     w = w / norm[:, None]
-    scattered = np.column_stack(
-        [c * w[:, 1] - s * w[:, 2], s * w[:, 1] + c * w[:, 2], w[:, 3]]
-    )
-    bloch = np.where(dark[:, None], bloch, scattered)
+    bloch = np.where(dark[:, None], bloch, _rz(w[:, 1:], phi_true))
 
     # possible extra scattering event whose photon was missed
     if err.p_multi > 0.0:
@@ -447,33 +414,18 @@ def _apply_scatter_block(config, seq, draws, bloch):
     return bloch, n_att, branch, phi_rec
 
 
-def _apply_correction(rule, branch, phi_rec, bloch):
-    """Per-shot heralded correction pulses (vectorized Rodrigues rotation)."""
-    n = len(branch)
-    angle = np.zeros(n)
-    azimuth = np.zeros(n)
-    for b, entry in ((1, rule.branch_1), (2, rule.branch_2)):
-        if entry is None:
+def _apply_correction(basis, branch, phi_rec, bloch):
+    """Per-shot heralded correction pulses: each branch's phase-0 pulse,
+    applied in the frame of the shot's recorded phase."""
+    out = bloch.copy()
+    for b in (1, 2):
+        spec = correction_for(basis, b, 0.0)
+        if spec is None:
             continue
         sel = branch == b
-        angle[sel] = entry[0]
-        azimuth[sel] = phi_rec[sel] + entry[1]
-
-    active = angle != 0.0
-    if np.any(active):
-        a = angle[active]
-        kx, ky = np.cos(azimuth[active]), np.sin(azimuth[active])
-        v = bloch[active]
-        cos_a, sin_a = np.cos(a)[:, None], np.sin(a)[:, None]
-        kdotv = kx * v[:, 0] + ky * v[:, 1]
-        # k x v with k = (kx, ky, 0)
-        cross = np.column_stack([ky * v[:, 2], -kx * v[:, 2], kx * v[:, 1] - ky * v[:, 0]])
-        k3 = np.column_stack([kx, ky, np.zeros_like(kx)])
-        rotated = v * cos_a + cross * sin_a + k3 * (kdotv[:, None] * (1.0 - cos_a))
-        out = bloch.copy()
-        out[active] = rotated
-        bloch = out
-    return bloch
+        phi = phi_rec[sel]
+        out[sel] = _rz(_rz(bloch[sel], -phi) @ spec.bloch_matrix().T, phi)
+    return out
 
 
 def _simulate_rows(
@@ -499,8 +451,8 @@ def _simulate_rows(
         state, n_att, branch, phi_rec = _apply_scatter_block(
             config, seq, draws, state
         )
-        if seq.correction is not None:
-            state = _apply_correction(seq.correction, branch, phi_rec, state)
+        if seq.corrected:
+            state = _apply_correction(seq.scatter, branch, phi_rec, state)
         return state
 
     if seq.scatter is not None and seq.scatter_first:
@@ -620,12 +572,8 @@ def standard_sequences() -> dict[str, PulseSequence]:
         "ramsey_45": PulseSequence(
             "ramsey_45", scatter=diag, analysis=half_x, scatter_first=True
         ),
-        "corrected_HV": PulseSequence(
-            "corrected_HV", scatter=hv, correction=CorrectionRule.inverse_of(hv)
-        ),
-        "corrected_45": PulseSequence(
-            "corrected_45", scatter=diag, correction=CorrectionRule.inverse_of(diag)
-        ),
+        "corrected_HV": PulseSequence("corrected_HV", scatter=hv, corrected=True),
+        "corrected_45": PulseSequence("corrected_45", scatter=diag, corrected=True),
     }
     for i, (label, prep) in enumerate(PREPARATIONS.items(), start=1):
         catalog[f"tomo_input_{i}"] = PulseSequence(

@@ -20,6 +20,7 @@ Rz(phase), which carries the equivalent rotation axes around the equator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,10 @@ class PolarizationBasis:
     ellipticity: float = 0.0
 
     def __post_init__(self):
+        for name in ("theta", "ellipticity"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if abs(self.ellipticity) > np.pi / 4 + 1e-12:
             raise ValueError(
                 f"ellipticity must lie in [-pi/4, pi/4], got {self.ellipticity!r}"

@@ -35,6 +35,7 @@ __all__ = [
     "rotation",
     "rotation_bloch",
     "rotating_frame",
+    "pauli_transfer",
     "to_bloch",
     "from_bloch",
     "density",
@@ -109,6 +110,18 @@ def rotating_frame(op, phase: float) -> np.ndarray:
     op = np.asarray(op, dtype=complex)
     rz = rotation((0.0, 0.0, 1.0), phase)
     return rz @ op @ rz.conj().T
+
+
+def pauli_transfer(a, b) -> np.ndarray:
+    """Complex 4x4 matrix T[i, j] = tr(P_i a P_j b^dag) / 2 over P = (I, X, Y, Z).
+
+    pauli_transfer(op, op).real is the Pauli transfer matrix of
+    rho -> op rho op^dag.
+    """
+    b_dag = np.asarray(b, dtype=complex).conj().T
+    return np.array(
+        [[0.5 * np.trace(p @ a @ q @ b_dag) for q in PAULIS] for p in PAULIS]
+    )
 
 
 def density(psi) -> np.ndarray:

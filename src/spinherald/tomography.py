@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import PREPARATIONS, RotationSpec, X_AXIS, Y_AXIS
-from .spinalg import ID2, PAULIS
+from .spinalg import ID2, PAULIS, pauli_transfer
 
 __all__ = [
     "IncompleteDataError",
@@ -174,15 +174,9 @@ def estimate_ptm(outcomes_by_setting) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _build_basis_change() -> tuple[np.ndarray, np.ndarray]:
-    """16x16 map L with vec(T) = L vec(chi), and its inverse."""
-    l = np.zeros((16, 16), dtype=complex)
-    for m in range(4):
-        for n in range(4):
-            for a in range(4):
-                for b in range(4):
-                    l[4 * a + b, 4 * m + n] = 0.5 * np.trace(
-                        PAULIS[a] @ PAULIS[m] @ PAULIS[b] @ PAULIS[n]
-                    )
+    """16x16 map L with vec(T) = L vec(chi), and its inverse: column (m, n)
+    is the transfer matrix of rho -> P_m rho P_n."""
+    l = np.stack([pauli_transfer(pm, pn).ravel() for pm in PAULIS for pn in PAULIS], 1)
     return l, np.linalg.inv(l)
 
 

@@ -17,9 +17,19 @@ from spinherald.cli import (
     read_records,
     write_records,
 )
+from spinherald.engine import UnsupportedCorrectionError
 from spinherald.scattering import PolarizationBasis, scatter
 from spinherald.spinalg import ID2
 from spinherald.tomography import IncompleteDataError
+
+NOMINAL_ERRORS = {
+    "p_multi": 0.05,
+    "p_dark": 0.03,
+    "e_prep": 0.015,
+    "e_meas": 0.015,
+    "pol_misalign": 0.01,
+    "phi_jitter_sigma": 0.17,
+}
 
 
 def write_manifest(
@@ -72,9 +82,13 @@ def test_manifest_unknown_sequence(tmp_path):
 
 def test_manifest_bad_number(tmp_path):
     path = tmp_path / "m.ini"
-    path.write_text("[run]\nsequence = scatter_HV\nshots = many\n")
-    with pytest.raises(ManifestError, match="shots"):
-        load_manifest(path)
+    for text, key in (
+        ("[run]\nsequence = scatter_HV\nshots = many\n", "shots"),
+        ("[run]\nsequence = scatter_HV\n[analysis]\nbins = 0\n", "bins"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ManifestError, match=key):
+            load_manifest(path)
 
 
 def test_manifest_unknown_key(tmp_path):
@@ -187,6 +201,10 @@ def test_read_records_rejects_malformed(tmp_path):
         "0,0,1,inf,down,1",
         "0,0,7,nan,UP,1",
         "0,0,1,0.5,up",  # missing field
+        "-4,0,1,0.5,up,1",  # negative shot_id
+        "0,-3,1,0.5,up,1",  # negative setting_id
+        "0,0,1,0.5,up,-5",  # negative n_attempts
+        "0,-3,1,0.5,up,-5",
     ):
         bad.write_text(f"shot_id,setting_id,branch,phi_tac,outcome,n_attempts\n{row}\n")
         with pytest.raises(ValueError, match=r"r\.csv:2: malformed record"):
@@ -199,15 +217,42 @@ def test_read_records_rejects_malformed(tmp_path):
 
 
 def test_demo_records_bytes_are_pinned(tmp_path):
-    # demos/corrected_hv.ini at 2000 shots per setting; the digest is the
-    # engine's output under its randomness contract, so a change here is a
-    # change of program output
-    manifest = Path(__file__).resolve().parents[1] / "demos" / "corrected_hv.ini"
-    bundle = cmd_simulate(manifest, tmp_path / "out", shots=2000)
-    digest = hashlib.sha256(bundle.records_path.read_bytes()).hexdigest()
-    assert digest == "d31e3d95af2136a8c710cee973abd0e0d8a8865798166f7c0ab0a17f6f4b88df"
-    regenerated = cmd_tomo(records_path=bundle.records_path, flt="corrected")
-    assert regenerated["tomography"] == bundle.summary["tomography"]
+    # corrected tomography runs at 2000 shots per setting under the nominal
+    # error budget; each digest is the engine's output under its randomness
+    # contract, so a change here is a change of program output
+    def corrected(name, sequence, basis=None):
+        return write_manifest(
+            tmp_path / f"{name}.ini", sequence, shots=2000, seed=7,
+            errors=NOMINAL_ERRORS,
+            analysis={"tomography": "true", "filter": "corrected"},
+            basis=basis, config={"p_exc": 0.075},
+        )
+
+    cases = (
+        (
+            Path(__file__).resolve().parents[1] / "demos" / "corrected_hv.ini",
+            "d31e3d95af2136a8c710cee973abd0e0d8a8865798166f7c0ab0a17f6f4b88df",
+        ),
+        (
+            corrected("c45", "corrected_45"),
+            "512bc6c05c0daa41e846340f95bf305af8f0088ee4d7dd56e7a654da0f006760",
+        ),
+        (
+            corrected("chv", "corrected_HV", basis={"theta": 0.3}),
+            "963b91c89435f0982199ce587e539e4ae9674fd8a1c460c52dbc4d732dd0c755",
+        ),
+    )
+    for i, (manifest, expected) in enumerate(cases):
+        bundle = cmd_simulate(manifest, tmp_path / f"out{i}", shots=2000)
+        digest = hashlib.sha256(bundle.records_path.read_bytes()).hexdigest()
+        assert digest == expected, manifest
+        regenerated = cmd_tomo(records_path=bundle.records_path, flt="corrected")
+        assert regenerated["tomography"] == bundle.summary["tomography"]
+
+    # the correction inverts the basis in use, and an elliptical kick has none
+    elliptical = corrected("chv_elliptical", "corrected_HV", basis={"ellipticity": 0.2})
+    with pytest.raises(UnsupportedCorrectionError, match="ellipticity"):
+        load_manifest(elliptical)
 
 
 def test_tomo_from_records_matches_in_memory(tmp_path):
@@ -218,6 +263,25 @@ def test_tomo_from_records_matches_in_memory(tmp_path):
     bundle = cmd_simulate(manifest, tmp_path / "out")
     regenerated = cmd_tomo(records_path=bundle.records_path, flt="all")
     assert regenerated["tomography"] == bundle.summary["tomography"]
+
+
+def test_branch_stats_follow_manifest_bins(tmp_path):
+    # an elliptical basis makes the branch fraction depend on phi_tac, so
+    # the phase-resolved asymmetry depends on the bin count
+    def summary(bins, name):
+        manifest = write_manifest(
+            tmp_path / f"{name}.ini", "tomo_input_3", shots=500, seed=24,
+            basis={"ellipticity": 0.3},
+            analysis={"tomography": "true", "bins": bins},
+        )
+        return cmd_simulate(manifest, tmp_path / name).summary, manifest
+
+    coarse, manifest = summary(4, "coarse")
+    fine, _ = summary(20, "fine")
+    asym = "phase_resolved_branch_asymmetry"
+    assert coarse["branch_stats"][asym] != fine["branch_stats"][asym]
+    # tomo --manifest bins its branch statistics the same way
+    assert cmd_tomo(manifest_path=manifest)["branch_stats"] == coarse["branch_stats"]
 
 
 def test_tomo_branch_filters(tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spinherald.engine import (
-    CorrectionRule,
     ErrorBudget,
     ExperimentConfig,
     PulseSequence,
@@ -71,13 +70,11 @@ def test_correction_45_half_pi_pulses_invert():
 
 
 def test_correction_rejects_elliptical_basis():
+    elliptical = PolarizationBasis(0.0, 0.2)
     with pytest.raises(UnsupportedCorrectionError):
-        correction_for(PolarizationBasis(0.0, 0.2), 1, 0.0)
-
-
-def test_correction_rule_angle_range():
-    with pytest.raises(ValueError):
-        CorrectionRule((3 * math.pi, 0.0), None)
+        correction_for(elliptical, 1, 0.0)
+    with pytest.raises(UnsupportedCorrectionError):
+        PulseSequence("bad", scatter=elliptical, corrected=True)
 
 
 def test_heralded_reversibility_property():
@@ -333,9 +330,8 @@ def test_scatter_needs_herald_probability():
 
 
 def test_correction_without_scatter_rejected():
-    rule = CorrectionRule((math.pi, 0.0), None)
-    with pytest.raises(ValueError):
-        PulseSequence("bad", correction=rule)
+    with pytest.raises(ValueError, match="scatter block"):
+        PulseSequence("bad", corrected=True)
 
 
 def test_standard_sequence_catalog():

@@ -60,6 +60,11 @@ def test_hv_basis_vectors():
 def test_ellipticity_bounds():
     with pytest.raises(ValueError):
         PolarizationBasis(0.0, 1.0)
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="theta"):
+            PolarizationBasis(value, 0.0)
+        with pytest.raises(ValueError, match="ellipticity"):
+            PolarizationBasis(0.0, value)
 
 
 # ---------------------------------------------------------------------------
