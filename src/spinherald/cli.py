@@ -183,10 +183,12 @@ def load_manifest(path) -> RunManifest:
     if flt not in FILTERS:
         raise ManifestError(f"[analysis] filter must be one of {FILTERS}, got {flt!r}")
     harmonic = None
-    if parser.has_option("analysis", "fringe_harmonic"):
-        raw = parser.get("analysis", "fringe_harmonic").strip()
-        if raw:
-            harmonic = _get_int(parser, "analysis", "fringe_harmonic", None)
+    if parser.get("analysis", "fringe_harmonic", fallback="").strip():
+        harmonic = _get_int(parser, "analysis", "fringe_harmonic", None)
+        if harmonic not in (1, 2):
+            raise ManifestError(
+                f"[analysis] fringe_harmonic must be 1 or 2, got {harmonic!r}"
+            )
 
     bins = _get_int(parser, "analysis", "bins", 20)
     if bins < 1:
@@ -346,28 +348,36 @@ def _tomography_summary(frames_by_setting: dict, flt: str) -> dict:
     }
 
 
-def _fringe_summary(frames_by_setting: dict, harmonic: int, n_bins: int) -> list[dict]:
-    out = []
+def _fringe_tables(frames_by_setting: dict, n_bins: int) -> dict:
+    """Binned fringe of each branch of each setting, keyed (setting_id,
+    branch) in ascending order; an empty branch has all counts zero."""
+    tables = {}
     for setting_id in sorted(frames_by_setting):
         f = frames_by_setting[setting_id]
         for b in (1, 2):
             sel = f.select(f.branch == b)
-            if len(sel) == 0:
-                continue
-            bins = binned_fringe(sel.phi_tac, sel.outcome_up, n_bins)
-            fit = fit_fringe(bins, harmonic)
-            out.append(
-                {
-                    "setting_id": setting_id,
-                    "branch": b,
-                    "harmonic": harmonic,
-                    "offset": fit.offset,
-                    "amplitude": fit.amplitude,
-                    "phase": fit.phase,
-                    "contrast": fit.contrast,
-                    "residual": fit.residual,
-                }
-            )
+            tables[setting_id, b] = binned_fringe(sel.phi_tac, sel.outcome_up, n_bins)
+    return tables
+
+
+def _fringe_summary(tables: dict, harmonic: int) -> list[dict]:
+    out = []
+    for (setting_id, b), bins in tables.items():
+        if not bins[:, 2].any():
+            continue
+        fit = fit_fringe(bins, harmonic)
+        out.append(
+            {
+                "setting_id": setting_id,
+                "branch": b,
+                "harmonic": harmonic,
+                "offset": fit.offset,
+                "amplitude": fit.amplitude,
+                "phase": fit.phase,
+                "contrast": fit.contrast,
+                "residual": fit.residual,
+            }
+        )
     return out
 
 
@@ -426,7 +436,7 @@ def _build_summary(manifest: RunManifest, frames_by_setting: dict) -> dict:
         summary["tomography"] = _tomography_summary(frames_by_setting, analysis.filter)
     if analysis.fringe_harmonic is not None:
         summary["fringes"] = _fringe_summary(
-            frames_by_setting, analysis.fringe_harmonic, analysis.bins
+            _fringe_tables(frames_by_setting, analysis.bins), analysis.fringe_harmonic
         )
     if analysis.entanglement_fidelity:
         summary["entanglement_fidelity"] = _entanglement_summary(manifest)
@@ -476,23 +486,26 @@ def cmd_tomo(
     """Reconstruct the process matrix from records (or simulate first).
 
     Records must cover all 12 plan settings; the summary carries the
-    projected chi, the identity overlap and the Bloch ellipsoid.
+    projected chi, the identity overlap and the Bloch ellipsoid.  The seed
+    and shot overrides apply to a manifest only.
     """
+    if (records_path is None) == (manifest_path is None):
+        raise ValueError("tomo needs exactly one of a records file and a manifest")
     if records_path is not None:
+        if (seed, shots) != (None, None):
+            raise ValueError("seed and shots overrides need a manifest, not records")
         summary = {
             "version": __version__,
             "records": str(records_path),
             "tomography": _tomography_summary(read_records(records_path), flt),
         }
-    elif manifest_path is not None:
+    else:
         manifest = _apply_overrides(load_manifest(manifest_path), seed, shots)
         analysis = AnalysisRequest(
             tomography=True, bins=manifest.analysis.bins, filter=flt
         )
         manifest = replace(manifest, analysis=analysis)
         summary = _build_summary(manifest, _run_manifest(manifest))
-    else:
-        raise ValueError("cmd_tomo needs a records file or a manifest")
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -516,11 +529,11 @@ def cmd_ramsey(
     if harmonic is None:
         harmonic = 1 if seq.scatter_first else 2
     bins = manifest.analysis.bins
-    manifest = replace(
-        manifest, analysis=AnalysisRequest(fringe_harmonic=harmonic, bins=bins)
-    )
+    manifest = replace(manifest, analysis=AnalysisRequest(bins=bins))
     frames = _run_manifest(manifest)
+    tables = _fringe_tables(frames, bins)
     summary = _build_summary(manifest, frames)
+    summary["fringes"] = _fringe_summary(tables, harmonic)
 
     out = Path(out_dir if out_dir is not None else manifest.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -528,9 +541,8 @@ def cmd_ramsey(
     with table_path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("branch", "phi_bin_center", "p_up", "count"))
-        for b in (1, 2):
-            sel = frames[0].select(frames[0].branch == b)
-            for phi_c, p, cnt in binned_fringe(sel.phi_tac, sel.outcome_up, bins):
+        for (_, b), table in tables.items():
+            for phi_c, p, cnt in table:
                 writer.writerow(
                     (b, format(phi_c, ".9g"), format(p, ".9g"), int(cnt))
                 )
@@ -656,8 +668,6 @@ def main(argv=None) -> int:
             print(f"records: {bundle.records_path}")
             print(f"summary: {bundle.summary_path}")
         elif args.command == "tomo":
-            if args.records is None and args.manifest is None:
-                raise ValueError("tomo needs --records or --manifest")
             summary = cmd_tomo(
                 args.records, args.manifest, args.filter, args.out, args.seed, args.shots
             )

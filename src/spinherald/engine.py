@@ -10,7 +10,8 @@ Randomness contract: shot i consumes a fixed block of 12 uniform variates
 taken from a Philox counter stream keyed by the run seed.  Any partition of
 the shot range regenerates exactly its own rows (`shot_stream` exposes the
 stream of a single shot), so the produced records are bit-identical for any
-worker count or execution order.
+partition of the shot range.  `run_experiment` walks the range in fixed
+chunks of 2^16 shots, which bounds the draws and temporaries held at once.
 
 The per-shot state is tracked as a Bloch vector; scattering branch operators
 enter through their 4x4 Pauli transfer matrices conjugated by the per-shot
@@ -20,7 +21,6 @@ precession phase, which keeps every step vectorized across shots.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -32,7 +32,7 @@ from .scattering import (
     PolarizationBasis,
     branch_operators_from_vectors,
 )
-from .spinalg import ID2, SIGMA_X, SIGMA_Y, pauli_transfer, rotation_bloch
+from .spinalg import ID2, SIGMA_X, SIGMA_Y, pauli_transfer, rotation, rotation_bloch
 
 __all__ = [
     "DRAWS_PER_SHOT",
@@ -63,6 +63,9 @@ TAU = 2.0 * math.pi
 # 10-11 reserved.
 DRAWS_PER_SHOT = 12
 _BLOCKS_PER_SHOT = DRAWS_PER_SHOT // 4
+# Shots per pass of run_experiment's loop: bounds the draws and kernel
+# temporaries held at once, whatever the shot count.
+_CHUNK = 1 << 16
 
 
 class UnsupportedCorrectionError(ValueError):
@@ -82,8 +85,6 @@ class RotationSpec:
     angle: float
 
     def matrix(self) -> np.ndarray:
-        from .spinalg import rotation
-
         return rotation(self.axis, self.angle)
 
     def bloch_matrix(self) -> np.ndarray:
@@ -299,12 +300,6 @@ def shot_stream(seed: int, shot_id: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def _draw_rows(seed: int, start: int, count: int) -> np.ndarray:
-    bg = np.random.Philox(key=_philox_key(seed))
-    bg.advance(start * _BLOCKS_PER_SHOT)
-    return np.random.Generator(bg).random((count, DRAWS_PER_SHOT))
-
-
 def derive_seed(seed: int, index: int) -> int:
     """Deterministic child seed for sub-run `index` of a master seed."""
     return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
@@ -495,29 +490,18 @@ def run_shot(
     return _simulate_rows(config, seq, draws, shot_id)
 
 
-def run_experiment(
-    config: ExperimentConfig, seq: PulseSequence, workers: int = 1
-) -> ShotFrame:
+def run_experiment(config: ExperimentConfig, seq: PulseSequence) -> ShotFrame:
     """Run `config.shots` independent shots of a sequence.
 
-    Shot i consumes the draw block derived from (seed, i) only, so the result
-    is bit-identical for any `workers` value; worker threads simulate
-    contiguous shot ranges and regenerate exactly their own draws.
+    Shot i consumes the draw block derived from (seed, i) only; the shot
+    range is simulated in contiguous chunks of `_CHUNK` shots, each drawing
+    exactly its own rows, and the chunks are concatenated.
     """
-    shots = config.shots
-    if workers <= 1:
-        draws = _draw_rows(config.seed, 0, shots)
-        return _simulate_rows(config, seq, draws, 0)
-
-    bounds = np.linspace(0, shots, workers + 1, dtype=int)
-    ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-    def job(lo: int, hi: int) -> ShotFrame:
-        return _simulate_rows(config, seq, _draw_rows(config.seed, lo, hi - lo), lo)
-
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        parts = list(pool.map(lambda r: job(*r), ranges))
-
+    parts = []
+    for lo in range(0, config.shots, _CHUNK):
+        n = min(_CHUNK, config.shots - lo)
+        draws = shot_stream(config.seed, lo).random((n, DRAWS_PER_SHOT))
+        parts.append(_simulate_rows(config, seq, draws, lo))
     return ShotFrame(*map(np.concatenate, zip(*(p._columns() for p in parts))))
 
 

@@ -85,11 +85,8 @@ def pauli_projection(axis) -> np.ndarray:
 
 def rotation(axis, angle: float) -> np.ndarray:
     """Spin rotation exp(-i*angle/2 * axis.sigma) about a real unit axis."""
-    axis = _as_unit_axis(axis)
     half = 0.5 * angle
-    return np.cos(half) * ID2 - 1.0j * np.sin(half) * (
-        axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z
-    )
+    return np.cos(half) * ID2 - 1.0j * np.sin(half) * pauli_projection(axis)
 
 
 def rotation_bloch(axis, angle: float) -> np.ndarray:

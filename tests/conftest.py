@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from spinherald.engine import ErrorBudget, ExperimentConfig, get_sequence, run_plan
+from spinherald.engine import (
+    DRAWS_PER_SHOT,
+    ErrorBudget,
+    ExperimentConfig,
+    ShotFrame,
+    _simulate_rows,
+    get_sequence,
+    run_plan,
+    shot_stream,
+)
 from spinherald.spinalg import PAULIS, from_bloch, to_bloch
 from spinherald.tomography import tomography_plan
 
@@ -15,6 +24,20 @@ def tomography_frames(sequence_name, errors, seed, shots=SHOTS_PER_SETTING):
     """Run the full 12-setting plan for one channel block."""
     cfg = ExperimentConfig(shots=shots, seed=seed, p_exc=0.075, eta=1.0, errors=errors)
     return run_plan(cfg, get_sequence(sequence_name), PLAN)
+
+
+def run_in_ranges(config, seq, parts):
+    """Simulate the shot range as `parts` near-equal contiguous ranges, each
+    run through the engine's range kernel on its own counter blocks, and
+    concatenate them in order."""
+    bounds = np.linspace(0, config.shots, parts + 1, dtype=int).tolist()
+    frames = [
+        _simulate_rows(
+            config, seq, shot_stream(config.seed, lo).random((hi - lo, DRAWS_PER_SHOT)), lo
+        )
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    return ShotFrame(*map(np.concatenate, zip(*(f._columns() for f in frames))))
 
 
 def kraus_transfer(kraus_ops):

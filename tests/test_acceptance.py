@@ -39,6 +39,7 @@ from conftest import (
     ACCEPT_SEED,
     PLAN,
     kraus_transfer,
+    run_in_ranges,
     synthetic_outcomes,
     tomography_frames,
 )
@@ -492,9 +493,7 @@ def _check_determinism() -> bool:
     serial = run_experiment(cfg, seq)
     if not serial.equals(run_experiment(cfg, seq)):
         return False
-    return all(
-        serial.equals(run_experiment(cfg, seq, workers=w)) for w in (2, 5)
-    )
+    return all(serial.equals(run_in_ranges(cfg, seq, parts)) for parts in (2, 5))
 
 
 def _check_oracle_equivalence(rng) -> bool:
@@ -554,7 +553,7 @@ def test_criterion_8_property_suites():
         (
             "seeded determinism",
             _check_determinism(),
-            "bit-identical records, serial == parallel (2 and 5 workers)",
+            "bit-identical records, serial == partitioned (2 and 5 ranges)",
         ),
         (
             "tomography oracle equivalence",

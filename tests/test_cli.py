@@ -85,6 +85,10 @@ def test_manifest_bad_number(tmp_path):
     for text, key in (
         ("[run]\nsequence = scatter_HV\nshots = many\n", "shots"),
         ("[run]\nsequence = scatter_HV\n[analysis]\nbins = 0\n", "bins"),
+        (
+            "[run]\nsequence = no_scatter\n[analysis]\nfringe_harmonic = 3\n",
+            "fringe_harmonic",
+        ),
     ):
         path.write_text(text)
         with pytest.raises(ManifestError, match=key):
@@ -412,6 +416,22 @@ def test_main_unknown_sequence_fails(tmp_path, capsys):
 def test_main_tomo_requires_input(capsys):
     assert main(["tomo"]) != 0
     assert "error" in capsys.readouterr().err
+
+
+def test_main_tomo_records_rejects_run_options(tmp_path, capsys):
+    manifest = write_manifest(
+        tmp_path / "m.ini", "corrected_HV", shots=50, analysis={"tomography": "true"}
+    )
+    records = str(cmd_simulate(manifest, tmp_path / "run").records_path)
+    assert main(["tomo", "--records", records]) == 0
+    capsys.readouterr()
+    for extra, message in (
+        (["--seed", "3"], "overrides need a manifest"),
+        (["--shots", "5"], "overrides need a manifest"),
+        (["--manifest", str(manifest)], "exactly one"),
+    ):
+        assert main(["tomo", "--records", records, *extra]) != 0
+        assert message in capsys.readouterr().err
 
 
 def test_main_ramsey_wrong_sequence(tmp_path, capsys):

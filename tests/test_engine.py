@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spinherald.engine import (
+    _CHUNK,
     ErrorBudget,
     ExperimentConfig,
     PulseSequence,
@@ -26,6 +29,8 @@ from spinherald.scattering import (
 )
 from spinherald.spinalg import ID2, KET_UP, from_bloch, to_bloch
 from spinherald.tomography import estimate_ptm
+
+from conftest import run_in_ranges
 
 
 def ideal_config(shots, seed, p_exc=1.0, eta=1.0, errors=None):
@@ -251,9 +256,9 @@ def test_seed_changes_records():
 def test_parallel_equals_serial():
     cfg = ideal_config(5000, 15, p_exc=0.5, eta=0.8, errors=ErrorBudget.nominal())
     seq = get_sequence("corrected_HV")
-    serial = run_experiment(cfg, seq, workers=1)
-    for workers in (2, 3, 8):
-        assert serial.equals(run_experiment(cfg, seq, workers=workers))
+    serial = run_experiment(cfg, seq)
+    for parts in (2, 3, 8):
+        assert serial.equals(run_in_ranges(cfg, seq, parts))
 
 
 def test_run_shot_matches_run_experiment_rows():
@@ -264,6 +269,26 @@ def test_run_shot_matches_run_experiment_rows():
         shot = run_shot(cfg, seq, shot_stream(cfg.seed, i), shot_id=i)
         assert len(shot) == 1
         assert shot.equals(frame.select(frame.shot_id == i))
+    # rows on both sides of a chunk boundary and the last row of a partial chunk
+    cfg = replace(cfg, shots=2 * _CHUNK + 3)
+    frame = run_experiment(cfg, seq)
+    assert len(frame) == cfg.shots
+    for i in (_CHUNK - 1, _CHUNK, cfg.shots - 1):
+        shot = run_shot(cfg, seq, shot_stream(cfg.seed, i), shot_id=i)
+        assert shot.equals(frame.select(frame.shot_id == i))
+
+
+def test_run_experiment_memory_is_bounded_by_chunks():
+    cfg = ideal_config(1 << 20, 18, errors=ErrorBudget.nominal())
+    seq = get_sequence("corrected_HV")
+    tracemalloc.start()
+    try:
+        frame = run_experiment(cfg, seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(col.nbytes for col in frame._columns())
+    assert peak < 3 * nbytes
 
 
 def test_single_shot_run():
