@@ -21,11 +21,10 @@ precession phase, which keeps every step vectorized across shots.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import binom
 
 from .scattering import (
     DEFAULT_EXCITATION,
@@ -58,9 +57,10 @@ TAU = 2.0 * math.pi
 
 # Uniform variates consumed per shot; a multiple of 4 so that shot substreams
 # sit on Philox counter boundaries.  Slots: 0 prep flip, 1 attempt count,
-# 2 undetected-scatter count, 3 dark herald, 4 scattering phase, 5 phase
-# jitter, 6 branch, 7 extra scatter, 8 measurement, 9 measurement flip,
-# 10-11 reserved.
+# 2 reserved, 3 dark herald, 4 scattering phase, 5 phase jitter, 6 branch,
+# 7 extra scatter, 8 measurement, 9 measurement flip, 10-11 reserved.
+# Unused slots keep their places, so each shot keeps its counter block and
+# every other slot its variate.
 DRAWS_PER_SHOT = 12
 _BLOCKS_PER_SHOT = DRAWS_PER_SHOT // 4
 # Shots per pass of run_experiment's loop: bounds the draws and kernel
@@ -225,10 +225,11 @@ class ExperimentConfig:
     """Run parameters: shot count, seed, excitation and detection
     probabilities and the error budget.
 
-    eta = 1 folds every scattering event into a herald; with eta < 1 each
-    unheralded attempt that scattered applies the unconditioned decoherence
-    channel, which is the dominant effect at realistic detection
-    efficiencies (the experiment measured eta = 2.5e-3).
+    eta only sets the number of excitation attempts before a herald (the
+    experiment measured eta = 2.5e-3).  Each attempt starts from a fresh
+    preparation and runs without a detected photon are discarded, so failed
+    attempts leave no trace on the heralded shot; an undetected scatter
+    within the heralded attempt is errors.p_multi.
     """
 
     shots: int
@@ -313,11 +314,11 @@ def _geometric(u: np.ndarray, p: float) -> np.ndarray:
     return np.maximum(n, 1).astype(np.int64)
 
 
-def _binomial_icdf(u: np.ndarray, n: np.ndarray, p: float) -> np.ndarray:
-    """Inverse-CDF binomial draw, vectorized over per-shot trial counts."""
-    k = binom.ppf(u, n, p)
-    k = np.nan_to_num(k, nan=0.0, posinf=0.0, neginf=0.0)
-    return np.clip(k, 0, np.maximum(n, 0)).astype(np.int64)
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of each uniform, clipped into (0, 1)."""
+    u = np.clip(u, 2.0**-53, 1.0 - 2.0**-53)
+    quantile = statistics.NormalDist().inv_cdf
+    return np.fromiter(map(quantile, u.tolist()), float, len(u))
 
 
 def _effective_vectors(basis: PolarizationBasis, errors: ErrorBudget) -> np.ndarray:
@@ -363,19 +364,10 @@ def _apply_scatter_block(config, seq, draws, bloch):
         p_herald = min(config.p_exc * config.eta / (1.0 - err.p_dark), 1.0)
     n_att = _geometric(draws[:, 1], p_herald)
 
-    # failed attempts that scattered without a herald decohere the spin
-    p_unseen = config.p_exc * (1.0 - config.eta)
-    if p_unseen > 0.0:
-        k = _binomial_icdf(draws[:, 2], n_att - 1, p_unseen)
-        shrink = np.float_power(0.5, k)
-        bloch = bloch * np.column_stack([shrink, shrink, (k == 0).astype(float)])
-
     dark = draws[:, 3] < err.p_dark
     phi_true = TAU * draws[:, 4]
     if err.phi_jitter_sigma > 0.0:
-        jitter = err.phi_jitter_sigma * ndtri(
-            np.clip(draws[:, 5], 2.0**-53, 1.0 - 2.0**-53)
-        )
+        jitter = err.phi_jitter_sigma * _ndtri(draws[:, 5])
     else:
         jitter = 0.0
     phi_rec = np.where(dark, phi_true, np.mod(phi_true + jitter, TAU))

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +167,22 @@ def test_entanglement_fidelity_summary_field(tmp_path):
     assert bundle.summary["entanglement_fidelity"]["fidelity"] == pytest.approx(
         1.0, abs=1e-9
     )
+
+
+def test_paper_eta_keeps_the_heralded_overlap(tmp_path):
+    # the paper reports an overlap above 0.85 whenever a photon was detected,
+    # at eta = 2.5e-3; failed attempts leave no trace, so eta changes only
+    # the attempt counts and the tomography equals that at eta = 1
+    manifest = write_manifest(
+        tmp_path / "m.ini", "corrected_HV", shots=20_000, seed=7,
+        errors=NOMINAL_ERRORS,
+        analysis={"tomography": "true", "filter": "corrected"},
+        config={"p_exc": 0.075, "eta": 0.0025},
+    )
+    paper, ideal = cmd_sweep(manifest, "eta", [0.0025, 1.0], tmp_path / "out")
+    assert paper["config"]["eta"] == 0.0025
+    assert paper["tomography"] == ideal["tomography"]
+    assert paper["tomography"]["identity_overlap"] > 0.85
 
 
 # ---------------------------------------------------------------------------
@@ -438,3 +457,17 @@ def test_main_ramsey_wrong_sequence(tmp_path, capsys):
     manifest = write_manifest(tmp_path / "m.ini", "no_scatter", shots=10)
     assert main(["ramsey", "--manifest", str(manifest)]) != 0
     capsys.readouterr()
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = (
+        "import spinherald.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

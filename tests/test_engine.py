@@ -7,6 +7,7 @@ import pytest
 
 from spinherald.engine import (
     _CHUNK,
+    _ndtri,
     ErrorBudget,
     ExperimentConfig,
     PulseSequence,
@@ -143,9 +144,9 @@ def test_branch_frequency_is_half():
     assert abs(freq - 0.5) < 0.005  # 3 sigma binomial bound
 
 
-def test_unheralded_scattering_decoheres():
-    # p_exc = 1, eta = 0.5: each failed attempt scatters unseen with
-    # probability 1/2, so <x | branch V> = E[(3/4)^failures] = 0.8
+def test_failed_attempts_leave_no_trace():
+    # p_exc = 1, eta = 0.5: half the attempts fail, but each starts from a
+    # fresh preparation, so the Rayleigh branch keeps <x> = 1 exactly
     cfg = ExperimentConfig(shots=40_000, seed=9, p_exc=1.0, eta=0.5)
     seq = PulseSequence(
         "x_to_x",
@@ -154,9 +155,36 @@ def test_unheralded_scattering_decoheres():
         analysis=RotationSpec((0, 1, 0), -math.pi / 2),
     )
     frame = run_experiment(cfg, seq)
+    assert (frame.n_attempts > 1).any()
     v = frame.select(frame.branch == 1)
-    x_mean = 2.0 * v.outcome_up.mean() - 1.0
-    assert abs(x_mean - 0.8) < 0.03
+    assert len(v) > 0
+    assert v.outcome_up.all()
+
+
+def test_eta_sets_only_the_attempt_count():
+    cfg = ExperimentConfig(shots=4000, seed=9, p_exc=0.5, errors=ErrorBudget.nominal())
+    for name in ("corrected_HV", "ramsey_45", "scatter_45"):
+        seq = get_sequence(name)
+        ref = run_experiment(cfg, seq)
+        for eta in (0.5, 2.5e-3):
+            frame = run_experiment(replace(cfg, eta=eta), seq)
+            for col in ("branch", "phi_tac", "outcome_up"):
+                a, b = getattr(frame, col), getattr(ref, col)
+                assert a.tobytes() == b.tobytes(), (name, eta, col)
+            assert frame.n_attempts.mean() > ref.n_attempts.mean()
+
+
+def test_normal_quantile_matches_scipy_ndtri():
+    from scipy.special import ndtri
+
+    clip = (2.0**-53, 1.0 - 2.0**-53)
+    # AS 241 switches approximations at |u - 1/2| = 0.425 and at u = e^-25
+    edges = (0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0), 0.5)
+    uniforms = np.random.default_rng(26).random(100_000)
+    u = np.concatenate([clip, edges, uniforms])
+    got, want = _ndtri(u), ndtri(u)
+    assert np.isfinite(_ndtri(np.array([0.0, *clip]))).all()
+    assert (np.abs(got - want) <= 8 * np.spacing(np.abs(want))).all()
 
 
 def test_dark_heralds_carry_random_branch_and_skip_scattering():
