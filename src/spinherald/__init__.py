@@ -48,8 +48,7 @@ from .engine import (
     noisy_joint_state,
     run_experiment,
     run_plan,
-    run_shot,
-    shot_stream,
+    run_range,
     standard_sequences,
 )
 from .tomography import (

@@ -100,38 +100,45 @@ class RunManifest:
         return seq
 
 
-def _get_float(parser, section, key, default):
+_MANIFEST_KEYS = {
+    "run": {"sequence", "shots", "seed", "out_dir"},
+    "config": set(_CONFIG_KEYS),
+    "errors": set(_ERROR_KEYS),
+    "basis": set(_BASIS_KEYS),
+    "analysis": {
+        "tomography",
+        "fringe_harmonic",
+        "bins",
+        "filter",
+        "entanglement_fidelity",
+    },
+}
+
+
+def _get(parser, section, key, kind, default):
+    """Value of an optional key, parsed as `kind` (float, int or bool)."""
     if not parser.has_option(section, key):
         return default
-    raw = parser.get(section, key)
+    getter, noun = {
+        float: (parser.getfloat, "a number"),
+        int: (parser.getint, "an integer"),
+        bool: (parser.getboolean, "a boolean"),
+    }[kind]
     try:
-        return float(raw)
+        return getter(section, key)
     except ValueError:
-        raise ManifestError(f"[{section}] {key} = {raw!r} is not a number") from None
+        raw = parser.get(section, key)
+        raise ManifestError(f"[{section}] {key} = {raw!r} is not {noun}") from None
 
 
-def _get_int(parser, section, key, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ManifestError(f"[{section}] {key} = {raw!r} is not an integer") from None
+def load_manifest(path, overrides=None) -> RunManifest:
+    """Parse an INI manifest; unknown keys and bad values raise ManifestError.
 
-
-def _get_bool(parser, section, key, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        return parser.getboolean(section, key)
-    except ValueError:
-        raise ManifestError(f"[{section}] {key} = {raw!r} is not a boolean") from None
-
-
-def load_manifest(path) -> RunManifest:
-    """Parse an INI manifest; unknown keys and bad values raise ManifestError."""
+    `overrides` maps manifest keys to values that replace the file's own
+    (None leaves a key as the file has it); each value is str()-ed into the
+    section owning its key, so it is parsed and checked exactly as if the
+    file held it.
+    """
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -140,66 +147,63 @@ def load_manifest(path) -> RunManifest:
     if not read:
         raise ManifestError(f"manifest not found: {path}")
 
-    known = {
-        "run": {"sequence", "shots", "seed", "out_dir"},
-        "config": set(_CONFIG_KEYS),
-        "errors": set(_ERROR_KEYS),
-        "basis": set(_BASIS_KEYS),
-        "analysis": {
-            "tomography",
-            "fringe_harmonic",
-            "bins",
-            "filter",
-            "entanglement_fidelity",
-        },
-    }
+    for key, value in (overrides or {}).items():
+        if value is None:
+            continue
+        section = next((s for s, keys in _MANIFEST_KEYS.items() if key in keys), None)
+        if section is None:
+            raise ManifestError(f"unknown manifest key {key!r}")
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, str(value))
+
     for section in parser.sections():
-        if section not in known:
+        if section not in _MANIFEST_KEYS:
             raise ManifestError(f"unknown manifest section [{section}]")
         for key in parser.options(section):
-            if key not in known[section]:
+            if key not in _MANIFEST_KEYS[section]:
                 raise ManifestError(f"unknown key {key!r} in section [{section}]")
 
     if not parser.has_option("run", "sequence"):
         raise ManifestError("[run] sequence is required")
 
     errors = ErrorBudget(
-        **{k: _get_float(parser, "errors", k, 0.0) for k in _ERROR_KEYS}
+        **{k: _get(parser, "errors", k, float, 0.0) for k in _ERROR_KEYS}
     )
     config = ExperimentConfig(
-        shots=_get_int(parser, "run", "shots", 1000),
-        seed=_get_int(parser, "run", "seed", 0),
-        p_exc=_get_float(parser, "config", "p_exc", 1.0),
-        eta=_get_float(parser, "config", "eta", 1.0),
+        shots=_get(parser, "run", "shots", int, 1000),
+        seed=_get(parser, "run", "seed", int, 0),
+        p_exc=_get(parser, "config", "p_exc", float, 1.0),
+        eta=_get(parser, "config", "eta", float, 1.0),
         errors=errors,
     )
 
     basis_override = {}
     for key in _BASIS_KEYS:
         if parser.has_option("basis", key):
-            basis_override[key] = _get_float(parser, "basis", key, 0.0)
+            basis_override[key] = _get(parser, "basis", key, float, 0.0)
 
     flt = parser.get("analysis", "filter", fallback="all")
     if flt not in FILTERS:
         raise ManifestError(f"[analysis] filter must be one of {FILTERS}, got {flt!r}")
     harmonic = None
     if parser.get("analysis", "fringe_harmonic", fallback="").strip():
-        harmonic = _get_int(parser, "analysis", "fringe_harmonic", None)
+        harmonic = _get(parser, "analysis", "fringe_harmonic", int, None)
         if harmonic not in (1, 2):
             raise ManifestError(
                 f"[analysis] fringe_harmonic must be 1 or 2, got {harmonic!r}"
             )
 
-    bins = _get_int(parser, "analysis", "bins", 20)
+    bins = _get(parser, "analysis", "bins", int, 20)
     if bins < 1:
         raise ManifestError(f"[analysis] bins must be >= 1, got {bins!r}")
     analysis = AnalysisRequest(
-        tomography=_get_bool(parser, "analysis", "tomography", False),
+        tomography=_get(parser, "analysis", "tomography", bool, False),
         fringe_harmonic=harmonic,
         bins=bins,
         filter=flt,
-        entanglement_fidelity=_get_bool(
-            parser, "analysis", "entanglement_fidelity", False
+        entanglement_fidelity=_get(
+            parser, "analysis", "entanglement_fidelity", bool, False
         ),
     )
 
@@ -443,15 +447,6 @@ def _build_summary(manifest: RunManifest, frames_by_setting: dict) -> dict:
     return summary
 
 
-def _apply_overrides(manifest: RunManifest, seed=None, shots=None) -> RunManifest:
-    cfg = manifest.config
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    if shots is not None:
-        cfg = replace(cfg, shots=shots)
-    return replace(manifest, config=cfg)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -461,7 +456,7 @@ def cmd_simulate(
     manifest_path, out_dir=None, seed=None, shots=None
 ) -> ResultBundle:
     """Run the manifest, write records.csv and summary.json."""
-    manifest = _apply_overrides(load_manifest(manifest_path), seed, shots)
+    manifest = load_manifest(manifest_path, {"seed": seed, "shots": shots})
     out = Path(out_dir if out_dir is not None else manifest.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -500,7 +495,7 @@ def cmd_tomo(
             "tomography": _tomography_summary(read_records(records_path), flt),
         }
     else:
-        manifest = _apply_overrides(load_manifest(manifest_path), seed, shots)
+        manifest = load_manifest(manifest_path, {"seed": seed, "shots": shots})
         analysis = AnalysisRequest(
             tomography=True, bins=manifest.analysis.bins, filter=flt
         )
@@ -518,7 +513,7 @@ def cmd_ramsey(
     manifest_path, out_dir=None, seed=None, shots=None
 ) -> dict:
     """Run a Ramsey sequence; emit per-branch binned fringes and their fits."""
-    manifest = _apply_overrides(load_manifest(manifest_path), seed, shots)
+    manifest = load_manifest(manifest_path, {"seed": seed, "shots": shots})
     seq = manifest.sequence()
     if seq.scatter is None or seq.analysis is None:
         raise ValueError(
@@ -569,22 +564,7 @@ def cmd_sweep(manifest_path, parameter: str, grid, out_dir=None) -> list[dict]:
     summaries = []
     rows = []
     for i, value in enumerate(grid):
-        if parameter == "shots":
-            manifest = _apply_overrides(base, shots=int(value))
-        elif parameter == "seed":
-            manifest = _apply_overrides(base, seed=int(value))
-        elif parameter in _CONFIG_KEYS:
-            manifest = replace(
-                base, config=replace(base.config, **{parameter: float(value)})
-            )
-        elif parameter in _ERROR_KEYS:
-            errors = replace(base.config.errors, **{parameter: float(value)})
-            manifest = replace(base, config=replace(base.config, errors=errors))
-        else:  # basis key
-            override = dict(base.basis_override)
-            override[parameter] = float(value)
-            manifest = replace(base, basis_override=override)
-
+        manifest = load_manifest(manifest_path, {parameter: value})
         frames = _run_manifest(manifest)
         summary = _build_summary(manifest, frames)
         summary["sweep"] = {"parameter": parameter, "value": float(value)}

@@ -7,11 +7,11 @@ undetected scattering event, the heralded correction pulse, the analysis
 pulse and a projective z measurement (with flip error).
 
 Randomness contract: shot i consumes a fixed block of 12 uniform variates
-taken from a Philox counter stream keyed by the run seed.  Any partition of
-the shot range regenerates exactly its own rows (`shot_stream` exposes the
-stream of a single shot), so the produced records are bit-identical for any
-partition of the shot range.  `run_experiment` walks the range in fixed
-chunks of 2^16 shots, which bounds the draws and temporaries held at once.
+taken from a Philox counter stream keyed by the run seed.  `run_range`
+simulates any contiguous range of shots from its own counter blocks, so the
+produced records are bit-identical for any partition of the shot range.
+`run_experiment` walks the range in fixed chunks of 2^16 shots, which bounds
+the draws and temporaries held at once.
 
 The per-shot state is tracked as a Bloch vector; scattering branch operators
 enter through their 4x4 Pauli transfer matrices conjugated by the per-shot
@@ -45,10 +45,9 @@ __all__ = [
     "correction_for",
     "standard_sequences",
     "get_sequence",
-    "run_shot",
+    "run_range",
     "run_experiment",
     "run_plan",
-    "shot_stream",
     "derive_seed",
     "noisy_joint_state",
 ]
@@ -275,6 +274,11 @@ class ShotFrame:
     def _columns(self) -> tuple:
         return tuple(getattr(self, f.name) for f in fields(self))
 
+    @classmethod
+    def concat(cls, frames) -> "ShotFrame":
+        """The rows of `frames`, in order, as one frame."""
+        return cls(*map(np.concatenate, zip(*(f._columns() for f in frames))))
+
     def select(self, mask) -> "ShotFrame":
         return ShotFrame(*(col[mask] for col in self._columns()))
 
@@ -286,19 +290,6 @@ class ShotFrame:
 # ---------------------------------------------------------------------------
 # randomness plumbing
 # ---------------------------------------------------------------------------
-
-
-def _philox_key(seed: int) -> np.ndarray:
-    return np.random.SeedSequence(seed).generate_state(2, np.uint64)
-
-
-def shot_stream(seed: int, shot_id: int) -> np.random.Generator:
-    """Random stream of one shot: the run's Philox stream advanced to the
-    shot's counter block.  run_shot on this stream reproduces exactly the
-    row that run_experiment emits at the same index, as a one-row frame."""
-    bg = np.random.Philox(key=_philox_key(seed))
-    bg.advance(shot_id * _BLOCKS_PER_SHOT)
-    return np.random.Generator(bg)
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -470,31 +461,31 @@ def _simulate_rows(
 # ---------------------------------------------------------------------------
 
 
-def run_shot(
-    config: ExperimentConfig,
-    seq: PulseSequence,
-    stream: np.random.Generator,
-    shot_id: int = 0,
+def run_range(
+    config: ExperimentConfig, seq: PulseSequence, lo: int, hi: int
 ) -> ShotFrame:
-    """Execute a single shot, drawing all randomness from `stream`; returns
-    a one-row frame."""
-    draws = stream.random(DRAWS_PER_SHOT).reshape(1, -1)
-    return _simulate_rows(config, seq, draws, shot_id)
+    """Rows lo ... hi-1 of the run, exactly as run_experiment emits them.
+
+    Shot i consumes the draw block derived from (seed, i) only: the run's
+    Philox stream is advanced to lo's counter block and read for hi - lo
+    shots.
+    """
+    if not 0 <= lo <= hi <= config.shots:
+        raise ValueError(f"shot range [{lo}, {hi}) is not within [0, {config.shots}]")
+    key = np.random.SeedSequence(config.seed).generate_state(2, np.uint64)
+    bg = np.random.Philox(key=key)
+    bg.advance(lo * _BLOCKS_PER_SHOT)
+    draws = np.random.Generator(bg).random((hi - lo, DRAWS_PER_SHOT))
+    return _simulate_rows(config, seq, draws, lo)
 
 
 def run_experiment(config: ExperimentConfig, seq: PulseSequence) -> ShotFrame:
-    """Run `config.shots` independent shots of a sequence.
-
-    Shot i consumes the draw block derived from (seed, i) only; the shot
-    range is simulated in contiguous chunks of `_CHUNK` shots, each drawing
-    exactly its own rows, and the chunks are concatenated.
-    """
-    parts = []
-    for lo in range(0, config.shots, _CHUNK):
-        n = min(_CHUNK, config.shots - lo)
-        draws = shot_stream(config.seed, lo).random((n, DRAWS_PER_SHOT))
-        parts.append(_simulate_rows(config, seq, draws, lo))
-    return ShotFrame(*map(np.concatenate, zip(*(p._columns() for p in parts))))
+    """Run `config.shots` independent shots of a sequence, as contiguous
+    ranges of `_CHUNK` shots concatenated in order."""
+    return ShotFrame.concat(
+        run_range(config, seq, lo, min(lo + _CHUNK, config.shots))
+        for lo in range(0, config.shots, _CHUNK)
+    )
 
 
 def run_plan(config: ExperimentConfig, seq: PulseSequence, settings) -> dict:

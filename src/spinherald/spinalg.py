@@ -43,7 +43,6 @@ __all__ = [
     "state_fidelity",
     "validate_density_matrix",
     "equal_up_to_phase",
-    "is_unitary",
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -190,11 +189,6 @@ def state_fidelity(rho, psi) -> float:
         )
     psi = psi / np.linalg.norm(psi)
     return float(np.real(psi.conj() @ rho @ psi))
-
-
-def is_unitary(op, atol: float = 1e-10) -> bool:
-    op = np.asarray(op, dtype=complex)
-    return np.allclose(op.conj().T @ op, np.eye(op.shape[0]), atol=atol)
 
 
 def equal_up_to_phase(a, b, atol: float = 1e-10) -> bool:

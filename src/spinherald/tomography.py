@@ -140,6 +140,9 @@ def estimate_ptm(outcomes_by_setting) -> np.ndarray:
     infinite-shot limit.
     """
     plan = tomography_plan()
+    stray = sorted(set(outcomes_by_setting) - {s.index for s in plan})
+    if stray:
+        raise ValueError(f"settings outside the {len(plan)}-setting plan: {stray}")
     missing = [
         s.label
         for s in plan
@@ -149,16 +152,12 @@ def estimate_ptm(outcomes_by_setting) -> np.ndarray:
     if missing:
         raise IncompleteDataError(f"settings without records: {missing}")
 
-    preps = list(PREPARATIONS)
-    axes = list(_MEASUREMENTS)
-    setting = {(s.prep_label, s.axis_label): s.index for s in plan}
-
-    design = np.array([[1.0, *(_PREP_BLOCH[p])] for p in preps])
-    measured = np.empty((len(preps), len(axes)))
-    for i, p in enumerate(preps):
-        for j, a in enumerate(axes):
-            up = _setting_outcomes(outcomes_by_setting[setting[(p, a)]])
-            measured[i, j] = 2.0 * np.mean(up) - 1.0
+    # the plan runs preparations in the outer loop and axes in the inner one
+    design = np.array([[1.0, *(_PREP_BLOCH[p])] for p in PREPARATIONS])
+    means = np.array(
+        [np.mean(_setting_outcomes(outcomes_by_setting[s.index])) for s in plan]
+    )
+    measured = (2.0 * means - 1.0).reshape(len(PREPARATIONS), len(_MEASUREMENTS))
 
     coeff, *_ = np.linalg.lstsq(design, measured, rcond=None)
 

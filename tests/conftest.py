@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from spinherald.engine import (
-    DRAWS_PER_SHOT,
     ErrorBudget,
     ExperimentConfig,
     ShotFrame,
-    _simulate_rows,
     get_sequence,
     run_plan,
-    shot_stream,
+    run_range,
 )
 from spinherald.spinalg import PAULIS, from_bloch, to_bloch
 from spinherald.tomography import tomography_plan
@@ -27,17 +25,12 @@ def tomography_frames(sequence_name, errors, seed, shots=SHOTS_PER_SETTING):
 
 
 def run_in_ranges(config, seq, parts):
-    """Simulate the shot range as `parts` near-equal contiguous ranges, each
-    run through the engine's range kernel on its own counter blocks, and
+    """Simulate the shot range as `parts` near-equal contiguous ranges and
     concatenate them in order."""
     bounds = np.linspace(0, config.shots, parts + 1, dtype=int).tolist()
-    frames = [
-        _simulate_rows(
-            config, seq, shot_stream(config.seed, lo).random((hi - lo, DRAWS_PER_SHOT)), lo
-        )
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
-    return ShotFrame(*map(np.concatenate, zip(*(f._columns() for f in frames))))
+    return ShotFrame.concat(
+        run_range(config, seq, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
+    )
 
 
 def kraus_transfer(kraus_ops):

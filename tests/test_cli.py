@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -239,6 +241,19 @@ def test_read_records_rejects_malformed(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def test_demo_imports_resolve():
+    # the demos are too slow for this suite, so check that every name they
+    # import from the package still exists
+    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    assert demos
+    for demo in demos:
+        for node in ast.walk(ast.parse(demo.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("spinherald"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), (demo.name, alias.name)
+
+
 def test_demo_records_bytes_are_pinned(tmp_path):
     # corrected tomography runs at 2000 shots per setting under the nominal
     # error budget; each digest is the engine's output under its randomness
@@ -325,6 +340,15 @@ def test_tomo_incomplete_settings(tmp_path):
     bundle = cmd_simulate(manifest, tmp_path / "out")  # single-setting records
     with pytest.raises(IncompleteDataError, match="plus_x"):
         cmd_tomo(records_path=bundle.records_path, flt="all")
+    # a complete plan plus rows of a setting the plan does not have
+    manifest = write_manifest(
+        tmp_path / "m.ini", "scatter_HV", shots=50, analysis={"tomography": "true"}
+    )
+    records = cmd_simulate(manifest, tmp_path / "plan").records_path
+    with records.open("a") as fh:
+        fh.writelines(f"{i},12,1,0.5,up,1\n" for i in range(50))
+    with pytest.raises(ValueError, match=r"\[12\]"):
+        cmd_tomo(records_path=records, flt="all")
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +435,8 @@ def test_sweep_unknown_parameter(tmp_path):
         cmd_sweep(manifest, "bogus", [1.0], tmp_path / "out")
     with pytest.raises(ValueError, match="nonempty"):
         cmd_sweep(manifest, "p_multi", [], tmp_path / "out")
+    with pytest.raises(ManifestError, match="shots"):
+        cmd_sweep(manifest, "shots", ["1e2"], tmp_path / "out")
 
 
 # ---------------------------------------------------------------------------

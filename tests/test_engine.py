@@ -7,7 +7,10 @@ import pytest
 
 from spinherald.engine import (
     _CHUNK,
+    _apply_correction,
+    _apply_scatter_block,
     _ndtri,
+    DRAWS_PER_SHOT,
     ErrorBudget,
     ExperimentConfig,
     PulseSequence,
@@ -18,8 +21,7 @@ from spinherald.engine import (
     get_sequence,
     noisy_joint_state,
     run_experiment,
-    run_shot,
-    shot_stream,
+    run_range,
     standard_sequences,
 )
 from spinherald.scattering import (
@@ -187,6 +189,45 @@ def test_normal_quantile_matches_scipy_ndtri():
     assert (np.abs(got - want) <= 8 * np.spacing(np.abs(want))).all()
 
 
+def test_scatter_and_correction_keep_bloch_rows_in_the_ball():
+    # property: under random budgets, bases and input states the scatter
+    # block (and, for a linear basis, the heralded correction) maps Bloch
+    # rows inside the unit ball into it
+    rng = np.random.default_rng(41)
+
+    def probability():
+        return float(rng.choice([0.0, 1.0, rng.random()]))
+
+    n = 256
+    for _ in range(60):
+        errors = ErrorBudget(
+            p_multi=probability(),
+            p_dark=probability(),
+            e_prep=probability(),
+            e_meas=probability(),
+            pol_misalign=rng.uniform(-math.pi, math.pi),
+            biref_phase=rng.uniform(-math.pi, math.pi),
+            phi_jitter_sigma=rng.uniform(0.0, 2.0),
+        )
+        cfg = ExperimentConfig(
+            shots=n, seed=0, p_exc=1.0 - rng.random(), eta=1.0 - rng.random(),
+            errors=errors,
+        )
+        ellipticity = rng.choice([0.0, rng.uniform(-math.pi / 4, math.pi / 4)])
+        basis = PolarizationBasis(rng.uniform(-math.pi / 4, math.pi / 4), ellipticity)
+        seq = PulseSequence("property", scatter=basis)
+        directions = rng.normal(size=(n, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        radii = np.where(rng.random(n) < 0.25, 1.0, rng.random(n) ** (1 / 3))
+        bloch = directions * radii[:, None]
+        draws = rng.random((n, DRAWS_PER_SHOT))
+        bloch, _, branch, phi_rec = _apply_scatter_block(cfg, seq, draws, bloch)
+        assert np.linalg.norm(bloch, axis=1).max() <= 1.0 + 1e-12
+        if basis.is_linear:
+            bloch = _apply_correction(basis, branch, phi_rec, bloch)
+            assert np.linalg.norm(bloch, axis=1).max() <= 1.0 + 1e-12
+
+
 def test_dark_heralds_carry_random_branch_and_skip_scattering():
     errors = ErrorBudget(p_dark=1.0)
     cfg = ExperimentConfig(shots=2000, seed=10, errors=errors)
@@ -289,21 +330,23 @@ def test_parallel_equals_serial():
         assert serial.equals(run_in_ranges(cfg, seq, parts))
 
 
-def test_run_shot_matches_run_experiment_rows():
+def test_run_range_matches_run_experiment_rows():
     cfg = ideal_config(50, 16, errors=ErrorBudget.nominal())
     seq = get_sequence("corrected_HV")
     frame = run_experiment(cfg, seq)
     for i in (0, 1, 17, 49):
-        shot = run_shot(cfg, seq, shot_stream(cfg.seed, i), shot_id=i)
+        shot = run_range(cfg, seq, i, i + 1)
         assert len(shot) == 1
         assert shot.equals(frame.select(frame.shot_id == i))
+    for lo, hi in ((-1, 1), (3, 2), (0, cfg.shots + 1)):
+        with pytest.raises(ValueError, match="shot range"):
+            run_range(cfg, seq, lo, hi)
     # rows on both sides of a chunk boundary and the last row of a partial chunk
     cfg = replace(cfg, shots=2 * _CHUNK + 3)
     frame = run_experiment(cfg, seq)
     assert len(frame) == cfg.shots
     for i in (_CHUNK - 1, _CHUNK, cfg.shots - 1):
-        shot = run_shot(cfg, seq, shot_stream(cfg.seed, i), shot_id=i)
-        assert shot.equals(frame.select(frame.shot_id == i))
+        assert run_range(cfg, seq, i, i + 1).equals(frame.select(frame.shot_id == i))
 
 
 def test_run_experiment_memory_is_bounded_by_chunks():
