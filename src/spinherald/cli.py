@@ -21,8 +21,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import io
 import json
-import math
+import string
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -51,7 +52,6 @@ from .tomography import (
 
 RECORD_COLUMNS = ("shot_id", "setting_id", "branch", "phi_tac", "outcome", "n_attempts")
 FILTERS = ("all", "V", "H", "unconditioned", "corrected")
-_OUTCOMES = {"up": True, "down": False}
 
 _CONFIG_KEYS = ("p_exc", "eta")
 _ERROR_KEYS = (
@@ -139,7 +139,7 @@ def load_manifest(path, overrides=None) -> RunManifest:
     section owning its key, so it is parsed and checked exactly as if the
     file held it.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -223,71 +223,121 @@ def load_manifest(path, overrides=None) -> RunManifest:
 # ---------------------------------------------------------------------------
 
 
-def _frame_rows(frame: ShotFrame, setting_id: int):
-    for i in range(len(frame)):
-        yield (
-            int(frame.shot_id[i]),
-            setting_id,
-            int(frame.branch[i]),
-            format(float(frame.phi_tac[i]), ".9g"),
-            "up" if frame.outcome_up[i] else "down",
-            int(frame.n_attempts[i]),
-        )
+_WRITE_SLICE = 1 << 16  # rows formatted per write
+_RECORD_DTYPE = np.dtype(
+    [
+        ("shot_id", np.int64),
+        ("setting_id", np.int64),
+        ("branch", np.int64),
+        ("phi_tac", np.float64),
+        ("outcome", "U5"),  # wide enough that "downx" cannot read as "down"
+        ("n_attempts", np.int64),
+    ]
+)
+# every byte a records body may hold: no whitespace, quote or comment mark
+_RECORD_BYTES = (string.ascii_letters + string.digits + "+-.,\n").encode()
 
 
 def write_records(path, frames_by_setting: dict) -> None:
     """One line per shot: shot_id, setting_id, branch, phi_tac (9 significant
     digits), outcome, n_attempts; settings in ascending order."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_COLUMNS)
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(RECORD_COLUMNS) + "\n")
         for setting_id in sorted(frames_by_setting):
-            for row in _frame_rows(frames_by_setting[setting_id], setting_id):
-                writer.writerow(row)
+            f = frames_by_setting[setting_id]
+            columns = (f.shot_id, f.branch, f.phi_tac, f.outcome_up, f.n_attempts)
+            for lo in range(0, len(f), _WRITE_SLICE):
+                rows = slice(lo, lo + _WRITE_SLICE)
+                fh.write(
+                    "".join(
+                        f"{shot},{setting_id},{branch},{phi:.9g},"
+                        f"{'up' if up else 'down'},{n_att}\n"
+                        for shot, branch, phi, up, n_att in zip(
+                            *(col[rows].tolist() for col in columns)
+                        )
+                    )
+                )
+
+
+def _parse_records(body: bytes) -> np.ndarray:
+    """The lines of a nonempty records body (the file after its header) as
+    one structured row each; ValueError unless every line is a record."""
+    blank_line = body.startswith(b"\n") or b"\n\n" in body
+    if blank_line or body.translate(None, _RECORD_BYTES):
+        raise ValueError("blank line or a byte outside the records grammar")
+    rec = np.loadtxt(
+        io.BytesIO(body), dtype=_RECORD_DTYPE, delimiter=",", comments=None, ndmin=1
+    )
+    outcome, branch = rec["outcome"], rec["branch"]
+    if not (
+        ((outcome == "up") | (outcome == "down")).all()
+        and ((branch >= 0) & (branch <= 2)).all()
+        and np.isfinite(rec["phi_tac"]).all()
+        and min(rec[k].min() for k in ("shot_id", "setting_id", "n_attempts")) >= 0
+    ):
+        raise ValueError("record outside its column's range")
+    return rec
+
+
+def _first_bad_line(lines: list[bytes]) -> int:
+    """Index of the first line `_parse_records` rejects, found by bisection
+    over whole lines, given that some line is rejected."""
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _parse_records(b"\n".join(lines[lo:mid]) + b"\n")
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
+
+
+def _frames_by_setting(rec: np.ndarray) -> dict[int, ShotFrame]:
+    """One frame per setting_id of parsed rows, in ascending setting order;
+    each frame keeps its rows in file order."""
+    order = np.argsort(rec["setting_id"], kind="stable")
+    setting = rec["setting_id"][order]
+    cuts = np.flatnonzero(np.diff(setting)) + 1
+    columns = (
+        rec["shot_id"],
+        rec["branch"].astype(np.int8),
+        rec["phi_tac"],
+        rec["outcome"] == "up",
+        rec["n_attempts"],
+    )
+    parts = zip(*(np.split(col[order], cuts) for col in columns))
+    keys = setting[np.r_[0, cuts]].tolist()
+    return {key: ShotFrame(*cols) for key, cols in zip(keys, parts)}
 
 
 def read_records(path) -> dict[int, ShotFrame]:
-    """Parse a records file into one frame per setting.  A line with the
-    wrong field count, a non-integer or negative id, a negative n_attempts, a
-    branch outside {0, 1, 2}, a non-finite phi_tac or an outcome other than
-    up/down is rejected."""
+    """Parse a records file into one frame per setting, in ascending setting
+    order.  After the header, every line must be six comma-separated fields
+    in the writer's form, without whitespace, quotes or blank lines: a
+    non-negative int64 shot_id and setting_id, a branch in {0, 1, 2}, a
+    finite phi_tac, an outcome of up or down and a non-negative int64
+    n_attempts.  The first line that is not raises a `path:lineno` error."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"records file not found: {path}")
-    buckets: dict[int, list] = {}
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != RECORD_COLUMNS:
-            raise ValueError(f"{path}: unexpected records header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                shot, setting, branch, phi, outcome, n_att = row
-                setting = int(setting)
-                record = (
-                    int(shot), int(branch), float(phi), _OUTCOMES[outcome], int(n_att)
-                )
-                if (
-                    record[1] not in (0, 1, 2)
-                    or not math.isfinite(record[2])
-                    or min(record[0], setting, record[4]) < 0
-                ):
-                    raise ValueError
-                buckets.setdefault(setting, []).append(record)
-            except (ValueError, KeyError):
-                raise ValueError(f"{path}:{lineno}: malformed record {row!r}") from None
-    frames = {}
-    for setting, rows in buckets.items():
-        arr = list(zip(*rows))
-        frames[setting] = ShotFrame(
-            shot_id=np.array(arr[0], dtype=np.int64),
-            branch=np.array(arr[1], dtype=np.int8),
-            phi_tac=np.array(arr[2], dtype=float),
-            outcome_up=np.array(arr[3], dtype=bool),
-            n_attempts=np.array(arr[4], dtype=np.int64),
-        )
-    return frames
+    header, _, body = path.read_bytes().partition(b"\n")
+    if header != ",".join(RECORD_COLUMNS).encode():
+        header = header.decode(errors="replace")
+        raise ValueError(f"{path}: unexpected records header {header!r}")
+    if not body:
+        return {}
+    try:
+        rec = _parse_records(body)
+    except ValueError:
+        lines = body.split(b"\n")
+        if lines[-1] == b"":  # the final line's terminator
+            lines.pop()
+        bad = _first_bad_line(lines)
+        fields = lines[bad].decode(errors="replace").split(",")
+        raise ValueError(f"{path}:{bad + 2}: malformed record {fields!r}") from None
+    del body  # the text is not needed while the columns are gathered
+    return _frames_by_setting(rec)
 
 
 def apply_filter(frame: ShotFrame, name: str) -> ShotFrame:
@@ -545,6 +595,15 @@ def cmd_ramsey(
     return summary
 
 
+def _manifest_value(manifest: RunManifest, key: str):
+    """The parsed value of a sweepable manifest key: an int for shots and
+    seed, a float otherwise."""
+    if key in _BASIS_KEYS:
+        return manifest.basis_override[key]
+    cfg = manifest.config
+    return getattr(cfg.errors if key in _ERROR_KEYS else cfg, key)
+
+
 def cmd_sweep(manifest_path, parameter: str, grid, out_dir=None) -> list[dict]:
     """Repeat the manifest over `grid` values of one parameter.
 
@@ -563,16 +622,17 @@ def cmd_sweep(manifest_path, parameter: str, grid, out_dir=None) -> list[dict]:
 
     summaries = []
     rows = []
-    for i, value in enumerate(grid):
-        manifest = load_manifest(manifest_path, {parameter: value})
+    for i, raw in enumerate(grid):
+        manifest = load_manifest(manifest_path, {parameter: raw})
+        value = _manifest_value(manifest, parameter)
         frames = _run_manifest(manifest)
         summary = _build_summary(manifest, frames)
-        summary["sweep"] = {"parameter": parameter, "value": float(value)}
+        summary["sweep"] = {"parameter": parameter, "value": value}
         write_summary(out / f"summary_{i:03d}.json", summary)
         summaries.append(summary)
 
         row = {
-            "value": float(value),
+            "value": value,
             "n_shots": summary["branch_stats"]["n_shots"],
             "branch_1_fraction": summary["branch_stats"]["branch_1_fraction"],
             "identity_overlap": summary.get("tomography", {}).get(
@@ -587,7 +647,8 @@ def cmd_sweep(manifest_path, parameter: str, grid, out_dir=None) -> list[dict]:
         for row in rows:
             writer.writerow(
                 (
-                    format(row["value"], ".9g"),
+                    row["value"] if isinstance(row["value"], int)
+                    else format(row["value"], ".9g"),
                     row["n_shots"],
                     format(row["branch_1_fraction"], ".9g"),
                     format(row["identity_overlap"], ".9g")

@@ -22,7 +22,7 @@ from spinherald.cli import (
     read_records,
     write_records,
 )
-from spinherald.engine import UnsupportedCorrectionError
+from spinherald.engine import ShotFrame, UnsupportedCorrectionError
 from spinherald.scattering import PolarizationBasis, scatter
 from spinherald.spinalg import ID2
 from spinherald.tomography import IncompleteDataError
@@ -89,6 +89,8 @@ def test_manifest_bad_number(tmp_path):
     path = tmp_path / "m.ini"
     for text, key in (
         ("[run]\nsequence = scatter_HV\nshots = many\n", "shots"),
+        # no interpolation: a '%' reaches the typed getter
+        ("[run]\nsequence = scatter_HV\nshots = 20%\n", r"\[run\] shots = '20%'"),
         ("[run]\nsequence = scatter_HV\n[analysis]\nbins = 0\n", "bins"),
         (
             "[run]\nsequence = no_scatter\n[analysis]\nfringe_harmonic = 3\n",
@@ -234,6 +236,79 @@ def test_read_records_rejects_malformed(tmp_path):
         bad.write_text(f"shot_id,setting_id,branch,phi_tac,outcome,n_attempts\n{row}\n")
         with pytest.raises(ValueError, match=r"r\.csv:2: malformed record"):
             read_records(bad)
+
+
+RECORDS_HEADER = "shot_id,setting_id,branch,phi_tac,outcome,n_attempts\n"
+GOOD_ROW = "0,0,1,0.5,up,1\n"
+
+
+def test_read_records_rejects_lines_outside_the_grammar(tmp_path):
+    bad = tmp_path / "r.csv"
+    for body, lineno in (
+        (GOOD_ROW + "\n" + GOOD_ROW, 3),  # blank line mid-file
+        (GOOD_ROW + "\n", 3),  # trailing blank line
+        ("# a comment\n" + GOOD_ROW, 2),
+        ("0,0,1,0.5,downx,1\n", 2),
+        ("0,0,1,0.5,upp,1\n", 2),
+        ("0,0,1,0.5,up,1,7\n", 2),  # extra field
+        (GOOD_ROW * 2 + "0,0,1,0.5,UP,1\n" + GOOD_ROW, 4),  # after good rows
+        ("99999999999999999999,0,1,0.5,up,1\n", 2),  # shot_id beyond int64
+    ):
+        bad.write_text(RECORDS_HEADER + body)
+        with pytest.raises(ValueError, match=rf"r\.csv:{lineno}: malformed record"):
+            read_records(bad)
+
+
+def test_read_records_accepts_only_what_the_writer_writes(tmp_path):
+    # csv quoting, int() underscores, padded numbers and CRLF line ends
+    # are no part of the records grammar
+    bad = tmp_path / "r.csv"
+    for row in (
+        '0,0,1,0.5,"up",1\n',
+        "1_0,0,1,0.5,up,1\n",
+        "0,0,1,1_0,up,1\n",
+        " 0,0,1,0.5,up,1\n",
+        "0,0,1, 0.5,up,1\n",
+        "0,0,1,0.5,up,1\t\n",
+        "0,0,1,0.5,up,1\r\n",
+    ):
+        bad.write_bytes((RECORDS_HEADER + GOOD_ROW + row).encode())
+        with pytest.raises(ValueError, match=r"r\.csv:3: malformed record"):
+            read_records(bad)
+
+
+def test_read_records_header_only_and_single_row(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text(RECORDS_HEADER)
+    assert read_records(path) == {}
+    path.write_text(RECORDS_HEADER + "5,3,2,-1.25,down,4")  # no final newline
+    (setting, frame), = read_records(path).items()
+    assert setting == 3
+    assert frame.shot_id.tolist() == [5]
+    assert frame.branch.tolist() == [2]
+    assert frame.phi_tac.tolist() == [-1.25]
+    assert frame.outcome_up.tolist() == [False]
+    assert frame.n_attempts.tolist() == [4]
+
+
+def test_records_write_read_write_is_byte_identical(tmp_path):
+    # more rows than one write slice, two settings, every branch and outcome
+    rng = np.random.default_rng(12)
+    n = 2**16 + 3
+    frame = ShotFrame(
+        shot_id=np.arange(n, dtype=np.int64),
+        branch=rng.integers(0, 3, n).astype(np.int8),
+        phi_tac=rng.uniform(0.0, 2 * math.pi, n),
+        outcome_up=rng.random(n) < 0.5,
+        n_attempts=rng.geometric(0.3, n).astype(np.int64),
+    )
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_records(first, {4: frame, 1: frame.select(slice(0, 10))})
+    frames = read_records(first)
+    assert sorted(frames) == [1, 4]
+    assert len(frames[4]) == n
+    write_records(second, frames)
+    assert second.read_bytes() == first.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +504,21 @@ def test_sweep_ellipticity_toward_projective_limit(tmp_path):
     assert asym[2] > 0.5
 
 
+def test_sweep_echoes_the_parsed_value(tmp_path):
+    manifest = write_manifest(tmp_path / "m.ini", "scatter_HV", shots=10)
+    seeds = [1234567890123, 1234567890124]
+    summaries = cmd_sweep(manifest, "seed", [str(s) for s in seeds], tmp_path / "a")
+    assert [s["sweep"]["value"] for s in summaries] == seeds
+    assert [s["seed"] for s in summaries] == seeds
+    table = (tmp_path / "a" / "sweep.csv").read_text().strip().split("\n")
+    assert [row.split(",")[0] for row in table[1:]] == [str(s) for s in seeds]
+    # float parameters keep their 9-significant-digit column
+    summaries = cmd_sweep(manifest, "p_multi", ["1e-3", "0.1234567891"], tmp_path / "b")
+    assert [s["sweep"]["value"] for s in summaries] == [1e-3, 0.1234567891]
+    table = (tmp_path / "b" / "sweep.csv").read_text().strip().split("\n")
+    assert [row.split(",")[0] for row in table[1:]] == ["0.001", "0.123456789"]
+
+
 def test_sweep_unknown_parameter(tmp_path):
     manifest = write_manifest(tmp_path / "m.ini", "scatter_HV", shots=10)
     with pytest.raises(ValueError, match="p_multi"):
@@ -437,6 +527,8 @@ def test_sweep_unknown_parameter(tmp_path):
         cmd_sweep(manifest, "p_multi", [], tmp_path / "out")
     with pytest.raises(ManifestError, match="shots"):
         cmd_sweep(manifest, "shots", ["1e2"], tmp_path / "out")
+    with pytest.raises(ManifestError, match=r"\[errors\] p_multi = '5%'"):
+        cmd_sweep(manifest, "p_multi", ["5%"], tmp_path / "out")
 
 
 # ---------------------------------------------------------------------------
