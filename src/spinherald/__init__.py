@@ -46,6 +46,7 @@ from .engine import (
     correction_for,
     get_sequence,
     noisy_joint_state,
+    run_chunks,
     run_experiment,
     run_plan,
     run_range,
@@ -54,6 +55,7 @@ from .engine import (
 from .tomography import (
     BlochEllipsoid,
     FringeFit,
+    ShotCounts,
     bloch_ellipsoid,
     chi_to_ptm,
     estimate_ptm,

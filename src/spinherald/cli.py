@@ -26,6 +26,8 @@ import json
 import string
 import sys
 from dataclasses import asdict, dataclass, field, replace
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -38,20 +40,29 @@ from .engine import (
     ShotFrame,
     get_sequence,
     noisy_joint_state,
-    run_experiment,
-    run_plan,
+    plan_runs,
+    run_chunks,
 )
 from .scattering import entanglement_fidelity
 from .spinalg import KET_UP
 from .tomography import (
-    binned_fringe,
+    ShotCounts,
     fit_fringe,
     reconstruct,
     tomography_plan,
 )
 
 RECORD_COLUMNS = ("shot_id", "setting_id", "branch", "phi_tac", "outcome", "n_attempts")
-FILTERS = ("all", "V", "H", "unconditioned", "corrected")
+# recorded branches each filter keeps: V and H condition on their detector
+# branch, the others keep every shot
+_FILTER_BRANCHES = {
+    "all": (0, 1, 2),
+    "V": (1,),
+    "H": (2,),
+    "unconditioned": (0, 1, 2),
+    "corrected": (0, 1, 2),
+}
+FILTERS = tuple(_FILTER_BRANCHES)
 
 _CONFIG_KEYS = ("p_exc", "eta")
 _ERROR_KEYS = (
@@ -224,13 +235,14 @@ def load_manifest(path, overrides=None) -> RunManifest:
 
 
 _WRITE_SLICE = 1 << 16  # rows formatted per write
+_READ_BLOCK = 1 << 20  # bytes per grammar check of a records body
 _RECORD_DTYPE = np.dtype(
     [
         ("shot_id", np.int64),
         ("setting_id", np.int64),
         ("branch", np.int64),
         ("phi_tac", np.float64),
-        ("outcome", "U5"),  # wide enough that "downx" cannot read as "down"
+        ("outcome", "S5"),  # wide enough that "downx" cannot read as "down"
         ("n_attempts", np.int64),
     ]
 )
@@ -238,45 +250,77 @@ _RECORD_DTYPE = np.dtype(
 _RECORD_BYTES = (string.ascii_letters + string.digits + "+-.,\n").encode()
 
 
+def _open_records(path):
+    """A new records file, open for writing, holding the header line."""
+    fh = Path(path).open("w", newline="")
+    fh.write(",".join(RECORD_COLUMNS) + "\n")
+    return fh
+
+
+def _write_rows(fh, setting_id: int, f: ShotFrame) -> None:
+    """Append the lines of one frame's shots to an open records file."""
+    columns = (f.shot_id, f.branch, f.phi_tac, f.outcome_up, f.n_attempts)
+    for lo in range(0, len(f), _WRITE_SLICE):
+        rows = slice(lo, lo + _WRITE_SLICE)
+        fh.write(
+            "".join(
+                f"{shot},{setting_id},{branch},{phi:.9g},"
+                f"{'up' if up else 'down'},{n_att}\n"
+                for shot, branch, phi, up, n_att in zip(
+                    *(col[rows].tolist() for col in columns)
+                )
+            )
+        )
+
+
 def write_records(path, frames_by_setting: dict) -> None:
     """One line per shot: shot_id, setting_id, branch, phi_tac (9 significant
     digits), outcome, n_attempts; settings in ascending order."""
-    with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(RECORD_COLUMNS) + "\n")
+    with _open_records(path) as fh:
         for setting_id in sorted(frames_by_setting):
-            f = frames_by_setting[setting_id]
-            columns = (f.shot_id, f.branch, f.phi_tac, f.outcome_up, f.n_attempts)
-            for lo in range(0, len(f), _WRITE_SLICE):
-                rows = slice(lo, lo + _WRITE_SLICE)
-                fh.write(
-                    "".join(
-                        f"{shot},{setting_id},{branch},{phi:.9g},"
-                        f"{'up' if up else 'down'},{n_att}\n"
-                        for shot, branch, phi, up, n_att in zip(
-                            *(col[rows].tolist() for col in columns)
-                        )
-                    )
-                )
+            _write_rows(fh, setting_id, frames_by_setting[setting_id])
 
 
-def _parse_records(body: bytes) -> np.ndarray:
-    """The lines of a nonempty records body (the file after its header) as
-    one structured row each; ValueError unless every line is a record."""
-    blank_line = body.startswith(b"\n") or b"\n\n" in body
-    if blank_line or body.translate(None, _RECORD_BYTES):
-        raise ValueError("blank line or a byte outside the records grammar")
+def _check_bytes(blocks) -> int:
+    """Length of a records body read as consecutive byte blocks; ValueError
+    if it holds a blank line or a byte outside the records grammar."""
+    length, after_newline = 0, True  # the header's line end precedes the body
+    for block in blocks:
+        blank_line = (after_newline and block.startswith(b"\n")) or b"\n\n" in block
+        if blank_line or block.translate(None, _RECORD_BYTES):
+            raise ValueError("blank line or a byte outside the records grammar")
+        length, after_newline = length + len(block), block.endswith(b"\n")
+    return length
+
+
+def _load_rows(source, skiprows: int = 0) -> np.ndarray:
+    """The lines of `source` (a path or a binary file), after `skiprows`, as
+    one structured row each; ValueError unless every line is a record.  The
+    lines must have passed `_check_bytes`."""
     rec = np.loadtxt(
-        io.BytesIO(body), dtype=_RECORD_DTYPE, delimiter=",", comments=None, ndmin=1
+        source,
+        dtype=_RECORD_DTYPE,
+        delimiter=",",
+        comments=None,
+        ndmin=1,
+        skiprows=skiprows,
     )
     outcome, branch = rec["outcome"], rec["branch"]
     if not (
-        ((outcome == "up") | (outcome == "down")).all()
+        ((outcome == b"up") | (outcome == b"down")).all()
         and ((branch >= 0) & (branch <= 2)).all()
         and np.isfinite(rec["phi_tac"]).all()
         and min(rec[k].min() for k in ("shot_id", "setting_id", "n_attempts")) >= 0
     ):
         raise ValueError("record outside its column's range")
     return rec
+
+
+def _parse_records(body: bytes) -> np.ndarray:
+    """The lines of a nonempty records body (the file after its header) as
+    one structured row each; ValueError unless every line is a record."""
+    _check_bytes([body])
+    return _load_rows(io.BytesIO(body))
 
 
 def _first_bad_line(lines: list[bytes]) -> int:
@@ -303,7 +347,7 @@ def _frames_by_setting(rec: np.ndarray) -> dict[int, ShotFrame]:
         rec["shot_id"],
         rec["branch"].astype(np.int8),
         rec["phi_tac"],
-        rec["outcome"] == "up",
+        rec["outcome"] == b"up",
         rec["n_attempts"],
     )
     parts = zip(*(np.split(col[order], cuts) for col in columns))
@@ -321,35 +365,32 @@ def read_records(path) -> dict[int, ShotFrame]:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"records file not found: {path}")
-    header, _, body = path.read_bytes().partition(b"\n")
-    if header != ",".join(RECORD_COLUMNS).encode():
-        header = header.decode(errors="replace")
-        raise ValueError(f"{path}: unexpected records header {header!r}")
-    if not body:
-        return {}
-    try:
-        rec = _parse_records(body)
-    except ValueError:
-        lines = body.split(b"\n")
-        if lines[-1] == b"":  # the final line's terminator
-            lines.pop()
-        bad = _first_bad_line(lines)
-        fields = lines[bad].decode(errors="replace").split(",")
-        raise ValueError(f"{path}:{bad + 2}: malformed record {fields!r}") from None
-    del body  # the text is not needed while the columns are gathered
+    with path.open("rb") as fh:
+        header = fh.readline().removesuffix(b"\n")
+        if header != ",".join(RECORD_COLUMNS).encode():
+            header = header.decode(errors="replace")
+            raise ValueError(f"{path}: unexpected records header {header!r}")
+        try:
+            if not _check_bytes(iter(lambda: fh.read(_READ_BLOCK), b"")):
+                return {}
+            rec = _load_rows(path, skiprows=1)
+        except ValueError:
+            body = path.read_bytes().partition(b"\n")[2]
+            lines = body.split(b"\n")
+            if lines[-1] == b"":  # the final line's terminator
+                lines.pop()
+            bad = _first_bad_line(lines)
+            fields = lines[bad].decode(errors="replace").split(",")
+            raise ValueError(f"{path}:{bad + 2}: malformed record {fields!r}") from None
     return _frames_by_setting(rec)
 
 
-def apply_filter(frame: ShotFrame, name: str) -> ShotFrame:
-    """Condition records on the recorded branch; 'all', 'unconditioned' and
-    'corrected' keep every shot, 'V'/'H' select branch 1/2."""
+def apply_filter(counts: ShotCounts, name: str) -> tuple[int, int]:
+    """(n_up, n) of the shots a filter keeps: 'V'/'H' condition on branch
+    1/2, while 'all', 'unconditioned' and 'corrected' keep every shot."""
     if name not in FILTERS:
         raise ValueError(f"filter must be one of {FILTERS}, got {name!r}")
-    if name == "V":
-        return frame.select(frame.branch == 1)
-    if name == "H":
-        return frame.select(frame.branch == 2)
-    return frame
+    return counts.up_counts(_FILTER_BRANCHES[name])
 
 
 # ---------------------------------------------------------------------------
@@ -357,25 +398,22 @@ def apply_filter(frame: ShotFrame, name: str) -> ShotFrame:
 # ---------------------------------------------------------------------------
 
 
-def _branch_stats(frames_by_setting: dict, n_bins: int) -> dict:
-    branch = np.concatenate([f.branch for f in frames_by_setting.values()])
-    att = np.concatenate([f.n_attempts for f in frames_by_setting.values()])
-    phi = np.concatenate([f.phi_tac for f in frames_by_setting.values()])
-    n = len(branch)
-    scattering = branch > 0
+def _branch_stats(counts_by_setting: dict) -> dict:
+    total = reduce(add, counts_by_setting.values())
+    n_branch = total.n.sum(axis=(1, 2)).tolist()
+    heralded = n_branch[1] + n_branch[2]
     stats = {
-        "n_shots": int(n),
-        "n_branch_1": int(np.count_nonzero(branch == 1)),
-        "n_branch_2": int(np.count_nonzero(branch == 2)),
-        "mean_attempts": float(np.mean(att[scattering])) if scattering.any() else 0.0,
+        "n_shots": sum(n_branch),
+        "n_branch_1": n_branch[1],
+        "n_branch_2": n_branch[2],
+        "mean_attempts": total.attempts / heralded if heralded else 0.0,
+        "branch_1_fraction": n_branch[1] / heralded if heralded else 0.0,
     }
-    heralded = stats["n_branch_1"] + stats["n_branch_2"]
-    stats["branch_1_fraction"] = stats["n_branch_1"] / heralded if heralded else 0.0
     # phase-resolved branch asymmetry over the populated phi_tac bins: 0 for
     # a linear analysis basis (both branches fire with probability 1/2 at
     # every phase) and maximal in the projective circular limit
     if heralded:
-        bins = binned_fringe(phi[scattering], branch[scattering] == 1, n_bins)
+        bins = total.branch_fringe()
         frac = bins[bins[:, 2] > 0, 1]
         stats["phase_resolved_branch_asymmetry"] = float(
             np.mean(np.abs(2.0 * frac - 1.0))
@@ -385,9 +423,8 @@ def _branch_stats(frames_by_setting: dict, n_bins: int) -> dict:
     return stats
 
 
-def _tomography_summary(frames_by_setting: dict, flt: str) -> dict:
-    filtered = {k: apply_filter(f, flt) for k, f in frames_by_setting.items()}
-    result = reconstruct(filtered)
+def _tomography_summary(counts_by_setting: dict, flt: str) -> dict:
+    result = reconstruct({k: apply_filter(c, flt) for k, c in counts_by_setting.items()})
     return {
         "filter": flt,
         "identity_overlap": result.identity_overlap,
@@ -402,16 +439,14 @@ def _tomography_summary(frames_by_setting: dict, flt: str) -> dict:
     }
 
 
-def _fringe_tables(frames_by_setting: dict, n_bins: int) -> dict:
+def _fringe_tables(counts_by_setting: dict) -> dict:
     """Binned fringe of each branch of each setting, keyed (setting_id,
     branch) in ascending order; an empty branch has all counts zero."""
-    tables = {}
-    for setting_id in sorted(frames_by_setting):
-        f = frames_by_setting[setting_id]
-        for b in (1, 2):
-            sel = f.select(f.branch == b)
-            tables[setting_id, b] = binned_fringe(sel.phi_tac, sel.outcome_up, n_bins)
-    return tables
+    return {
+        (setting_id, b): counts_by_setting[setting_id].fringe(b)
+        for setting_id in sorted(counts_by_setting)
+        for b in (1, 2)
+    }
 
 
 def _fringe_summary(tables: dict, harmonic: int) -> list[dict]:
@@ -461,14 +496,26 @@ class ResultBundle:
     summary: dict
 
 
-def _run_manifest(manifest: RunManifest) -> dict:
+def _run_counts(manifest: RunManifest, records=None) -> dict[int, ShotCounts]:
+    """Counts of each setting of the manifest's run (the tomography plan or
+    one run as setting 0), reduced chunk by chunk as the engine emits them;
+    with an open records file, each chunk's lines are appended to it."""
     seq = manifest.sequence()
     if manifest.analysis.tomography:
-        return run_plan(manifest.config, seq, tomography_plan())
-    return {0: run_experiment(manifest.config, seq)}
+        runs = plan_runs(manifest.config, seq, tomography_plan())
+    else:
+        runs = [(0, manifest.config, seq)]
+    counts = {}
+    for index, cfg, seq_s in runs:
+        for frame in run_chunks(cfg, seq_s):
+            if records is not None:
+                _write_rows(records, index, frame)
+            c = ShotCounts.of(frame, manifest.analysis.bins)
+            counts[index] = counts[index] + c if index in counts else c
+    return counts
 
 
-def _build_summary(manifest: RunManifest, frames_by_setting: dict) -> dict:
+def _build_summary(manifest: RunManifest, counts_by_setting: dict) -> dict:
     """Summary of one manifest run: config echo and branch statistics, plus
     the analyses its [analysis] section requests."""
     cfg, analysis = manifest.config, manifest.analysis
@@ -484,13 +531,13 @@ def _build_summary(manifest: RunManifest, frames_by_setting: dict) -> dict:
             "errors": asdict(cfg.errors),
             "basis_override": dict(manifest.basis_override),
         },
-        "branch_stats": _branch_stats(frames_by_setting, analysis.bins),
+        "branch_stats": _branch_stats(counts_by_setting),
     }
     if analysis.tomography:
-        summary["tomography"] = _tomography_summary(frames_by_setting, analysis.filter)
+        summary["tomography"] = _tomography_summary(counts_by_setting, analysis.filter)
     if analysis.fringe_harmonic is not None:
         summary["fringes"] = _fringe_summary(
-            _fringe_tables(frames_by_setting, analysis.bins), analysis.fringe_harmonic
+            _fringe_tables(counts_by_setting), analysis.fringe_harmonic
         )
     if analysis.entanglement_fidelity:
         summary["entanglement_fidelity"] = _entanglement_summary(manifest)
@@ -505,17 +552,27 @@ def _build_summary(manifest: RunManifest, frames_by_setting: dict) -> dict:
 def cmd_simulate(
     manifest_path, out_dir=None, seed=None, shots=None
 ) -> ResultBundle:
-    """Run the manifest, write records.csv and summary.json."""
+    """Run the manifest, write records.csv and summary.json.
+
+    Records are written chunk by chunk while the run is reduced to counts,
+    into a partial file that replaces records.csv only once the summary is
+    built; a failed run leaves the output directory as it was.
+    """
     manifest = load_manifest(manifest_path, {"seed": seed, "shots": shots})
     out = Path(out_dir if out_dir is not None else manifest.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    frames = _run_manifest(manifest)
-    summary = _build_summary(manifest, frames)
-
     records_path = out / "records.csv"
     summary_path = out / "summary.json"
-    write_records(records_path, frames)
+    partial = out / "records.csv.partial"
+    try:
+        with _open_records(partial) as fh:
+            counts = _run_counts(manifest, fh)
+        summary = _build_summary(manifest, counts)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    partial.replace(records_path)
     write_summary(summary_path, summary)
     return ResultBundle(records_path, summary_path, summary)
 
@@ -542,7 +599,11 @@ def cmd_tomo(
         summary = {
             "version": __version__,
             "records": str(records_path),
-            "tomography": _tomography_summary(read_records(records_path), flt),
+            # the tomography needs no phase bins
+            "tomography": _tomography_summary(
+                {k: ShotCounts.of(f, 1) for k, f in read_records(records_path).items()},
+                flt,
+            ),
         }
     else:
         manifest = load_manifest(manifest_path, {"seed": seed, "shots": shots})
@@ -550,7 +611,7 @@ def cmd_tomo(
             tomography=True, bins=manifest.analysis.bins, filter=flt
         )
         manifest = replace(manifest, analysis=analysis)
-        summary = _build_summary(manifest, _run_manifest(manifest))
+        summary = _build_summary(manifest, _run_counts(manifest))
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -575,9 +636,9 @@ def cmd_ramsey(
         harmonic = 1 if seq.scatter_first else 2
     bins = manifest.analysis.bins
     manifest = replace(manifest, analysis=AnalysisRequest(bins=bins))
-    frames = _run_manifest(manifest)
-    tables = _fringe_tables(frames, bins)
-    summary = _build_summary(manifest, frames)
+    counts = _run_counts(manifest)
+    tables = _fringe_tables(counts)
+    summary = _build_summary(manifest, counts)
     summary["fringes"] = _fringe_summary(tables, harmonic)
 
     out = Path(out_dir if out_dir is not None else manifest.out_dir)
@@ -625,8 +686,7 @@ def cmd_sweep(manifest_path, parameter: str, grid, out_dir=None) -> list[dict]:
     for i, raw in enumerate(grid):
         manifest = load_manifest(manifest_path, {parameter: raw})
         value = _manifest_value(manifest, parameter)
-        frames = _run_manifest(manifest)
-        summary = _build_summary(manifest, frames)
+        summary = _build_summary(manifest, _run_counts(manifest))
         summary["sweep"] = {"parameter": parameter, "value": value}
         write_summary(out / f"summary_{i:03d}.json", summary)
         summaries.append(summary)

@@ -7,11 +7,12 @@ undetected scattering event, the heralded correction pulse, the analysis
 pulse and a projective z measurement (with flip error).
 
 Randomness contract: shot i consumes a fixed block of 12 uniform variates
-taken from a Philox counter stream keyed by the run seed.  `run_range`
-simulates any contiguous range of shots from its own counter blocks, so the
-produced records are bit-identical for any partition of the shot range.
-`run_experiment` walks the range in fixed chunks of 2^16 shots, which bounds
-the draws and temporaries held at once.
+taken from a Philox counter stream keyed by the run seed.  `run_chunks`
+simulates any contiguous range of shots from its own counter blocks as a
+stream of frames of at most 2^16 shots, which bounds the draws and
+temporaries held at once; the produced records are bit-identical for any
+partition of the shot range.  `run_range` and `run_experiment` concatenate
+that stream.
 
 The per-shot state is tracked as a Bloch vector; scattering branch operators
 enter through their 4x4 Pauli transfer matrices conjugated by the per-shot
@@ -44,8 +45,10 @@ __all__ = [
     "correction_for",
     "standard_sequences",
     "get_sequence",
+    "run_chunks",
     "run_range",
     "run_experiment",
+    "plan_runs",
     "run_plan",
     "derive_seed",
     "noisy_joint_state",
@@ -61,8 +64,8 @@ TAU = 2.0 * math.pi
 # every other slot its variate.
 DRAWS_PER_SHOT = 12
 _BLOCKS_PER_SHOT = DRAWS_PER_SHOT // 4
-# Shots per pass of run_experiment's loop: bounds the draws and kernel
-# temporaries held at once, whatever the shot count.
+# Shots per frame of run_chunks: bounds the draws and kernel temporaries
+# held at once, whatever the shot count.
 _CHUNK = 1 << 16
 
 
@@ -297,10 +300,16 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def _geometric(u: np.ndarray, p: float) -> np.ndarray:
-    """Inverse-CDF geometric trial count (support 1, 2, ...)."""
+    """Inverse-CDF geometric trial count (support 1, 2, ...); ValueError
+    where a count would not fit in int64."""
     if p >= 1.0:
         return np.ones(u.shape, dtype=np.int64)
     n = 1 + np.floor(np.log1p(-u) / math.log1p(-p))
+    if n.max(initial=1.0) >= 2.0**63:
+        raise ValueError(
+            f"herald probability p_exc * eta / (1 - p_dark) = {p!r} is too small: "
+            "an attempt count exceeds the int64 range"
+        )
     return np.maximum(n, 1).astype(np.int64)
 
 
@@ -514,41 +523,47 @@ def _simulate_rows(
 # ---------------------------------------------------------------------------
 
 
-def run_range(
-    config: ExperimentConfig, seq: PulseSequence, lo: int, hi: int
-) -> ShotFrame:
-    """Rows lo ... hi-1 of the run, exactly as run_experiment emits them.
+def run_chunks(config: ExperimentConfig, seq: PulseSequence, lo: int = 0, hi=None):
+    """Rows lo ... hi-1 of the run (hi defaults to config.shots) as
+    consecutive frames of at most `_CHUNK` shots; an empty range is one
+    empty frame.
 
     Shot i consumes the draw block derived from (seed, i) only: the run's
-    Philox stream is advanced to lo's counter block and read for hi - lo
-    shots.
+    Philox stream is advanced to lo's counter block and read on, chunk after
+    chunk, into one reused draw buffer.  A chunk of 12 draws per shot ends
+    on a counter boundary, so each chunk reads what `advance` would reach.
     """
+    hi = config.shots if hi is None else hi
     if not 0 <= lo <= hi <= config.shots:
         raise ValueError(f"shot range [{lo}, {hi}) is not within [0, {config.shots}]")
     key = np.random.SeedSequence(config.seed).generate_state(2, np.uint64)
     bg = np.random.Philox(key=key)
     bg.advance(lo * _BLOCKS_PER_SHOT)
-    draws = np.random.Generator(bg).random((hi - lo, DRAWS_PER_SHOT))
-    return _simulate_rows(config, seq, draws, lo)
+    rng = np.random.Generator(bg)
+    buf = np.empty((min(hi - lo, _CHUNK), DRAWS_PER_SHOT))
+    for start in range(lo, hi, _CHUNK) or (lo,):
+        draws = buf[: min(hi - start, _CHUNK)]
+        rng.random(out=draws)
+        yield _simulate_rows(config, seq, draws, start)
+
+
+def run_range(
+    config: ExperimentConfig, seq: PulseSequence, lo: int, hi: int
+) -> ShotFrame:
+    """Rows lo ... hi-1 of the run, exactly as run_experiment emits them."""
+    return ShotFrame.concat(run_chunks(config, seq, lo, hi))
 
 
 def run_experiment(config: ExperimentConfig, seq: PulseSequence) -> ShotFrame:
-    """Run `config.shots` independent shots of a sequence, as contiguous
-    ranges of `_CHUNK` shots concatenated in order."""
-    return ShotFrame.concat(
-        run_range(config, seq, lo, min(lo + _CHUNK, config.shots))
-        for lo in range(0, config.shots, _CHUNK)
-    )
+    """Run `config.shots` independent shots of a sequence: the frames of
+    `run_chunks` concatenated in order."""
+    return ShotFrame.concat(run_chunks(config, seq))
 
 
-def run_plan(config: ExperimentConfig, seq: PulseSequence, settings) -> dict:
-    """Run one sequence under every (preparation, analysis) setting.
-
-    Each setting runs with prep/analysis pulses swapped into `seq` and its
-    own child seed derived from (config.seed, setting.index); returns
-    {setting.index: ShotFrame}.
-    """
-    frames = {}
+def plan_runs(config: ExperimentConfig, seq: PulseSequence, settings):
+    """(setting.index, config, sequence) of the run of each setting, in
+    order: its prep/analysis pulses swapped into `seq` and its own child
+    seed derived from (config.seed, setting.index)."""
     for setting in settings:
         seq_s = replace(
             seq,
@@ -557,8 +572,16 @@ def run_plan(config: ExperimentConfig, seq: PulseSequence, settings) -> dict:
             analysis=setting.analysis,
         )
         cfg_s = replace(config, seed=derive_seed(config.seed, setting.index))
-        frames[setting.index] = run_experiment(cfg_s, seq_s)
-    return frames
+        yield setting.index, cfg_s, seq_s
+
+
+def run_plan(config: ExperimentConfig, seq: PulseSequence, settings) -> dict:
+    """Run one sequence under every (preparation, analysis) setting, as
+    `plan_runs` lays them out; returns {setting.index: ShotFrame}."""
+    return {
+        index: run_experiment(cfg_s, seq_s)
+        for index, cfg_s, seq_s in plan_runs(config, seq, settings)
+    }
 
 
 # ---------------------------------------------------------------------------

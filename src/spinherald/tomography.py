@@ -1,6 +1,6 @@
 """Single-qubit process tomography and fringe analysis.
 
-The reconstruction pipeline is: measured up/down outcomes per (preparation,
+The reconstruction pipeline is: measured up/down counts per (preparation,
 measurement axis) setting -> affine Bloch map by linear inversion (the Pauli
 transfer matrix) -> process matrix chi over {I, sigma_x, sigma_y, sigma_z}
 -> projection onto the completely-positive trace-preserving set by
@@ -31,6 +31,7 @@ __all__ = [
     "TomographySetting",
     "BlochEllipsoid",
     "FringeFit",
+    "ShotCounts",
     "TomographyResult",
     "tomography_plan",
     "estimate_ptm",
@@ -125,38 +126,40 @@ def tomography_plan() -> list[TomographySetting]:
     return plan
 
 
-def _setting_outcomes(value) -> np.ndarray:
-    up = getattr(value, "outcome_up", value)
-    return np.asarray(up, dtype=bool)
+def _up_counts(value) -> tuple[int, int]:
+    """(n_up, n) of one setting: given as such a pair, or counted from
+    boolean outcomes or an object with an `outcome_up` attribute."""
+    if isinstance(value, tuple):
+        n_up, n = map(int, value)
+        if not 0 <= n_up <= n:
+            raise ValueError(f"up count {n_up} is not within [0, {n}]")
+        return n_up, n
+    up = np.asarray(getattr(value, "outcome_up", value), dtype=bool)
+    return int(np.count_nonzero(up)), len(up)
 
 
 def estimate_ptm(outcomes_by_setting) -> np.ndarray:
     """Pauli transfer matrix by least-squares linear inversion.
 
-    `outcomes_by_setting` maps the plan index to up/down outcomes (boolean
-    arrays or objects with an `outcome_up` attribute).  For measurement axis
-    j the model <a_j> = t_j + T_j . r_k is solved over the four prepared
-    Bloch vectors r_k; the estimate is unbiased for the true channel in the
-    infinite-shot limit.
+    `outcomes_by_setting` maps the plan index to its up/down outcomes: an
+    (n_up, n) pair of counts, a boolean array or an object with an
+    `outcome_up` attribute.  For measurement axis j the model
+    <a_j> = t_j + T_j . r_k is solved over the four prepared Bloch vectors
+    r_k; the estimate is unbiased for the true channel in the infinite-shot
+    limit.
     """
     plan = tomography_plan()
     stray = sorted(set(outcomes_by_setting) - {s.index for s in plan})
     if stray:
         raise ValueError(f"settings outside the {len(plan)}-setting plan: {stray}")
-    missing = [
-        s.label
-        for s in plan
-        if s.index not in outcomes_by_setting
-        or len(_setting_outcomes(outcomes_by_setting[s.index])) == 0
-    ]
+    counts = {k: _up_counts(v) for k, v in outcomes_by_setting.items()}
+    missing = [s.label for s in plan if counts.get(s.index, (0, 0))[1] == 0]
     if missing:
         raise IncompleteDataError(f"settings without records: {missing}")
 
     # the plan runs preparations in the outer loop and axes in the inner one
     design = np.array([[1.0, *(_PREP_BLOCH[p])] for p in PREPARATIONS])
-    means = np.array(
-        [np.mean(_setting_outcomes(outcomes_by_setting[s.index])) for s in plan]
-    )
+    means = np.array([n_up / n for n_up, n in (counts[s.index] for s in plan)])
     measured = (2.0 * means - 1.0).reshape(len(PREPARATIONS), len(_MEASUREMENTS))
 
     coeff, *_ = np.linalg.lstsq(design, measured, rcond=None)
@@ -301,18 +304,83 @@ class FringeFit:
     residual: float
 
 
-def binned_fringe(phi, outcome_up, n_bins: int = 20) -> np.ndarray:
-    """Bin outcomes by phase: rows of (bin center, P(up), count)."""
+def _phase_edges(n_bins: int) -> np.ndarray:
+    return np.linspace(0.0, 2.0 * math.pi, n_bins + 1)
+
+
+def _phase_bin(phi, n_bins: int) -> np.ndarray:
+    """Index of the phase bin of each phi, wrapped into [0, 2 pi)."""
     phi = np.mod(np.asarray(phi, dtype=float), 2.0 * math.pi)
-    up = np.asarray(outcome_up, dtype=float)
-    edges = np.linspace(0.0, 2.0 * math.pi, n_bins + 1)
-    idx = np.clip(np.digitize(phi, edges) - 1, 0, n_bins - 1)
-    counts = np.bincount(idx, minlength=n_bins).astype(float)
-    ups = np.bincount(idx, weights=up, minlength=n_bins)
+    return np.clip(np.digitize(phi, _phase_edges(n_bins)) - 1, 0, n_bins - 1)
+
+
+def _fringe_table(counts: np.ndarray, ups: np.ndarray) -> np.ndarray:
+    """Rows of (bin center, ups / counts, counts) over the phase bins; the
+    ratio is NaN in an empty bin."""
+    edges = _phase_edges(len(counts))
     centers = 0.5 * (edges[:-1] + edges[1:])
+    counts, ups = np.asarray(counts, dtype=float), np.asarray(ups, dtype=float)
     with np.errstate(invalid="ignore"):
         p = np.where(counts > 0, ups / np.maximum(counts, 1.0), np.nan)
     return np.column_stack([centers, p, counts])
+
+
+def binned_fringe(phi, outcome_up, n_bins: int = 20) -> np.ndarray:
+    """Bin outcomes by phase: rows of (bin center, P(up), count)."""
+    idx = _phase_bin(phi, n_bins)
+    up = np.asarray(outcome_up, dtype=float)
+    counts = np.bincount(idx, minlength=n_bins)
+    return _fringe_table(counts, np.bincount(idx, weights=up, minlength=n_bins))
+
+
+def _exact_sum(a: np.ndarray) -> int:
+    """Sum of non-negative int64 values as a Python int: the high and low
+    32-bit halves are summed apart, so for fewer than 2^31 values no int64
+    partial sum can wrap."""
+    a = np.asarray(a, dtype=np.int64)
+    return (int(np.sum(a >> 32)) << 32) + int(np.sum(a & 0xFFFFFFFF))
+
+
+@dataclass(frozen=True, eq=False)
+class ShotCounts:
+    """The sufficient statistics of a set of shots for every analysis.
+
+    `n[branch, bin, outcome]` counts shots by recorded branch (0 without a
+    scatter block, 1 = V, 2 = H), `binned_fringe` phase bin of phi_tac and
+    outcome (0 down, 1 up); `attempts` is the exact sum of n_attempts over
+    the heralded (branch > 0) shots.  Counts of disjoint shot sets add.
+    """
+
+    n: np.ndarray
+    attempts: int
+
+    @classmethod
+    def of(cls, shots, n_bins: int) -> "ShotCounts":
+        """Counts of `shots`: any object with branch, phi_tac, outcome_up and
+        n_attempts columns, such as an engine ShotFrame."""
+        branch = np.asarray(shots.branch, dtype=np.int64)
+        cell = (branch * n_bins + _phase_bin(shots.phi_tac, n_bins)) * 2
+        cell += np.asarray(shots.outcome_up, dtype=bool)
+        n = np.bincount(cell, minlength=3 * n_bins * 2).reshape(3, n_bins, 2)
+        return cls(n, _exact_sum(shots.n_attempts[branch > 0]))
+
+    def __add__(self, other: "ShotCounts") -> "ShotCounts":
+        return ShotCounts(self.n + other.n, self.attempts + other.attempts)
+
+    def up_counts(self, branches) -> tuple[int, int]:
+        """(n_up, n) over the shots of the given branches."""
+        n = self.n[list(branches)]
+        return int(n[..., 1].sum()), int(n.sum())
+
+    def fringe(self, branch: int) -> np.ndarray:
+        """`binned_fringe` table of the shots of one branch."""
+        n = self.n[branch]
+        return _fringe_table(n.sum(axis=1), n[:, 1])
+
+    def branch_fringe(self) -> np.ndarray:
+        """`binned_fringe` table of P(branch 1) over the heralded shots."""
+        n = self.n[1:].sum(axis=2)
+        return _fringe_table(n.sum(axis=0), n[0])
 
 
 def fit_fringe(bins, harmonic: int) -> FringeFit:
@@ -370,8 +438,9 @@ class TomographyResult:
 
 
 def reconstruct(outcomes_by_setting) -> TomographyResult:
-    """Linear inversion followed by CPTP projection; reported overlap and
-    ellipsoid refer to the projected (physical) channel."""
+    """Linear inversion followed by CPTP projection of the outcomes that
+    `estimate_ptm` takes; reported overlap and ellipsoid refer to the
+    projected (physical) channel."""
     ptm_raw = estimate_ptm(outcomes_by_setting)
     chi_raw = ptm_to_chi(ptm_raw)
     chi = project_cptp(chi_raw)

@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +24,22 @@ from spinherald.cli import (
     read_records,
     write_records,
 )
-from spinherald.engine import ShotFrame, UnsupportedCorrectionError
+import spinherald.cli
+from spinherald.engine import (
+    ShotFrame,
+    UnsupportedCorrectionError,
+    run_experiment,
+    run_plan,
+)
 from spinherald.scattering import PolarizationBasis, scatter
 from spinherald.spinalg import ID2
-from spinherald.tomography import IncompleteDataError
+from spinherald.tomography import (
+    IncompleteDataError,
+    binned_fringe,
+    fit_fringe,
+    reconstruct,
+    tomography_plan,
+)
 
 NOMINAL_ERRORS = {
     "p_multi": 0.05,
@@ -291,6 +305,22 @@ def test_read_records_header_only_and_single_row(tmp_path):
     assert frame.n_attempts.tolist() == [4]
 
 
+def test_read_records_checks_the_grammar_across_block_boundaries(tmp_path, monkeypatch):
+    # with 4-byte blocks every line spans blocks, and some blank lines fall
+    # on a block boundary
+    path = tmp_path / "r.csv"
+    body = "".join(f"{i},0,1,0.5,up,1\n" for i in range(9))
+    path.write_text(RECORDS_HEADER + body)
+    expected = read_records(path)
+    monkeypatch.setattr(spinherald.cli, "_READ_BLOCK", 4)
+    assert read_records(path)[0].equals(expected[0])
+    lines = body.splitlines(keepends=True)
+    for k in range(len(lines) + 1):
+        path.write_text(RECORDS_HEADER + "".join(lines[:k]) + "\n" + "".join(lines[k:]))
+        with pytest.raises(ValueError, match=rf"r\.csv:{k + 2}: malformed record"):
+            read_records(path)
+
+
 def test_records_write_read_write_is_byte_identical(tmp_path):
     # more rows than one write slice, two settings, every branch and outcome
     rng = np.random.default_rng(12)
@@ -424,6 +454,134 @@ def test_tomo_incomplete_settings(tmp_path):
         fh.writelines(f"{i},12,1,0.5,up,1\n" for i in range(50))
     with pytest.raises(ValueError, match=r"\[12\]"):
         cmd_tomo(records_path=records, flt="all")
+
+
+def test_failed_simulate_leaves_no_records(tmp_path):
+    # p_exc = 1e-30 gives attempt counts beyond int64
+    manifest = write_manifest(
+        tmp_path / "m.ini", "scatter_HV", shots=5, seed=1, config={"p_exc": 1e-30}
+    )
+    with pytest.raises(ValueError, match="herald probability"):
+        cmd_simulate(manifest, tmp_path / "out")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# summaries built from counts, against oracles built from shot frames
+# ---------------------------------------------------------------------------
+
+
+def oracle_branch_stats(frames: dict, n_bins: int) -> dict:
+    branch = np.concatenate([f.branch for f in frames.values()])
+    att = np.concatenate([f.n_attempts for f in frames.values()])
+    phi = np.concatenate([f.phi_tac for f in frames.values()])
+    heralded = branch > 0
+    n1, n2 = int((branch == 1).sum()), int((branch == 2).sum())
+    table = binned_fringe(phi[heralded], branch[heralded] == 1, n_bins)
+    frac = table[table[:, 2] > 0, 1]
+    return {
+        "n_shots": len(branch),
+        "n_branch_1": n1,
+        "n_branch_2": n2,
+        "mean_attempts": float(np.mean(att[heralded])),
+        "branch_1_fraction": n1 / (n1 + n2),
+        "phase_resolved_branch_asymmetry": float(np.mean(np.abs(2.0 * frac - 1.0))),
+    }
+
+
+def oracle_fringes(frames: dict, n_bins: int, harmonic: int) -> list:
+    fits = []
+    for setting_id in sorted(frames):
+        f = frames[setting_id]
+        for b in (1, 2):
+            sel = f.branch == b
+            if sel.any():
+                bins = binned_fringe(f.phi_tac[sel], f.outcome_up[sel], n_bins)
+                fit = asdict(fit_fringe(bins, harmonic))
+                fits.append({"setting_id": setting_id, "branch": b, **fit})
+    return fits
+
+
+def oracle_tomography(frames: dict, flt: str) -> dict:
+    keep = {"V": (1,), "H": (2,)}.get(flt, (0, 1, 2))
+    result = reconstruct(
+        {k: f.select(np.isin(f.branch, keep)) for k, f in frames.items()}
+    )
+    e = result.ellipsoid
+    return {
+        "filter": flt,
+        "identity_overlap": result.identity_overlap,
+        "chi_real": result.chi.real.tolist(),
+        "chi_imag": result.chi.imag.tolist(),
+        "ptm": result.ptm.tolist(),
+        "ellipsoid": {
+            "center": e.center.tolist(),
+            "semi_axes": e.semi_axes.tolist(),
+            "principal_directions": e.principal_directions.tolist(),
+        },
+    }
+
+
+def test_ramsey_summary_equals_frame_oracle(tmp_path):
+    manifest = write_manifest(
+        tmp_path / "m.ini", "ramsey_45", shots=70_000, seed=41,
+        errors=NOMINAL_ERRORS, config={"p_exc": 0.3, "eta": 0.5},
+        analysis={"bins": 13},
+    )
+    summary = cmd_ramsey(manifest, tmp_path / "out")
+    m = load_manifest(manifest)
+    frames = {0: run_experiment(m.config, m.sequence())}
+    assert summary["branch_stats"] == oracle_branch_stats(frames, 13)
+    assert summary["fringes"] == oracle_fringes(frames, 13, 1)
+
+
+def test_tomo_manifest_summary_equals_frame_oracle(tmp_path):
+    manifest = write_manifest(
+        tmp_path / "m.ini", "tomo_input_3", shots=3000, seed=42,
+        errors=NOMINAL_ERRORS, config={"eta": 0.2},
+        basis={"ellipticity": 0.25}, analysis={"bins": 7},
+    )
+    m = load_manifest(manifest)
+    frames = run_plan(m.config, m.sequence(), tomography_plan())
+    for flt in ("V", "H", "all"):
+        summary = cmd_tomo(manifest_path=manifest, flt=flt)
+        assert summary["branch_stats"] == oracle_branch_stats(frames, 7)
+        assert summary["tomography"] == oracle_tomography(frames, flt)
+
+
+def test_sweep_summaries_equal_frame_oracle(tmp_path):
+    manifest = write_manifest(
+        tmp_path / "m.ini", "corrected_HV", shots=2000, seed=43,
+        errors=NOMINAL_ERRORS, config={"p_exc": 0.075, "eta": 0.01},
+        analysis={"tomography": "true", "filter": "V", "fringe_harmonic": 2, "bins": 9},
+    )
+    grid = ["0", "0.2"]
+    for value, summary in zip(grid, cmd_sweep(manifest, "p_multi", grid, tmp_path / "out")):
+        m = load_manifest(manifest, {"p_multi": value})
+        frames = run_plan(m.config, m.sequence(), tomography_plan())
+        assert summary["branch_stats"] == oracle_branch_stats(frames, 9)
+        assert summary["tomography"] == oracle_tomography(frames, "V")
+        assert summary["fringes"] == oracle_fringes(frames, 9, 2)
+
+
+def test_ramsey_memory_does_not_grow_with_shots(tmp_path):
+    manifest = write_manifest(
+        tmp_path / "m.ini", "ramsey_HV", shots=1, seed=44, config={"p_exc": 0.075}
+    )
+
+    def peak(shots):
+        tracemalloc.start()
+        try:
+            summary = cmd_ramsey(manifest, tmp_path / "out", shots=shots)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary["branch_stats"]["n_shots"] == shots
+        return traced
+
+    small = peak(1 << 17)
+    # a frame of 2^21 shots alone would take 2^21 * 26 B = 54 MB
+    assert peak(1 << 21) <= small + (1 << 20)
 
 
 # ---------------------------------------------------------------------------

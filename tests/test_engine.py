@@ -2,6 +2,8 @@ import math
 import statistics
 import tracemalloc
 from dataclasses import replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from spinherald.engine import (
     derive_seed,
     get_sequence,
     noisy_joint_state,
+    run_chunks,
     run_experiment,
     run_range,
     standard_sequences,
@@ -32,7 +35,7 @@ from spinherald.scattering import (
     unconditioned_channel,
 )
 from spinherald.spinalg import ID2, KET_UP, from_bloch, to_bloch
-from spinherald.tomography import estimate_ptm
+from spinherald.tomography import ShotCounts, estimate_ptm
 
 from conftest import run_in_ranges
 
@@ -374,6 +377,37 @@ def test_run_experiment_memory_is_bounded_by_chunks():
         tracemalloc.stop()
     nbytes = sum(col.nbytes for col in frame._columns())
     assert peak < 3 * nbytes
+
+
+def test_counts_of_a_run_equal_the_sum_over_an_uneven_partition():
+    cfg = ideal_config(2 * _CHUNK + 11, 21, p_exc=0.3, eta=0.4, errors=ErrorBudget.nominal())
+    seq = get_sequence("corrected_45")
+    whole = ShotCounts.of(run_experiment(cfg, seq), 9)
+    bounds = (0, 1, 1, 5000, _CHUNK + 3, 2 * _CHUNK + 10, cfg.shots)
+    parts = reduce(
+        add,
+        (ShotCounts.of(run_range(cfg, seq, lo, hi), 9) for lo, hi in zip(bounds, bounds[1:])),
+    )
+    assert np.array_equal(parts.n, whole.n)
+    assert parts.attempts == whole.attempts
+    assert whole.n.sum() == cfg.shots
+
+
+def test_run_chunks_streams_bounded_frames_from_lo():
+    cfg = ideal_config(2 * _CHUNK + 3, 22, errors=ErrorBudget.nominal())
+    seq = get_sequence("ramsey_HV")
+    frame = run_experiment(cfg, seq)
+    chunks = list(run_chunks(cfg, seq, 7, cfg.shots))
+    assert [len(c) for c in chunks] == [_CHUNK, cfg.shots - 7 - _CHUNK]
+    for c in chunks:
+        assert c.equals(frame.select(c.shot_id))
+    assert [len(c) for c in run_chunks(cfg, seq, 5, 5)] == [0]
+
+
+def test_attempt_count_beyond_int64_is_rejected():
+    cfg = ExperimentConfig(shots=5, seed=1, p_exc=1e-30)
+    with pytest.raises(ValueError, match=r"herald probability .*1e-30"):
+        run_experiment(cfg, get_sequence("scatter_HV"))
 
 
 def test_single_shot_run():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from spinherald.spinalg import SIGMA_X, from_bloch, to_bloch
 from spinherald.tomography import (
     CPTPConvergenceError,
     IncompleteDataError,
+    ShotCounts,
     UnderdeterminedFitError,
     binned_fringe,
     bloch_ellipsoid,
@@ -119,6 +122,19 @@ def test_estimate_ptm_missing_setting():
     del outcomes[5]
     with pytest.raises(IncompleteDataError, match="down"):
         estimate_ptm(outcomes)
+
+
+def test_estimate_ptm_from_counts_equals_outcome_arrays():
+    rng = np.random.default_rng(31)
+    outcomes = bernoulli_outcomes(channel_p_up(np.diag([0.9, -0.4, 0.7])), 7919, rng)
+    counts = {k: (int(up.sum()), len(up)) for k, up in outcomes.items()}
+    assert np.array_equal(estimate_ptm(counts), estimate_ptm(outcomes))
+    counts[3] = (0, 0)
+    with pytest.raises(IncompleteDataError, match="down/x"):
+        estimate_ptm(counts)
+    counts[3] = (12, 11)
+    with pytest.raises(ValueError, match="up count 12"):
+        estimate_ptm(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +350,45 @@ def test_binned_fringe_counts_and_centers():
     assert bins[0, 2] == 2 and bins[0, 1] == 0.5
     assert bins[2, 2] == 1 and bins[2, 1] == 1.0
     assert bins[3, 2] == 1
+
+
+def random_shots(rng, n):
+    return SimpleNamespace(
+        branch=rng.integers(0, 3, n).astype(np.int8),
+        phi_tac=rng.uniform(-7.0, 14.0, n),
+        outcome_up=rng.random(n) < 0.3,
+        n_attempts=rng.geometric(0.01, n).astype(np.int64),
+    )
+
+
+def test_shot_counts_tables_equal_binned_fringe():
+    rng = np.random.default_rng(32)
+    shots = random_shots(rng, 5000)
+    counts = ShotCounts.of(shots, 11)
+    assert counts.n.shape == (3, 11, 2) and counts.n.sum() == 5000
+    heralded = shots.branch > 0
+    assert counts.attempts == int(shots.n_attempts[heralded].sum())
+    for b in (0, 1, 2):
+        sel = shots.branch == b
+        expected = binned_fringe(shots.phi_tac[sel], shots.outcome_up[sel], 11)
+        np.testing.assert_array_equal(counts.fringe(b), expected)
+        assert counts.up_counts((b,)) == (int(shots.outcome_up[sel].sum()), int(sel.sum()))
+    expected = binned_fringe(shots.phi_tac[heralded], shots.branch[heralded] == 1, 11)
+    np.testing.assert_array_equal(counts.branch_fringe(), expected)
+    assert counts.up_counts((0, 1, 2)) == (int(shots.outcome_up.sum()), 5000)
+
+
+def test_shot_counts_add_and_sum_attempts_exactly():
+    rng = np.random.default_rng(33)
+    a, b = random_shots(rng, 300), random_shots(rng, 200)
+    a.n_attempts[:] = 2**62 + 12345  # an int64 sum of these would wrap
+    b.n_attempts[:] = 2**40 + 1
+    total = ShotCounts.of(a, 4) + ShotCounts.of(b, 4)
+    assert total.attempts == sum(a.n_attempts[a.branch > 0].tolist()) + sum(
+        b.n_attempts[b.branch > 0].tolist()
+    )
+    assert total.attempts > 2**63
+    assert np.array_equal(total.n, ShotCounts.of(a, 4).n + ShotCounts.of(b, 4).n)
 
 
 # ---------------------------------------------------------------------------
