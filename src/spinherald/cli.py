@@ -235,7 +235,7 @@ def load_manifest(path, overrides=None) -> RunManifest:
 
 
 _WRITE_SLICE = 1 << 16  # rows formatted per write
-_READ_BLOCK = 1 << 20  # bytes per grammar check of a records body
+_READ_BLOCK = 1 << 20  # bytes of a records body read, checked and parsed at once
 _RECORD_DTYPE = np.dtype(
     [
         ("shot_id", np.int64),
@@ -246,6 +246,9 @@ _RECORD_DTYPE = np.dtype(
         ("n_attempts", np.int64),
     ]
 )
+# one records line; %.9g formats a float exactly as f"{x:.9g}" does
+_RECORD_LINE = "%d,%d,%d,%.9g,%s,%d\n"
+_OUTCOME_WORDS = np.array(["down", "up"], dtype=object)
 # every byte a records body may hold: no whitespace, quote or comment mark
 _RECORD_BYTES = (string.ascii_letters + string.digits + "+-.,\n").encode()
 
@@ -259,18 +262,15 @@ def _open_records(path):
 
 def _write_rows(fh, setting_id: int, f: ShotFrame) -> None:
     """Append the lines of one frame's shots to an open records file."""
-    columns = (f.shot_id, f.branch, f.phi_tac, f.outcome_up, f.n_attempts)
     for lo in range(0, len(f), _WRITE_SLICE):
-        rows = slice(lo, lo + _WRITE_SLICE)
-        fh.write(
-            "".join(
-                f"{shot},{setting_id},{branch},{phi:.9g},"
-                f"{'up' if up else 'down'},{n_att}\n"
-                for shot, branch, phi, up, n_att in zip(
-                    *(col[rows].tolist() for col in columns)
-                )
-            )
-        )
+        part = f.select(slice(lo, lo + _WRITE_SLICE))
+        fields = [setting_id] * (6 * len(part))
+        fields[0::6] = part.shot_id.tolist()
+        fields[2::6] = part.branch.tolist()
+        fields[3::6] = part.phi_tac.tolist()
+        fields[4::6] = _OUTCOME_WORDS[part.outcome_up.astype(np.intp)].tolist()
+        fields[5::6] = part.n_attempts.tolist()
+        fh.write(_RECORD_LINE * len(part) % tuple(fields))
 
 
 def write_records(path, frames_by_setting: dict) -> None:
@@ -281,29 +281,14 @@ def write_records(path, frames_by_setting: dict) -> None:
             _write_rows(fh, setting_id, frames_by_setting[setting_id])
 
 
-def _check_bytes(blocks) -> int:
-    """Length of a records body read as consecutive byte blocks; ValueError
-    if it holds a blank line or a byte outside the records grammar."""
-    length, after_newline = 0, True  # the header's line end precedes the body
-    for block in blocks:
-        blank_line = (after_newline and block.startswith(b"\n")) or b"\n\n" in block
-        if blank_line or block.translate(None, _RECORD_BYTES):
-            raise ValueError("blank line or a byte outside the records grammar")
-        length, after_newline = length + len(block), block.endswith(b"\n")
-    return length
-
-
-def _load_rows(source, skiprows: int = 0) -> np.ndarray:
-    """The lines of `source` (a path or a binary file), after `skiprows`, as
-    one structured row each; ValueError unless every line is a record.  The
-    lines must have passed `_check_bytes`."""
+def _parse_block(block: bytes) -> np.ndarray:
+    """The lines of a nonempty run of whole lines of a records body as one
+    structured row each; ValueError unless every line is a record."""
+    blank_line = block.startswith(b"\n") or b"\n\n" in block
+    if blank_line or block.translate(None, _RECORD_BYTES):
+        raise ValueError("blank line or a byte outside the records grammar")
     rec = np.loadtxt(
-        source,
-        dtype=_RECORD_DTYPE,
-        delimiter=",",
-        comments=None,
-        ndmin=1,
-        skiprows=skiprows,
+        io.BytesIO(block), dtype=_RECORD_DTYPE, delimiter=",", comments=None, ndmin=1
     )
     outcome, branch = rec["outcome"], rec["branch"]
     if not (
@@ -316,25 +301,34 @@ def _load_rows(source, skiprows: int = 0) -> np.ndarray:
     return rec
 
 
-def _parse_records(body: bytes) -> np.ndarray:
-    """The lines of a nonempty records body (the file after its header) as
-    one structured row each; ValueError unless every line is a record."""
-    _check_bytes([body])
-    return _load_rows(io.BytesIO(body))
-
-
 def _first_bad_line(lines: list[bytes]) -> int:
-    """Index of the first line `_parse_records` rejects, found by bisection
+    """Index of the first line `_parse_block` rejects, found by bisection
     over whole lines, given that some line is rejected."""
     lo, hi = 0, len(lines)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            _parse_records(b"\n".join(lines[lo:mid]) + b"\n")
+            _parse_block(b"\n".join(lines[lo:mid]) + b"\n")
             lo = mid
         except ValueError:
             hi = mid
     return lo
+
+
+def _line_blocks(fh):
+    """The rest of a binary file as consecutive blocks of whole lines (the
+    last may lack its line end): each `_READ_BLOCK`-byte read is cut after
+    its last line end, and the partial line is carried into the next block."""
+    carry = b""
+    for data in iter(lambda: fh.read(_READ_BLOCK), b""):
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield carry + memoryview(data)[:cut]  # one copy, not two
+            carry = data[cut:]
+        else:
+            carry += data
+    if carry:
+        yield carry
 
 
 def _frames_by_setting(rec: np.ndarray) -> dict[int, ShotFrame]:
@@ -355,6 +349,42 @@ def _frames_by_setting(rec: np.ndarray) -> dict[int, ShotFrame]:
     return {key: ShotFrame(*cols) for key, cols in zip(keys, parts)}
 
 
+def _record_blocks(path):
+    """The body of a records file, one `_line_blocks` block at a time, each
+    as `_frames_by_setting` of its rows; the first line outside the grammar
+    of `read_records` raises a `path:lineno` error, found within its block."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"records file not found: {path}")
+    expected = ",".join(RECORD_COLUMNS).encode()
+    with path.open("rb") as fh:
+        header = fh.readline(len(expected) + 1).removesuffix(b"\n")
+        if header != expected:
+            header = header.decode(errors="replace")
+            raise ValueError(f"{path}: unexpected records header {header!r}")
+        rows = 0
+
+        def frames(block: bytes) -> dict[int, ShotFrame]:
+            nonlocal rows
+            try:
+                rec = _parse_block(block)
+            except ValueError:
+                lines = block.split(b"\n")
+                if lines[-1] == b"":  # the final line's terminator
+                    lines.pop()
+                bad = _first_bad_line(lines)
+                fields = lines[bad].decode(errors="replace").split(",")
+                raise ValueError(
+                    f"{path}:{rows + 2 + bad}: malformed record {fields!r}"
+                ) from None
+            rows += len(rec)
+            return _frames_by_setting(rec)
+
+        # map keeps neither a block nor its rows once their frames are
+        # built, so no earlier block is alive while the next is parsed
+        yield from map(frames, _line_blocks(fh))
+
+
 def read_records(path) -> dict[int, ShotFrame]:
     """Parse a records file into one frame per setting, in ascending setting
     order.  After the header, every line must be six comma-separated fields
@@ -362,27 +392,23 @@ def read_records(path) -> dict[int, ShotFrame]:
     non-negative int64 shot_id and setting_id, a branch in {0, 1, 2}, a
     finite phi_tac, an outcome of up or down and a non-negative int64
     n_attempts.  The first line that is not raises a `path:lineno` error."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"records file not found: {path}")
-    with path.open("rb") as fh:
-        header = fh.readline().removesuffix(b"\n")
-        if header != ",".join(RECORD_COLUMNS).encode():
-            header = header.decode(errors="replace")
-            raise ValueError(f"{path}: unexpected records header {header!r}")
-        try:
-            if not _check_bytes(iter(lambda: fh.read(_READ_BLOCK), b"")):
-                return {}
-            rec = _load_rows(path, skiprows=1)
-        except ValueError:
-            body = path.read_bytes().partition(b"\n")[2]
-            lines = body.split(b"\n")
-            if lines[-1] == b"":  # the final line's terminator
-                lines.pop()
-            bad = _first_bad_line(lines)
-            fields = lines[bad].decode(errors="replace").split(",")
-            raise ValueError(f"{path}:{bad + 2}: malformed record {fields!r}") from None
-    return _frames_by_setting(rec)
+    parts = {}
+    for frames in _record_blocks(path):
+        for key, frame in frames.items():
+            parts.setdefault(key, []).append(frame)
+    return {key: ShotFrame.concat(parts[key]) for key in sorted(parts)}
+
+
+def read_counts(path, n_bins: int) -> dict[int, ShotCounts]:
+    """Counts of each setting of a records file, in ascending setting order,
+    reduced block by block: no more than one block of rows is held."""
+    counts = {}
+    for frames in _record_blocks(path):
+        for key, frame in frames.items():
+            c = ShotCounts.of(frame, n_bins)
+            counts[key] = counts[key] + c if key in counts else c
+        del frames, frame  # hold no block while the next one is parsed
+    return dict(sorted(counts.items()))
 
 
 def apply_filter(counts: ShotCounts, name: str) -> tuple[int, int]:
@@ -600,10 +626,7 @@ def cmd_tomo(
             "version": __version__,
             "records": str(records_path),
             # the tomography needs no phase bins
-            "tomography": _tomography_summary(
-                {k: ShotCounts.of(f, 1) for k, f in read_records(records_path).items()},
-                flt,
-            ),
+            "tomography": _tomography_summary(read_counts(records_path, 1), flt),
         }
     else:
         manifest = load_manifest(manifest_path, {"seed": seed, "shots": shots})

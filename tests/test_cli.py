@@ -21,6 +21,7 @@ from spinherald.cli import (
     cmd_tomo,
     load_manifest,
     main,
+    read_counts,
     read_records,
     write_records,
 )
@@ -35,6 +36,7 @@ from spinherald.scattering import PolarizationBasis, scatter
 from spinherald.spinalg import ID2
 from spinherald.tomography import (
     IncompleteDataError,
+    ShotCounts,
     binned_fringe,
     fit_fringe,
     reconstruct,
@@ -341,6 +343,100 @@ def test_records_write_read_write_is_byte_identical(tmp_path):
     assert second.read_bytes() == first.read_bytes()
 
 
+def test_records_write_phi_tac_as_nine_significant_digits(tmp_path):
+    phis = [
+        -0.0,
+        5e-324,
+        1e-5,
+        9.9999999995e-5,
+        float(np.nextafter(2 * math.pi, 0.0)),
+        1e300,
+        -1.25,
+        -math.pi,
+        -9.9999999995e-5,
+    ]
+    n = len(phis)
+    frame = ShotFrame(
+        shot_id=np.arange(n, dtype=np.int64),
+        branch=np.arange(n).astype(np.int8) % 3,
+        phi_tac=np.array(phis),
+        outcome_up=np.arange(n) % 2 == 0,
+        n_attempts=np.arange(n, dtype=np.int64) * 7,
+    )
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_records(first, {3: frame})
+    assert first.read_text().splitlines()[1:] == [
+        f"{i},3,{i % 3},{phi:.9g},{'down' if i % 2 else 'up'},{7 * i}"
+        for i, phi in enumerate(phis)
+    ]
+    write_records(second, read_records(first))
+    assert second.read_bytes() == first.read_bytes()
+
+
+def random_rows(n: int, settings, seed: int) -> str:
+    """Records lines of n shots, the i-th in setting settings[i % len]."""
+    rng = np.random.default_rng(seed)
+    return "".join(
+        f"{i},{settings[i % len(settings)]},{rng.integers(0, 3)},"
+        f"{rng.uniform(-1.0, 7.0):.9g},{rng.choice(['up', 'down'])},"
+        f"{rng.integers(0, 50)}\n"
+        for i in range(n)
+    )
+
+
+def test_record_blocks_report_the_line_number_in_the_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(spinherald.cli, "_READ_BLOCK", 40)
+    path = tmp_path / "r.csv"
+    lines = random_rows(30, (0,), 1).splitlines(keepends=True)
+    path.write_text(RECORDS_HEADER + "".join(lines))
+    assert len(list(spinherald.cli._record_blocks(path))) > 10
+    for k in (0, 13, 29):
+        bad = lines.copy()
+        bad[k] = f"{k},0,1,0.5,UP,1\n"
+        path.write_text(RECORDS_HEADER + "".join(bad))
+        for read in (read_records, lambda p: read_counts(p, 1)):
+            with pytest.raises(
+                ValueError,
+                match=rf"r\.csv:{k + 2}: malformed record \['{k}', '0', '1', '0.5', 'UP', '1'\]",
+            ):
+                read(path)
+
+
+def test_read_counts_adds_settings_across_blocks(tmp_path, monkeypatch):
+    path = tmp_path / "r.csv"
+    # rows for 0, then 1, then 0 again, ... spread over many blocks; the
+    # final line has no line end
+    path.write_text(RECORDS_HEADER + random_rows(60, (0, 0, 1, 0, 2, 2, 1), 2).rstrip("\n"))
+    expected = read_records(path)
+    monkeypatch.setattr(spinherald.cli, "_READ_BLOCK", 40)
+    frames = read_records(path)
+    assert list(frames) == list(expected) == [0, 1, 2]
+    assert all(frames[k].equals(expected[k]) for k in frames)
+    assert frames[0].shot_id.tolist() == [i for i in range(60) if i % 7 in (0, 1, 3)]
+    counts = read_counts(path, 5)
+    assert list(counts) == [0, 1, 2]
+    for key, frame in frames.items():
+        oracle = ShotCounts.of(frame, 5)
+        assert np.array_equal(counts[key].n, oracle.n)
+        assert counts[key].attempts == oracle.attempts
+
+
+def test_tomo_records_in_small_blocks_equals_simulate(tmp_path, monkeypatch):
+    monkeypatch.setattr(spinherald.cli, "_READ_BLOCK", 100)
+    for flt in ("all", "V", "H", "corrected"):
+        manifest = write_manifest(
+            tmp_path / f"{flt}.ini", "corrected_HV", shots=200, seed=45,
+            errors=NOMINAL_ERRORS, config={"p_exc": 0.075},
+            analysis={"tomography": "true", "filter": flt},
+        )
+        out = tmp_path / flt
+        bundle = cmd_simulate(manifest, out)
+        argv = ["tomo", "--records", str(bundle.records_path), "--filter", flt]
+        assert main([*argv, "--out", str(out)]) == 0
+        tomo = json.loads((out / "tomo_summary.json").read_text())
+        assert tomo["tomography"] == bundle.summary["tomography"]
+
+
 # ---------------------------------------------------------------------------
 # tomo
 # ---------------------------------------------------------------------------
@@ -582,6 +678,35 @@ def test_ramsey_memory_does_not_grow_with_shots(tmp_path):
     small = peak(1 << 17)
     # a frame of 2^21 shots alone would take 2^21 * 26 B = 54 MB
     assert peak(1 << 21) <= small + (1 << 20)
+
+
+def test_tomo_records_memory_does_not_grow_with_rows(tmp_path):
+    def peak(rows):
+        rng = np.random.default_rng(rows)
+        frames = {}
+        for setting_id, ids in enumerate(np.array_split(np.arange(rows), 12)):
+            n = len(ids)
+            frames[setting_id] = ShotFrame(
+                shot_id=ids.astype(np.int64),
+                branch=rng.integers(0, 3, n).astype(np.int8),
+                phi_tac=rng.uniform(0.0, 2 * math.pi, n),
+                outcome_up=rng.random(n) < 0.5,
+                n_attempts=rng.geometric(0.3, n).astype(np.int64),
+            )
+        records = tmp_path / f"records_{rows}.csv"
+        write_records(records, frames)
+        tracemalloc.start()
+        try:
+            summary = cmd_tomo(records_path=records, flt="all")
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 <= summary["tomography"]["identity_overlap"] <= 1.0
+        return traced
+
+    small = peak(1 << 16)
+    # parsed whole, 2^19 rows would take 2^19 * 45 B = 24 MB
+    assert peak(1 << 19) <= small + (1 << 20)
 
 
 # ---------------------------------------------------------------------------
