@@ -10,7 +10,7 @@ both 45-degree fringes by a common phase.
 import numpy as np
 
 from spinherald import ErrorBudget, ExperimentConfig, get_sequence, run_experiment
-from spinherald.tomography import binned_fringe, fit_fringe
+from spinherald.tomography import ShotCounts, fit_fringe
 
 SHOTS = 60_000
 
@@ -19,11 +19,10 @@ def run_fringes(sequence_name, harmonic, errors=None, seed=7):
     cfg = ExperimentConfig(
         shots=SHOTS, seed=seed, p_exc=0.075, errors=errors or ErrorBudget()
     )
-    frame = run_experiment(cfg, get_sequence(sequence_name))
+    counts = ShotCounts.of(run_experiment(cfg, get_sequence(sequence_name)), 20)
     out = {}
     for branch in (1, 2):
-        sel = frame.select(frame.branch == branch)
-        bins = binned_fringe(sel.phi_tac, sel.outcome_up, n_bins=20)
+        bins = counts.fringe(branch)
         out[branch] = (bins, fit_fringe(bins, harmonic))
     return out
 

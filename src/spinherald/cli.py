@@ -476,24 +476,12 @@ def _fringe_tables(counts_by_setting: dict) -> dict:
 
 
 def _fringe_summary(tables: dict, harmonic: int) -> list[dict]:
-    out = []
-    for (setting_id, b), bins in tables.items():
-        if not bins[:, 2].any():
-            continue
-        fit = fit_fringe(bins, harmonic)
-        out.append(
-            {
-                "setting_id": setting_id,
-                "branch": b,
-                "harmonic": harmonic,
-                "offset": fit.offset,
-                "amplitude": fit.amplitude,
-                "phase": fit.phase,
-                "contrast": fit.contrast,
-                "residual": fit.residual,
-            }
-        )
-    return out
+    """The fit of each populated table, keyed by its setting and branch."""
+    return [
+        {"setting_id": setting_id, "branch": b, **asdict(fit_fringe(bins, harmonic))}
+        for (setting_id, b), bins in tables.items()
+        if bins[:, 2].any()
+    ]
 
 
 def _entanglement_summary(manifest: RunManifest) -> dict:

@@ -14,15 +14,18 @@ temporaries held at once; the produced records are bit-identical for any
 partition of the shot range.  `run_range` and `run_experiment` concatenate
 that stream.
 
-The per-shot state is tracked as a Bloch vector; scattering branch operators
-enter through their 4x4 Pauli transfer matrices conjugated by the per-shot
-precession phase, which keeps every step vectorized across shots.
+The per-shot state is a Bloch vector, held component-major in one (3, n)
+array per run whose x, y and z rows are contiguous; fixed pulses act on it
+as elementwise 3x3 updates.  Scattering branch operators enter through their
+4x4 Pauli transfer matrices conjugated by the per-shot precession phase, one
+cos/sin of which serves both conjugations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -389,25 +392,44 @@ def _effective_vectors(basis: PolarizationBasis, errors: ErrorBudget) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _rotate_rows(bloch: np.ndarray, spec: RotationSpec | None) -> np.ndarray:
-    if spec is None:
-        return bloch
-    return bloch @ spec.bloch_matrix().T
+@lru_cache(maxsize=64)
+def _pulse_matrix(spec: RotationSpec | None) -> np.ndarray:
+    """Bloch matrix of a fixed pulse (the identity for none), built once per
+    run however many chunks apply it; it is shared, so never write to it."""
+    return np.eye(3) if spec is None else spec.bloch_matrix()
 
 
-def _rz(rows: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Rotate each Bloch row right-handedly about +z by its own angle."""
-    c, s = np.cos(phi), np.sin(phi)
-    return np.column_stack(
-        [c * rows[:, 0] - s * rows[:, 1], s * rows[:, 0] + c * rows[:, 1], rows[:, 2]]
-    )
+@lru_cache(maxsize=64)
+def _branch_transfers(basis: PolarizationBasis, errors: ErrorBudget) -> tuple:
+    """Unnormalized Pauli transfer matrices t1, t2 of rho -> m rho m^dag for
+    the two phase-0 branch operators of the imperfect analysis basis."""
+    vecs = _effective_vectors(basis, errors)
+    m1, m2 = branch_operators_from_vectors(vecs, DEFAULT_EXCITATION, 0.0)
+    return pauli_transfer(m1, m1).real, pauli_transfer(m2, m2).real
+
+
+def _dot(coefficients, components):
+    """sum_k coefficients[k] * components[k] over shots, in order of k and
+    skipping exact-zero scalar coefficients; either may be per-shot arrays."""
+    acc = 0.0
+    for a, v in zip(coefficients, components):
+        if isinstance(a, np.ndarray) or a != 0.0:
+            acc = acc + a * v
+    return acc
+
+
+def _rz(x, y, c, s, inverse=False):
+    """Rotate the (x, y) components right-handedly about +z by the angle
+    whose cosine and sine are c and s, or by minus that angle."""
+    if inverse:
+        return c * x + s * y, c * y - s * x
+    return c * x - s * y, s * x + c * y
 
 
 def _apply_scatter_block(config, seq, draws, bloch):
-    """Attempts, herald, scattering kick.  Returns updated state and the
-    per-shot (n_attempts, branch, phi_rec) columns."""
+    """Attempts, herald and scattering kick on the (3, n) state, in place.
+    Returns the state and the per-shot (n_attempts, branch, phi_rec)."""
     err = config.errors
-    n = draws.shape[0]
     if config.p_exc * config.eta <= 0.0 and err.p_dark < 1.0:
         raise ValueError("sequence scatters but p_exc * eta = 0: no herald possible")
 
@@ -417,105 +439,88 @@ def _apply_scatter_block(config, seq, draws, bloch):
         p_herald = min(config.p_exc * config.eta / (1.0 - err.p_dark), 1.0)
     n_att = _geometric(draws[:, 1], p_herald)
 
-    dark = draws[:, 3] < err.p_dark
+    dark = np.flatnonzero(draws[:, 3] < err.p_dark)
     phi_true = TAU * draws[:, 4]
+    phi_rec = phi_true  # TAU * u < TAU, so without jitter the wrap is the identity
     if err.phi_jitter_sigma > 0.0:
-        jitter = err.phi_jitter_sigma * _ndtri(draws[:, 5])
-    else:
-        jitter = 0.0
-    phi_rec = np.where(dark, phi_true, np.mod(phi_true + jitter, TAU))
-
-    vecs = _effective_vectors(seq.scatter, err)
-    m1, m2 = branch_operators_from_vectors(vecs, DEFAULT_EXCITATION, 0.0)
-    # unnormalized Pauli transfer matrices of rho -> m rho m^dag
-    t1, t2 = pauli_transfer(m1, m1).real, pauli_transfer(m2, m2).real
+        phi_rec = np.mod(phi_true + err.phi_jitter_sigma * _ndtri(draws[:, 5]), TAU)
+        phi_rec[dark] = phi_true[dark]
 
     # conjugate by Rz(phi_true): rotate the state into the phase-0 frame,
-    # apply the fixed transfer matrices, rotate back
-    s4 = np.column_stack([np.ones(n), _rz(bloch, -phi_true)])
-    w1 = s4 @ t1.T
-    w2 = s4 @ t2.T
-    p1 = np.where(dark, 0.5, w1[:, 0])
-    pick1 = draws[:, 6] < p1
-    branch = np.where(pick1, 1, 2).astype(np.int8)
+    # apply the fixed transfer matrices to (1, x, y, z), rotate back
+    t1, t2 = _branch_transfers(seq.scatter, err)
+    c, s = np.cos(phi_true), np.sin(phi_true)
+    s4 = (1.0, *_rz(bloch[0], bloch[1], c, s, inverse=True), bloch[2])
+    pick1 = draws[:, 6] < _dot(t1[0], s4)
+    pick1[dark] = draws[dark, 6] < 0.5
+    branch = np.subtract(2, pick1, dtype=np.int8)
 
-    w = np.where(pick1[:, None], w1, w2)
-    norm = np.where(np.abs(w[:, 0]) < 1e-300, 1.0, w[:, 0])
-    w = w / norm[:, None]
-    bloch = np.where(dark[:, None], bloch, _rz(w[:, 1:], phi_true))
+    # each shot's row of its picked matrix: coefficients that differ between
+    # the branches are blended as a * p + b * (1 - p), exactly a or b
+    p = pick1.astype(float)
+    w0, wx, wy, wz = (
+        _dot([a if a == b else a * p + b * (1.0 - p) for a, b in zip(r1, r2)], s4)
+        for r1, r2 in zip(t1, t2)
+    )
+    norm = np.where(np.abs(w0) < 1e-300, 1.0, w0)
+    unkicked = bloch[:, dark]  # a dark count leaves the spin alone
+    bloch[0], bloch[1] = _rz(wx / norm, wy / norm, c, s)
+    bloch[2] = wz / norm
+    bloch[:, dark] = unkicked
 
     # possible extra scattering event whose photon was missed
     if err.p_multi > 0.0:
         multi = draws[:, 7] < err.p_multi
-        keep_xy = np.where(multi, 0.5, 1.0)
-        keep_z = np.where(multi, 0.0, 1.0)
-        bloch = bloch * np.column_stack([keep_xy, keep_xy, keep_z])
+        for row, keep in zip(bloch, (0.5, 0.5, 0.0)):
+            np.multiply(row, keep, out=row, where=multi)
 
     return bloch, n_att, branch, phi_rec
 
 
 def _apply_correction(basis, branch, phi_rec, bloch):
-    """Per-shot heralded correction pulses: each branch's phase-0 pulse,
-    applied in the frame of the shot's recorded phase."""
-    out = bloch.copy()
+    """Per-shot heralded correction pulses on the (3, n) state, in place: each
+    branch's phase-0 pulse, applied in the frame of the shot's recorded phase."""
     for b in (1, 2):
         spec = correction_for(basis, b, 0.0)
-        if spec is None:
-            continue
-        sel = branch == b
-        phi = phi_rec[sel]
-        out[sel] = _rz(_rz(bloch[sel], -phi) @ spec.bloch_matrix().T, phi)
-    return out
+        if spec is not None:
+            sel = np.flatnonzero(branch == b)
+            c, s = np.cos(phi_rec[sel]), np.sin(phi_rec[sel])
+            x, y, z = bloch[:, sel]
+            frame = (*_rz(x, y, c, s, inverse=True), z)
+            u, v, bloch[2, sel] = (_dot(row, frame) for row in _pulse_matrix(spec))
+            bloch[:2, sel] = _rz(u, v, c, s)
+    return bloch
 
 
-def _simulate_rows(
-    config: ExperimentConfig,
-    seq: PulseSequence,
-    draws: np.ndarray,
-    first_shot_id: int,
-) -> ShotFrame:
+def _simulate_rows(config, seq, draws, first_shot_id: int, bloch) -> ShotFrame:
+    """The chunk's shots from their draws, with `bloch` as the (3, n) state."""
     err = config.errors
     n = draws.shape[0]
 
-    # optical pumping into |up>, flipped with probability e_prep
+    # optical pumping into |up>, flipped with probability e_prep; the first
+    # pulse maps it to z0 times the last column of its Bloch matrix
     z0 = np.where(draws[:, 0] < err.e_prep, -1.0, 1.0)
-    bloch = np.zeros((n, 3))
-    bloch[:, 2] = z0
+    scatter_first = seq.scatter is not None and seq.scatter_first
+    first = _pulse_matrix(None if scatter_first else seq.prep)
+    np.multiply.outer(first[:, 2], z0, out=bloch)
 
-    n_att = np.zeros(n, dtype=np.int64)
-    branch = np.zeros(n, dtype=np.int8)
-    phi_rec = np.zeros(n)
-
-    def scatter_and_correct(state):
-        nonlocal n_att, branch, phi_rec
-        state, n_att, branch, phi_rec = _apply_scatter_block(
-            config, seq, draws, state
-        )
-        if seq.corrected:
-            state = _apply_correction(seq.scatter, branch, phi_rec, state)
-        return state
-
-    if seq.scatter is not None and seq.scatter_first:
-        bloch = scatter_and_correct(bloch)
-        bloch = _rotate_rows(bloch, seq.prep)
+    if seq.scatter is None:
+        n_att, branch, phi_rec = (np.zeros(n, t) for t in (np.int64, np.int8, float))
     else:
-        bloch = _rotate_rows(bloch, seq.prep)
-        if seq.scatter is not None:
-            bloch = scatter_and_correct(bloch)
+        bloch, n_att, branch, phi_rec = _apply_scatter_block(config, seq, draws, bloch)
+        if seq.corrected:
+            bloch = _apply_correction(seq.scatter, branch, phi_rec, bloch)
+        if scatter_first and seq.prep is not None:
+            bloch[:] = [_dot(row, bloch) for row in _pulse_matrix(seq.prep)]
 
-    bloch = _rotate_rows(bloch, seq.analysis)
-
-    p_up = np.clip(0.5 * (1.0 + bloch[:, 2]), 0.0, 1.0)
-    up = draws[:, 8] < p_up
+    # only z of the analysed state is measured; a uniform in [0, 1) compares
+    # with P(up) as it would with P(up) clipped into [0, 1]
+    z = _dot(_pulse_matrix(seq.analysis)[2], bloch)
+    up = draws[:, 8] < 0.5 * (1.0 + z)
     up ^= draws[:, 9] < err.e_meas
 
-    return ShotFrame(
-        shot_id=first_shot_id + np.arange(n, dtype=np.int64),
-        branch=branch,
-        phi_tac=phi_rec,
-        outcome_up=up,
-        n_attempts=n_att,
-    )
+    shot_id = first_shot_id + np.arange(n, dtype=np.int64)
+    return ShotFrame(shot_id, branch, phi_rec, up, n_att)
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +546,10 @@ def run_chunks(config: ExperimentConfig, seq: PulseSequence, lo: int = 0, hi=Non
     bg.advance(lo * _BLOCKS_PER_SHOT)
     rng = np.random.Generator(bg)
     buf = np.empty((min(hi - lo, _CHUNK), DRAWS_PER_SHOT))
+    state = np.empty((3, len(buf)))
     for start in range(lo, hi, _CHUNK) or (lo,):
-        draws = buf[: min(hi - start, _CHUNK)]
-        rng.random(out=draws)
-        yield _simulate_rows(config, seq, draws, start)
+        m = min(hi - start, _CHUNK)
+        yield _simulate_rows(config, seq, rng.random(out=buf[:m]), start, state[:, :m])
 
 
 def run_range(

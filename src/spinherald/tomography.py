@@ -42,7 +42,6 @@ __all__ = [
     "project_cptp",
     "identity_overlap",
     "bloch_ellipsoid",
-    "binned_fringe",
     "fit_fringe",
     "reconstruct",
 ]
@@ -309,9 +308,20 @@ def _phase_edges(n_bins: int) -> np.ndarray:
 
 
 def _phase_bin(phi, n_bins: int) -> np.ndarray:
-    """Index of the phase bin of each phi, wrapped into [0, 2 pi)."""
-    phi = np.mod(np.asarray(phi, dtype=float), 2.0 * math.pi)
-    return np.clip(np.digitize(phi, _phase_edges(n_bins)) - 1, 0, n_bins - 1)
+    """The `np.digitize` bin over `_phase_edges` of each phi wrapped into
+    [0, 2 pi), with 2 pi and NaN in the last bin: floor(phi * n_bins / 2 pi)
+    is at most one bin off, and one comparison with each neighbouring edge
+    corrects it."""
+    phi = np.asarray(phi, dtype=float)
+    if not (phi.min(initial=0.0) >= 0.0 and phi.max(initial=0.0) < 2.0 * math.pi):
+        phi = np.mod(phi, 2.0 * math.pi)  # fmod is the identity on [0, 2 pi)
+    edges = _phase_edges(n_bins)
+    edges[-1] = np.inf  # keeps 2 pi, where a tiny negative phi wraps, in the last bin
+    idx = np.floor(phi * (n_bins / (2.0 * math.pi)))
+    idx = np.fmin(idx, n_bins - 1).astype(np.intp)
+    idx -= phi < edges[idx]
+    idx += phi >= edges[idx + 1]
+    return idx
 
 
 def _fringe_table(counts: np.ndarray, ups: np.ndarray) -> np.ndarray:
@@ -323,14 +333,6 @@ def _fringe_table(counts: np.ndarray, ups: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         p = np.where(counts > 0, ups / np.maximum(counts, 1.0), np.nan)
     return np.column_stack([centers, p, counts])
-
-
-def binned_fringe(phi, outcome_up, n_bins: int = 20) -> np.ndarray:
-    """Bin outcomes by phase: rows of (bin center, P(up), count)."""
-    idx = _phase_bin(phi, n_bins)
-    up = np.asarray(outcome_up, dtype=float)
-    counts = np.bincount(idx, minlength=n_bins)
-    return _fringe_table(counts, np.bincount(idx, weights=up, minlength=n_bins))
 
 
 def _exact_sum(a: np.ndarray) -> int:
@@ -346,7 +348,7 @@ class ShotCounts:
     """The sufficient statistics of a set of shots for every analysis.
 
     `n[branch, bin, outcome]` counts shots by recorded branch (0 without a
-    scatter block, 1 = V, 2 = H), `binned_fringe` phase bin of phi_tac and
+    scatter block, 1 = V, 2 = H), `_phase_bin` phase bin of phi_tac and
     outcome (0 down, 1 up); `attempts` is the exact sum of n_attempts over
     the heralded (branch > 0) shots.  Counts of disjoint shot sets add.
     """
@@ -373,12 +375,12 @@ class ShotCounts:
         return int(n[..., 1].sum()), int(n.sum())
 
     def fringe(self, branch: int) -> np.ndarray:
-        """`binned_fringe` table of the shots of one branch."""
+        """Rows of (bin center, P(up), count) over the shots of one branch."""
         n = self.n[branch]
         return _fringe_table(n.sum(axis=1), n[:, 1])
 
     def branch_fringe(self) -> np.ndarray:
-        """`binned_fringe` table of P(branch 1) over the heralded shots."""
+        """Rows of (bin center, P(branch 1), count) over the heralded shots."""
         n = self.n[1:].sum(axis=2)
         return _fringe_table(n.sum(axis=0), n[0])
 

@@ -33,6 +33,20 @@ def run_in_ranges(config, seq, parts):
     )
 
 
+def oracle_fringe(phi, values, n_bins):
+    """Rows of (bin center, mean of values, count) over n_bins equal phase
+    bins of [0, 2 pi): the fringe table that ShotCounts builds, binned here
+    independently by np.mod and np.digitize (2 pi and above go to the last
+    bin)."""
+    edges = np.linspace(0.0, 2.0 * np.pi, n_bins + 1)
+    idx = np.clip(np.digitize(np.mod(phi, 2.0 * np.pi), edges) - 1, 0, n_bins - 1)
+    counts = np.bincount(idx, minlength=n_bins).astype(float)
+    sums = np.bincount(idx, weights=np.asarray(values, dtype=float), minlength=n_bins)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = np.where(counts > 0, sums / counts, np.nan)
+    return np.column_stack([0.5 * (edges[:-1] + edges[1:]), mean, counts])
+
+
 def kraus_transfer(kraus_ops):
     """Independent transfer-matrix oracle: T_ab = tr(P_a E(P_b))/2."""
     t = np.zeros((4, 4))

@@ -26,7 +26,6 @@ from spinherald.scattering import (
 )
 from spinherald.spinalg import ID2, KET_UP
 from spinherald.tomography import (
-    binned_fringe,
     chi_to_choi,
     estimate_ptm,
     fit_fringe,
@@ -39,6 +38,7 @@ from conftest import (
     ACCEPT_SEED,
     PLAN,
     kraus_transfer,
+    oracle_fringe,
     run_in_ranges,
     synthetic_outcomes,
     tomography_frames,
@@ -137,7 +137,7 @@ def ramsey_fits(sequence_name, errors, seed, harmonic, shots=100_000):
     fits = {}
     for b in (1, 2):
         sel = frame.select(frame.branch == b)
-        fits[b] = fit_fringe(binned_fringe(sel.phi_tac, sel.outcome_up), harmonic)
+        fits[b] = fit_fringe(oracle_fringe(sel.phi_tac, sel.outcome_up, 20), harmonic)
     return fits
 
 

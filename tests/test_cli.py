@@ -37,11 +37,12 @@ from spinherald.spinalg import ID2
 from spinherald.tomography import (
     IncompleteDataError,
     ShotCounts,
-    binned_fringe,
     fit_fringe,
     reconstruct,
     tomography_plan,
 )
+
+from conftest import oracle_fringe
 
 NOMINAL_ERRORS = {
     "p_multi": 0.05,
@@ -494,6 +495,45 @@ def test_demo_records_bytes_are_pinned(tmp_path):
         load_manifest(elliptical)
 
 
+def test_kernel_paths_records_bytes_are_pinned(tmp_path):
+    # one pin per kernel path the corrected pins above do not take: the
+    # scatter block before the prep pulse, an elliptical birefringent kick,
+    # no scatter block at all, and the Ramsey fringe table
+    def nominal(name, sequence, errors=NOMINAL_ERRORS, basis=None, tomography=True):
+        return write_manifest(
+            tmp_path / f"{name}.ini", sequence, shots=2000, seed=7,
+            errors=errors, basis=basis, config={"p_exc": 0.075},
+            analysis={"tomography": "true"} if tomography else None,
+        )
+
+    cases = (
+        (
+            nominal("r45", "ramsey_45", tomography=False),
+            "d1298769bd9f3416ce318d20a4e8330e8f2e36e38e1a8a0161609505199bfec3",
+        ),
+        (
+            nominal(
+                "shv", "scatter_HV", errors={**NOMINAL_ERRORS, "biref_phase": 0.2},
+                basis={"ellipticity": 0.3},
+            ),
+            "d7c0afc4a51f267aad20e7c3dcebc80ae1feeae7a9a9cf3fcde0270111ab751a",
+        ),
+        (
+            nominal("ns", "no_scatter"),
+            "1ee8cfd093c2b2bf9e6b5766dbf54ab9d2db7d6db25c02fed4235565275fdb2d",
+        ),
+    )
+    for i, (manifest, expected) in enumerate(cases):
+        bundle = cmd_simulate(manifest, tmp_path / f"out{i}", shots=2000)
+        digest = hashlib.sha256(bundle.records_path.read_bytes()).hexdigest()
+        assert digest == expected, manifest
+
+    demo = Path(__file__).resolve().parents[1] / "demos" / "ramsey_hv.ini"
+    cmd_ramsey(demo, tmp_path / "ramsey", shots=20_000)
+    digest = hashlib.sha256((tmp_path / "ramsey" / "fringe.csv").read_bytes()).hexdigest()
+    assert digest == "0f089011e2ba9f09d744b8ddb84f8d7472a2f602a1f725a06d2adc1fbfe791db"
+
+
 def test_tomo_from_records_matches_in_memory(tmp_path):
     manifest = write_manifest(
         tmp_path / "m.ini", "scatter_HV", shots=5000, seed=21,
@@ -573,7 +613,7 @@ def oracle_branch_stats(frames: dict, n_bins: int) -> dict:
     phi = np.concatenate([f.phi_tac for f in frames.values()])
     heralded = branch > 0
     n1, n2 = int((branch == 1).sum()), int((branch == 2).sum())
-    table = binned_fringe(phi[heralded], branch[heralded] == 1, n_bins)
+    table = oracle_fringe(phi[heralded], branch[heralded] == 1, n_bins)
     frac = table[table[:, 2] > 0, 1]
     return {
         "n_shots": len(branch),
@@ -592,7 +632,7 @@ def oracle_fringes(frames: dict, n_bins: int, harmonic: int) -> list:
         for b in (1, 2):
             sel = f.branch == b
             if sel.any():
-                bins = binned_fringe(f.phi_tac[sel], f.outcome_up[sel], n_bins)
+                bins = oracle_fringe(f.phi_tac[sel], f.outcome_up[sel], n_bins)
                 fit = asdict(fit_fringe(bins, harmonic))
                 fits.append({"setting_id": setting_id, "branch": b, **fit})
     return fits

@@ -35,9 +35,9 @@ from spinherald.scattering import (
     unconditioned_channel,
 )
 from spinherald.spinalg import ID2, KET_UP, from_bloch, to_bloch
-from spinherald.tomography import ShotCounts, estimate_ptm
+from spinherald.tomography import ShotCounts, estimate_ptm, fit_fringe
 
-from conftest import run_in_ranges
+from conftest import oracle_fringe, run_in_ranges
 
 
 def ideal_config(shots, seed, p_exc=1.0, eta=1.0, errors=None):
@@ -238,11 +238,11 @@ def test_scatter_and_correction_keep_bloch_rows_in_the_ball():
         radii = np.where(rng.random(n) < 0.25, 1.0, rng.random(n) ** (1 / 3))
         bloch = directions * radii[:, None]
         draws = rng.random((n, DRAWS_PER_SHOT))
-        bloch, _, branch, phi_rec = _apply_scatter_block(cfg, seq, draws, bloch)
-        assert np.linalg.norm(bloch, axis=1).max() <= 1.0 + 1e-12
+        bloch, _, branch, phi_rec = _apply_scatter_block(cfg, seq, draws, bloch.T.copy())
+        assert np.linalg.norm(bloch, axis=0).max() <= 1.0 + 1e-12
         if basis.is_linear:
             bloch = _apply_correction(basis, branch, phi_rec, bloch)
-            assert np.linalg.norm(bloch, axis=1).max() <= 1.0 + 1e-12
+            assert np.linalg.norm(bloch, axis=0).max() <= 1.0 + 1e-12
 
 
 def test_dark_heralds_carry_random_branch_and_skip_scattering():
@@ -262,13 +262,11 @@ def test_ramsey_hv_fringe_shapes_follow_convention():
     # under the chosen pulse convention the two in-phase pi/2 pulses about +x
     # send |up> to |down>, so the Rayleigh branch sits flat at P(up) = 0 and
     # the Raman branch oscillates as (1 + cos 2*phi)/2
-    from spinherald.tomography import binned_fringe, fit_fringe
-
     frame = run_experiment(ideal_config(60_000, 20, p_exc=0.5), get_sequence("ramsey_HV"))
     v = frame.select(frame.branch == 1)
     assert v.outcome_up.mean() < 0.005
     h = frame.select(frame.branch == 2)
-    fit = fit_fringe(binned_fringe(h.phi_tac, h.outcome_up), harmonic=2)
+    fit = fit_fringe(oracle_fringe(h.phi_tac, h.outcome_up, 20), harmonic=2)
     assert fit.offset == pytest.approx(0.5, abs=0.01)
     assert abs(np.angle(np.exp(1j * fit.phase))) < 0.05  # +cos sign
     assert fit.contrast > 0.95

@@ -6,11 +6,11 @@ import pytest
 from spinherald.scattering import unconditioned_channel
 from spinherald.spinalg import SIGMA_X, from_bloch, to_bloch
 from spinherald.tomography import (
+    _phase_bin,
     CPTPConvergenceError,
     IncompleteDataError,
     ShotCounts,
     UnderdeterminedFitError,
-    binned_fringe,
     bloch_ellipsoid,
     chi_to_choi,
     chi_to_ptm,
@@ -23,7 +23,7 @@ from spinherald.tomography import (
     tomography_plan,
 )
 
-from conftest import kraus_transfer, synthetic_outcomes
+from conftest import kraus_transfer, oracle_fringe, synthetic_outcomes
 
 
 def bernoulli_outcomes(p_up_by_setting, shots, rng):
@@ -342,11 +342,16 @@ def test_fit_fringe_validates_inputs():
         fit_fringe(bins, harmonic=1)
 
 
-def test_binned_fringe_counts_and_centers():
+def test_shot_counts_fringe_counts_and_centers():
     phi = np.array([0.05, 0.05, 3.2, 6.2])
     up = np.array([True, False, True, True])
-    bins = binned_fringe(phi, up, n_bins=4)
+    shots = SimpleNamespace(
+        branch=np.ones(4, dtype=np.int8), phi_tac=phi, outcome_up=up,
+        n_attempts=np.ones(4, dtype=np.int64),
+    )
+    bins = ShotCounts.of(shots, 4).fringe(1)
     assert bins.shape == (4, 3)
+    np.testing.assert_allclose(bins[:, 0], (np.arange(4) + 0.5) * np.pi / 2)
     assert bins[0, 2] == 2 and bins[0, 1] == 0.5
     assert bins[2, 2] == 1 and bins[2, 1] == 1.0
     assert bins[3, 2] == 1
@@ -361,7 +366,7 @@ def random_shots(rng, n):
     )
 
 
-def test_shot_counts_tables_equal_binned_fringe():
+def test_shot_counts_tables_equal_oracle_fringe():
     rng = np.random.default_rng(32)
     shots = random_shots(rng, 5000)
     counts = ShotCounts.of(shots, 11)
@@ -370,12 +375,38 @@ def test_shot_counts_tables_equal_binned_fringe():
     assert counts.attempts == int(shots.n_attempts[heralded].sum())
     for b in (0, 1, 2):
         sel = shots.branch == b
-        expected = binned_fringe(shots.phi_tac[sel], shots.outcome_up[sel], 11)
+        expected = oracle_fringe(shots.phi_tac[sel], shots.outcome_up[sel], 11)
         np.testing.assert_array_equal(counts.fringe(b), expected)
         assert counts.up_counts((b,)) == (int(shots.outcome_up[sel].sum()), int(sel.sum()))
-    expected = binned_fringe(shots.phi_tac[heralded], shots.branch[heralded] == 1, 11)
+    expected = oracle_fringe(shots.phi_tac[heralded], shots.branch[heralded] == 1, 11)
     np.testing.assert_array_equal(counts.branch_fringe(), expected)
     assert counts.up_counts((0, 1, 2)) == (int(shots.outcome_up.sum()), 5000)
+
+
+@pytest.mark.parametrize("n_bins", [1, 3, 7, 20, 64])
+def test_phase_bin_equals_digitize_at_the_edges(n_bins):
+    # oracle: wrap with np.mod, then np.digitize over the same linspace edges
+    tau = 2.0 * np.pi
+    edges = np.linspace(0.0, tau, n_bins + 1)
+    rng = np.random.default_rng(n_bins)
+    phi = np.concatenate([
+        edges,
+        np.nextafter(edges, -np.inf),
+        np.nextafter(edges, np.inf),
+        [0.0, -0.0, np.nextafter(tau, 0.0), tau, -1e-300],
+        tau + rng.uniform(0.0, 50.0, 100),
+        -tau * np.arange(1.0, 6.0),
+        rng.uniform(0.0, tau, 10**5),
+    ])
+    assert np.mod(-1e-300, tau) == tau
+
+    def oracle(x):
+        return np.clip(np.digitize(np.mod(x, tau), edges) - 1, 0, n_bins - 1)
+
+    # values outside [0, 2 pi) take the wrapped path, the rest the direct one
+    inside = phi[(phi >= 0.0) & (phi < tau)]
+    for x in (phi, inside):
+        np.testing.assert_array_equal(_phase_bin(x, n_bins), oracle(x))
 
 
 def test_shot_counts_add_and_sum_attempts_exactly():
