@@ -14,6 +14,15 @@ Manifests are flat INI files (see docs/manifest-schema.ini).  Records files
 hold one line per shot with a fixed column order; summaries are JSON and
 round-trip losslessly.  Exit status is nonzero exactly when an error was
 reported.
+
+The commands that run the engine (simulate, tomo --manifest, ramsey, sweep)
+spread whole engine chunks over a process pool sized to the CPUs this
+process may use and collect the results in shot order: each worker runs a
+chunk, reduces it to counts and, for simulate, formats its records lines.
+Records and summaries are the same bytes as a run in one process, and there
+is no option to set.  tomo --records and the library functions of the
+engine and of this module (write_records, read_records, ...) run in the
+calling process.
 """
 
 from __future__ import annotations
@@ -23,8 +32,10 @@ import configparser
 import csv
 import io
 import json
+import os
 import string
 import sys
+from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from functools import reduce
 from operator import add
@@ -34,6 +45,7 @@ import numpy as np
 
 from . import __version__
 from .engine import (
+    _CHUNK,
     ErrorBudget,
     ExperimentConfig,
     PulseSequence,
@@ -510,22 +522,108 @@ class ResultBundle:
     summary: dict
 
 
-def _run_counts(manifest: RunManifest, records=None) -> dict[int, ShotCounts]:
+def _chunk_task(task) -> tuple[int, ShotCounts, str | None]:
+    """(setting index, counts, records lines or None) of one chunk task
+    (index, config, sequence, lo, hi, n_bins, with_records): shots lo ... hi-1
+    of one setting's run, its lines formatted only when asked for."""
+    index, cfg, seq, lo, hi, n_bins, with_records = task
+    text, counts = io.StringIO(), []
+    for frame in run_chunks(cfg, seq, lo, hi):
+        if with_records:
+            _write_rows(text, index, frame)
+        counts.append(ShotCounts.of(frame, n_bins))
+    return index, reduce(add, counts), text.getvalue() if with_records else None
+
+
+def _init_worker() -> None:
+    """Leave an interrupt to the parent, which cancels the tasks not started
+    and joins the workers; on Linux, die with the parent if it is killed."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if sys.platform == "linux":
+        import ctypes
+
+        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+
+
+class _ChunkPool:
+    """Runs chunk tasks on a fork process pool, one worker per CPU this
+    process may use (capped at the task count of the first call that starts
+    it), and yields their results in submission order with at most two tasks
+    per worker submitted and not yet collected, so memory stays O(chunk).
+
+    The pool is started by the first `map` call with more than one task and
+    reused by later calls; leaving the `with` block shuts it down, cancelling
+    the tasks not started and joining the workers.  With one worker, or on a
+    platform that cannot report the CPU affinity (and may lack fork), tasks
+    run in this process.  Fork, not spawn: a spawned worker would import
+    numpy again.
+    """
+
+    def __init__(self):
+        self._executor = None
+        self._window = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
+
+    def map(self, tasks: list):
+        if self._executor is None:
+            # the affinity call exists only where the fork method does too
+            affinity = getattr(os, "sched_getaffinity", None)
+            workers = min(len(affinity(0)) if affinity else 1, len(tasks))
+            if workers < 2:
+                return map(_chunk_task, tasks)
+            import multiprocessing  # ~25 ms of import that only a pool needs
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._executor = ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker,
+            )
+            self._window = 2 * workers
+        return self._ordered(tasks)
+
+    def _ordered(self, tasks):
+        pending = deque()
+        for task in tasks:
+            if len(pending) == self._window:
+                yield pending.popleft().result()
+            pending.append(self._executor.submit(_chunk_task, task))
+        while pending:
+            yield pending.popleft().result()
+
+
+def _run_counts(
+    manifest: RunManifest, pool: _ChunkPool, records=None
+) -> dict[int, ShotCounts]:
     """Counts of each setting of the manifest's run (the tomography plan or
-    one run as setting 0), reduced chunk by chunk as the engine emits them;
-    with an open records file, each chunk's lines are appended to it."""
+    one run as setting 0), reduced chunk by chunk as the pool returns them in
+    shot order; with an open records file, each chunk's lines are appended
+    to it."""
     seq = manifest.sequence()
     if manifest.analysis.tomography:
         runs = plan_runs(manifest.config, seq, tomography_plan())
     else:
         runs = [(0, manifest.config, seq)]
+    n_bins, with_records = manifest.analysis.bins, records is not None
+    tasks = [
+        (index, cfg, seq_s, lo, min(lo + _CHUNK, cfg.shots), n_bins, with_records)
+        for index, cfg, seq_s in runs
+        for lo in range(0, cfg.shots, _CHUNK) or (0,)
+    ]
     counts = {}
-    for index, cfg, seq_s in runs:
-        for frame in run_chunks(cfg, seq_s):
-            if records is not None:
-                _write_rows(records, index, frame)
-            c = ShotCounts.of(frame, manifest.analysis.bins)
-            counts[index] = counts[index] + c if index in counts else c
+    for index, c, text in pool.map(tasks):
+        if with_records:
+            records.write(text)
+        counts[index] = counts[index] + c if index in counts else c
     return counts
 
 
@@ -580,8 +678,8 @@ def cmd_simulate(
     summary_path = out / "summary.json"
     partial = out / "records.csv.partial"
     try:
-        with _open_records(partial) as fh:
-            counts = _run_counts(manifest, fh)
+        with _ChunkPool() as pool, _open_records(partial) as fh:
+            counts = _run_counts(manifest, pool, fh)
         summary = _build_summary(manifest, counts)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -622,7 +720,9 @@ def cmd_tomo(
             tomography=True, bins=manifest.analysis.bins, filter=flt
         )
         manifest = replace(manifest, analysis=analysis)
-        summary = _build_summary(manifest, _run_counts(manifest))
+        with _ChunkPool() as pool:
+            counts = _run_counts(manifest, pool)
+        summary = _build_summary(manifest, counts)
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -647,7 +747,8 @@ def cmd_ramsey(
         harmonic = 1 if seq.scatter_first else 2
     bins = manifest.analysis.bins
     manifest = replace(manifest, analysis=AnalysisRequest(bins=bins))
-    counts = _run_counts(manifest)
+    with _ChunkPool() as pool:
+        counts = _run_counts(manifest, pool)
     tables = _fringe_tables(counts)
     summary = _build_summary(manifest, counts)
     summary["fringes"] = _fringe_summary(tables, harmonic)
@@ -694,23 +795,24 @@ def cmd_sweep(manifest_path, parameter: str, grid, out_dir=None) -> list[dict]:
 
     summaries = []
     rows = []
-    for i, raw in enumerate(grid):
-        manifest = load_manifest(manifest_path, {parameter: raw})
-        value = _manifest_value(manifest, parameter)
-        summary = _build_summary(manifest, _run_counts(manifest))
-        summary["sweep"] = {"parameter": parameter, "value": value}
-        write_summary(out / f"summary_{i:03d}.json", summary)
-        summaries.append(summary)
+    with _ChunkPool() as pool:  # one pool for every grid point
+        for i, raw in enumerate(grid):
+            manifest = load_manifest(manifest_path, {parameter: raw})
+            value = _manifest_value(manifest, parameter)
+            summary = _build_summary(manifest, _run_counts(manifest, pool))
+            summary["sweep"] = {"parameter": parameter, "value": value}
+            write_summary(out / f"summary_{i:03d}.json", summary)
+            summaries.append(summary)
 
-        row = {
-            "value": value,
-            "n_shots": summary["branch_stats"]["n_shots"],
-            "branch_1_fraction": summary["branch_stats"]["branch_1_fraction"],
-            "identity_overlap": summary.get("tomography", {}).get(
-                "identity_overlap", ""
-            ),
-        }
-        rows.append(row)
+            row = {
+                "value": value,
+                "n_shots": summary["branch_stats"]["n_shots"],
+                "branch_1_fraction": summary["branch_stats"]["branch_1_fraction"],
+                "identity_overlap": summary.get("tomography", {}).get(
+                    "identity_overlap", ""
+                ),
+            }
+            rows.append(row)
 
     with (out / "sweep.csv").open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -3,9 +3,11 @@ import hashlib
 import importlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -912,3 +914,194 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# chunk pool
+# ---------------------------------------------------------------------------
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+CLI_ENTRY = "import sys; from spinherald.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def cpus(monkeypatch, n):
+    """Let the CLI see n usable CPUs: 1 runs its chunks in process, 2 on a
+    pool of two workers whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def console(argv, out):
+    """The console entry on argv, started in a session of its own."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-c", CLI_ENTRY, *argv, "--out", str(out)],
+        env=env, stdout=subprocess.DEVNULL, start_new_session=True,
+    )
+
+
+def test_multi_chunk_outputs_are_pinned_on_the_pool_and_in_process(tmp_path, monkeypatch):
+    # two chunks per setting, the second of 3 shots, and three for the ramsey
+    # run, the last of 5 shots: the digests pin the order of collection
+    outputs = {}
+    for n in (2, 1):
+        cpus(monkeypatch, n)
+        out = tmp_path / f"cpus{n}"
+        bundle = cmd_simulate(DEMOS / "corrected_hv.ini", out / "sim", shots=65539)
+        ramsey = cmd_ramsey(DEMOS / "ramsey_hv.ini", out / "ramsey", shots=131077)
+        assert multiprocessing.active_children() == []
+        assert sha256(bundle.records_path) == (
+            "e05e5bc12f7378ba4cb64341018e76904f913ddee1b5195ce5eb137904bde236"
+        )
+        assert sha256(out / "ramsey" / "fringe.csv") == (
+            "8d569bd82dea3264c2de6ac8decd0f183c287d8891d8c1f25722a84f83f99ffe"
+        )
+        outputs[n] = (bundle.summary, ramsey)
+    assert outputs[2] == outputs[1]
+
+
+def test_pool_and_in_process_write_the_same_outputs(tmp_path, monkeypatch):
+    monkeypatch.setattr(spinherald.cli, "_CHUNK", 700)  # several chunks a setting
+    manifest = write_manifest(
+        tmp_path / "m.ini", "corrected_HV", shots=2000, seed=46,
+        errors=NOMINAL_ERRORS, config={"p_exc": 0.3, "eta": 0.4},
+        analysis={"tomography": "true", "filter": "V", "fringe_harmonic": 2, "bins": 9},
+    )
+    ramsey = write_manifest(tmp_path / "r.ini", "ramsey_45", shots=5000, seed=47)
+
+    def run(out):
+        return (
+            cmd_simulate(manifest, out / "sim").summary,
+            cmd_tomo(manifest_path=manifest, flt="H"),
+            cmd_ramsey(ramsey, out / "ramsey"),
+            cmd_sweep(manifest, "p_dark", ["0", "0.1"], out / "sweep"),
+        )
+
+    files = ("sim/records.csv", "sim/summary.json", "ramsey/fringe.csv",
+             "ramsey/ramsey_summary.json", "sweep/sweep.csv",
+             "sweep/summary_000.json", "sweep/summary_001.json")
+    cpus(monkeypatch, 2)
+    pooled = run(tmp_path / "pool")
+    assert multiprocessing.active_children() == []
+    cpus(monkeypatch, 1)
+    assert run(tmp_path / "serial") == pooled
+    for name in files:
+        assert sha256(tmp_path / "pool" / name) == sha256(tmp_path / "serial" / name), name
+
+
+def test_worker_error_is_reported_and_cleaned_up(tmp_path, monkeypatch, capsys):
+    # p_exc = 1e-30 gives attempt counts beyond int64 in every chunk
+    cpus(monkeypatch, 2)
+    manifest = write_manifest(
+        tmp_path / "m.ini", "corrected_HV", shots=50, seed=1,
+        config={"p_exc": 1e-30}, analysis={"tomography": "true"},
+    )
+    with pytest.raises(ValueError, match="herald probability") as raised:
+        cmd_simulate(manifest, tmp_path / "out")
+    # raised in a worker: the pool attaches the worker's traceback
+    assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
+    assert list((tmp_path / "out").iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+    ramsey = write_manifest(
+        tmp_path / "r.ini", "ramsey_HV", shots=3000, config={"p_exc": 1e-30}
+    )
+    monkeypatch.setattr(spinherald.cli, "_CHUNK", 1000)  # three chunks a run
+    for command, m, extra in (
+        ("simulate", manifest, []),
+        ("tomo", manifest, []),
+        ("ramsey", ramsey, []),
+        ("sweep", manifest, ["--parameter", "seed", "--grid", "1,2"]),
+    ):
+        argv = [command, "--manifest", str(m), "--out", str(tmp_path / command), *extra]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: herald probability")
+        assert multiprocessing.active_children() == []
+    assert not (tmp_path / "simulate" / "records.csv").exists()
+    assert not (tmp_path / "simulate" / "records.csv.partial").exists()
+
+
+def test_pool_window_is_bounded(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(spinherald.cli, "_CHUNK", 512)
+    in_flight, peak, submitted = set(), [0], [0]
+    submit = concurrent.futures.ProcessPoolExecutor.submit
+    result = concurrent.futures.Future.result
+
+    def counted_submit(self, *args, **kwargs):
+        future = submit(self, *args, **kwargs)
+        in_flight.add(future)
+        submitted[0] += 1
+        peak[0] = max(peak[0], len(in_flight))
+        return future
+
+    def counted_result(self, *args, **kwargs):
+        in_flight.discard(self)
+        return result(self, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", counted_submit)
+    monkeypatch.setattr(concurrent.futures.Future, "result", counted_result)
+    manifest = write_manifest(tmp_path / "m.ini", "ramsey_HV", shots=64 * 512, seed=48)
+    summary = cmd_ramsey(manifest, tmp_path / "small")
+    # 64 chunks, 16 times the window of two tasks for each of two workers
+    assert submitted[0] == 64 and not in_flight
+    assert 0 < peak[0] <= 4
+    monkeypatch.undo()  # default chunks, in process: records of any partition agree
+    cpus(monkeypatch, 1)
+    assert cmd_ramsey(manifest, tmp_path / "whole") == summary
+
+
+def test_console_entry_leaves_no_process_behind(tmp_path):
+    argv = ["simulate", "--manifest", str(DEMOS / "corrected_hv.ini"), "--shots", "2000"]
+    proc = console(argv, tmp_path)
+    assert proc.wait(timeout=120) == 0
+    assert sha256(tmp_path / "records.csv") == (
+        "d31e3d95af2136a8c710cee973abd0e0d8a8865798166f7c0ab0a17f6f4b88df"
+    )
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # the session's group is empty: no worker lives on
+
+
+def group_states(pgid: int) -> dict[int, str]:
+    """State letter of each process in a process group, read from /proc."""
+    states = {}
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # the process has gone
+            continue
+        if int(fields[2]) == pgid:
+            states[int(stat.parent.name)] = fields[0]
+    return states
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+    reason="reads /proc; needs two CPUs for a pool",
+)
+def test_workers_die_with_a_killed_cli(tmp_path):
+    argv = ["ramsey", "--manifest", str(DEMOS / "ramsey_hv.ini"), "--shots", "100000000"]
+    proc = console(argv, tmp_path)
+    try:
+        deadline = time.monotonic() + 60
+        while len(group_states(proc.pid)) < 3 and time.monotonic() < deadline:
+            time.sleep(0.02)  # until the workers run
+        workers = set(group_states(proc.pid)) - {proc.pid}
+        assert workers
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        live = {p for p, s in group_states(proc.pid).items() if p in workers and s != "Z"}
+        if not live:
+            break
+        time.sleep(0.02)
+    assert not live
