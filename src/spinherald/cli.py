@@ -15,14 +15,15 @@ hold one line per shot with a fixed column order; summaries are JSON and
 round-trip losslessly.  Exit status is nonzero exactly when an error was
 reported.
 
-The commands that run the engine (simulate, tomo --manifest, ramsey, sweep)
-spread whole engine chunks over a process pool sized to the CPUs this
-process may use and collect the results in shot order: each worker runs a
-chunk, reduces it to counts and, for simulate, formats its records lines.
-Records and summaries are the same bytes as a run in one process, and there
-is no option to set.  tomo --records and the library functions of the
-engine and of this module (write_records, read_records, ...) run in the
-calling process.
+Every command spreads its work over a process pool sized to the CPUs this
+process may use and collects the results in order.  The commands that run
+the engine (simulate, tomo --manifest, ramsey, sweep) hand a worker a whole
+engine chunk, which it reduces to counts and, for simulate, formats as
+records lines; tomo --records hands it a range of whole lines of the
+records file, which it reads, parses and counts.  Records and summaries are
+the same bytes as a run in one process, and there is no option to set.
+read_counts uses the same pool; the other library functions (run_chunks,
+write_records, read_records, ...) run in the calling process.
 """
 
 from __future__ import annotations
@@ -258,8 +259,6 @@ _RECORD_DTYPE = np.dtype(
         ("n_attempts", np.int64),
     ]
 )
-# one records line; %.9g formats a float exactly as f"{x:.9g}" does
-_RECORD_LINE = "%d,%d,%d,%.9g,%s,%d\n"
 _OUTCOME_WORDS = np.array(["down", "up"], dtype=object)
 # every byte a records body may hold: no whitespace, quote or comment mark
 _RECORD_BYTES = (string.ascii_letters + string.digits + "+-.,\n").encode()
@@ -274,15 +273,17 @@ def _open_records(path):
 
 def _write_rows(fh, setting_id: int, f: ShotFrame) -> None:
     """Append the lines of one frame's shots to an open records file."""
+    # %.9g formats a float exactly as f"{x:.9g}" does
+    line = f"%d,{setting_id},%d,%.9g,%s,%d\n"
     for lo in range(0, len(f), _WRITE_SLICE):
         part = f.select(slice(lo, lo + _WRITE_SLICE))
-        fields = [setting_id] * (6 * len(part))
-        fields[0::6] = part.shot_id.tolist()
-        fields[2::6] = part.branch.tolist()
-        fields[3::6] = part.phi_tac.tolist()
-        fields[4::6] = _OUTCOME_WORDS[part.outcome_up.astype(np.intp)].tolist()
-        fields[5::6] = part.n_attempts.tolist()
-        fh.write(_RECORD_LINE * len(part) % tuple(fields))
+        fields = [0] * (5 * len(part))
+        fields[0::5] = part.shot_id.tolist()
+        fields[1::5] = part.branch.tolist()
+        fields[2::5] = part.phi_tac.tolist()
+        fields[3::5] = _OUTCOME_WORDS[part.outcome_up.astype(np.intp)].tolist()
+        fields[4::5] = part.n_attempts.tolist()
+        fh.write(line * len(part) % tuple(fields))
 
 
 def write_records(path, frames_by_setting: dict) -> None:
@@ -313,36 +314,6 @@ def _parse_block(block: bytes) -> np.ndarray:
     return rec
 
 
-def _first_bad_line(lines: list[bytes]) -> int:
-    """Index of the first line `_parse_block` rejects, found by bisection
-    over whole lines, given that some line is rejected."""
-    lo, hi = 0, len(lines)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            _parse_block(b"\n".join(lines[lo:mid]) + b"\n")
-            lo = mid
-        except ValueError:
-            hi = mid
-    return lo
-
-
-def _line_blocks(fh):
-    """The rest of a binary file as consecutive blocks of whole lines (the
-    last may lack its line end): each `_READ_BLOCK`-byte read is cut after
-    its last line end, and the partial line is carried into the next block."""
-    carry = b""
-    for data in iter(lambda: fh.read(_READ_BLOCK), b""):
-        cut = data.rfind(b"\n") + 1
-        if cut:
-            yield carry + memoryview(data)[:cut]  # one copy, not two
-            carry = data[cut:]
-        else:
-            carry += data
-    if carry:
-        yield carry
-
-
 def _frames_by_setting(rec: np.ndarray) -> dict[int, ShotFrame]:
     """One frame per setting_id of parsed rows, in ascending setting order;
     each frame keeps its rows in file order."""
@@ -361,10 +332,39 @@ def _frames_by_setting(rec: np.ndarray) -> dict[int, ShotFrame]:
     return {key: ShotFrame(*cols) for key, cols in zip(keys, parts)}
 
 
-def _record_blocks(path):
-    """The body of a records file, one `_line_blocks` block at a time, each
-    as `_frames_by_setting` of its rows; the first line outside the grammar
-    of `read_records` raises a `path:lineno` error, found within its block."""
+def _range_task(task) -> tuple[int, dict | None, tuple | None]:
+    """(rows, frames by setting, None) of the whole lines in bytes lo ... hi-1
+    of a records file (counts in place of frames given n_bins), or (0, None,
+    (index, fields)) of the first line `_parse_block` rejects, by bisection."""
+    path, lo, hi, n_bins = task
+    with open(path, "rb") as fh:
+        fh.seek(lo)
+        block = fh.read(hi - lo)
+    try:
+        rec = _parse_block(block)
+    except ValueError:
+        lines = block.removesuffix(b"\n").split(b"\n")
+        lo, hi = 0, len(lines)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                _parse_block(b"\n".join(lines[lo:mid]) + b"\n")
+                lo = mid
+            except ValueError:
+                hi = mid
+        return 0, None, (lo, lines[lo].decode(errors="replace").split(","))
+    frames = _frames_by_setting(rec)
+    if n_bins is not None:
+        frames = {key: ShotCounts.of(f, n_bins) for key, f in frames.items()}
+    return len(rec), frames, None
+
+
+def _record_blocks(path, n_bins=None, run=map):
+    """The body of a records file in ranges of whole lines of about
+    `_READ_BLOCK` bytes, computed by `run(_range_task, tasks)` and yielded
+    in file order, each as `_frames_by_setting` of its rows (or their counts
+    given n_bins); the first line outside the grammar of `read_records`
+    raises a `path:lineno` error."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"records file not found: {path}")
@@ -374,27 +374,19 @@ def _record_blocks(path):
         if header != expected:
             header = header.decode(errors="replace")
             raise ValueError(f"{path}: unexpected records header {header!r}")
-        rows = 0
-
-        def frames(block: bytes) -> dict[int, ShotFrame]:
-            nonlocal rows
-            try:
-                rec = _parse_block(block)
-            except ValueError:
-                lines = block.split(b"\n")
-                if lines[-1] == b"":  # the final line's terminator
-                    lines.pop()
-                bad = _first_bad_line(lines)
-                fields = lines[bad].decode(errors="replace").split(",")
-                raise ValueError(
-                    f"{path}:{rows + 2 + bad}: malformed record {fields!r}"
-                ) from None
-            rows += len(rec)
-            return _frames_by_setting(rec)
-
-        # map keeps neither a block nor its rows once their frames are
-        # built, so no earlier block is alive while the next is parsed
-        yield from map(frames, _line_blocks(fh))
+        lo, size, tasks = fh.tell(), os.fstat(fh.fileno()).st_size, []
+        while lo < size:
+            fh.seek(lo + _READ_BLOCK)
+            fh.readline()  # on to a line end or the end of the file
+            hi = min(fh.tell(), size)
+            tasks.append((path, lo, hi, n_bins))
+            lo = hi
+    rows = 0
+    for n, frames, bad in run(_range_task, tasks):
+        if bad is not None:
+            raise ValueError(f"{path}:{rows + 2 + bad[0]}: malformed record {bad[1]!r}")
+        rows += n
+        yield frames
 
 
 def read_records(path) -> dict[int, ShotFrame]:
@@ -413,13 +405,13 @@ def read_records(path) -> dict[int, ShotFrame]:
 
 def read_counts(path, n_bins: int) -> dict[int, ShotCounts]:
     """Counts of each setting of a records file, in ascending setting order,
-    reduced block by block: no more than one block of rows is held."""
+    counted range by range on a `_ChunkPool` whose workers each read their
+    own range of the file, and added in file order: memory stays bounded."""
     counts = {}
-    for frames in _record_blocks(path):
-        for key, frame in frames.items():
-            c = ShotCounts.of(frame, n_bins)
-            counts[key] = counts[key] + c if key in counts else c
-        del frames, frame  # hold no block while the next one is parsed
+    with _ChunkPool() as pool:
+        for part in _record_blocks(path, n_bins, pool.map):
+            for key, c in part.items():
+                counts[key] = counts[key] + c if key in counts else c
     return dict(sorted(counts.items()))
 
 
@@ -548,10 +540,10 @@ def _init_worker() -> None:
 
 
 class _ChunkPool:
-    """Runs chunk tasks on a fork process pool, one worker per CPU this
+    """`map(fn, tasks)` on a fork process pool, one worker per CPU this
     process may use (capped at the task count of the first call that starts
-    it), and yields their results in submission order with at most two tasks
-    per worker submitted and not yet collected, so memory stays O(chunk).
+    it): results come in submission order with at most two tasks per worker
+    submitted and not yet collected, so memory stays O(task).
 
     The pool is started by the first `map` call with more than one task and
     reused by later calls; leaving the `with` block shuts it down, cancelling
@@ -573,13 +565,13 @@ class _ChunkPool:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
 
-    def map(self, tasks: list):
+    def map(self, fn, tasks: list):
         if self._executor is None:
             # the affinity call exists only where the fork method does too
             affinity = getattr(os, "sched_getaffinity", None)
             workers = min(len(affinity(0)) if affinity else 1, len(tasks))
             if workers < 2:
-                return map(_chunk_task, tasks)
+                return map(fn, tasks)
             import multiprocessing  # ~25 ms of import that only a pool needs
             from concurrent.futures import ProcessPoolExecutor
 
@@ -589,14 +581,14 @@ class _ChunkPool:
                 initializer=_init_worker,
             )
             self._window = 2 * workers
-        return self._ordered(tasks)
+        return self._ordered(fn, tasks)
 
-    def _ordered(self, tasks):
+    def _ordered(self, fn, tasks):
         pending = deque()
         for task in tasks:
             if len(pending) == self._window:
                 yield pending.popleft().result()
-            pending.append(self._executor.submit(_chunk_task, task))
+            pending.append(self._executor.submit(fn, task))
         while pending:
             yield pending.popleft().result()
 
@@ -620,7 +612,7 @@ def _run_counts(
         for lo in range(0, cfg.shots, _CHUNK) or (0,)
     ]
     counts = {}
-    for index, c, text in pool.map(tasks):
+    for index, c, text in pool.map(_chunk_task, tasks):
         if with_records:
             records.write(text)
         counts[index] = counts[index] + c if index in counts else c

@@ -751,6 +751,12 @@ def test_tomo_records_memory_does_not_grow_with_rows(tmp_path):
     assert peak(1 << 19) <= small + (1 << 20)
 
 
+def test_tomo_records_memory_does_not_grow_with_rows_in_process(tmp_path, monkeypatch):
+    # on a pool tracemalloc sees only the parent; in process it sees the parse
+    cpus(monkeypatch, 1)
+    test_tomo_records_memory_does_not_grow_with_rows(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # ramsey
 # ---------------------------------------------------------------------------
@@ -1056,6 +1062,115 @@ def test_pool_window_is_bounded(tmp_path, monkeypatch):
     monkeypatch.undo()  # default chunks, in process: records of any partition agree
     cpus(monkeypatch, 1)
     assert cmd_ramsey(manifest, tmp_path / "whole") == summary
+
+
+def assert_counts_equal(counts, expected):
+    assert list(counts) == list(expected)
+    for key, c in counts.items():
+        assert np.array_equal(c.n, expected[key].n), key
+        assert c.attempts == expected[key].attempts, key
+
+
+def test_tomo_records_on_the_pool_equals_in_process(tmp_path, monkeypatch, capsys):
+    manifest = write_manifest(
+        tmp_path / "m.ini", "corrected_HV", shots=40, seed=49,
+        errors=NOMINAL_ERRORS, config={"p_exc": 0.075},
+        analysis={"tomography": "true", "filter": "V"},
+    )
+    bundle = cmd_simulate(manifest, tmp_path / "sim")
+    header, *lines = bundle.records_path.read_text().splitlines(keepends=True)
+    monkeypatch.setattr(spinherald.cli, "_READ_BLOCK", 40)  # one or two lines a range
+    path = tmp_path / "r.csv"
+
+    def run(n):
+        cpus(monkeypatch, n)
+        path.write_text(header + "".join(lines))
+        counts = read_counts(path, 7)
+        out = tmp_path / f"tomo{n}"
+        assert main(["tomo", "--records", str(path), "--filter", "V", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert multiprocessing.active_children() == []
+        summary = json.loads((out / "tomo_summary.json").read_text())
+        errors = []
+        for k in (0, len(lines) // 2, len(lines) - 1):  # first, middle, last range
+            bad = lines.copy()
+            bad[k] = f"{k},0,1,0.5,UP,1\n"
+            path.write_text(header + "".join(bad))
+            message = rf"r\.csv:{k + 2}: malformed record \['{k}', '0', '1', '0.5', 'UP', '1'\]"
+            with pytest.raises(ValueError, match=message) as raised:
+                read_counts(path, 7)
+            assert main(["tomo", "--records", str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {raised.value}\n"
+            assert multiprocessing.active_children() == []
+            errors.append(str(raised.value))
+        return counts, summary, errors
+
+    pooled, serial = run(2), run(1)
+    assert_counts_equal(pooled[0], serial[0])
+    assert pooled[1:] == serial[1:]
+    assert pooled[1]["tomography"] == bundle.summary["tomography"]
+
+
+def test_records_ranges_on_the_pool(tmp_path, monkeypatch):
+    path = tmp_path / "r.csv"
+    body = random_rows(50, (0, 1, 2), 3)
+    for text in (body, body.rstrip("\n")):  # with and without a final line end
+        path.write_text(RECORDS_HEADER + text)
+        monkeypatch.undo()
+        expected = {k: ShotCounts.of(f, 5) for k, f in read_records(path).items()}
+        cpus(monkeypatch, 2)
+        monkeypatch.setattr(spinherald.cli, "_READ_BLOCK", 4)  # every line is longer
+        assert_counts_equal(read_counts(path, 5), expected)
+        assert multiprocessing.active_children() == []
+
+    # 16-byte lines and 40-byte blocks make ranges of three lines, so the
+    # blank line after the third starts the second range
+    monkeypatch.setattr(spinherald.cli, "_READ_BLOCK", 40)
+    lines = [f"{i},0,1,0.5,up,1\n" for i in range(10, 40)]
+    path.write_text(RECORDS_HEADER + "".join(lines[:3]) + "\n" + "".join(lines[3:]))
+    for n in (2, 1):
+        cpus(monkeypatch, n)
+        with pytest.raises(ValueError, match=r"r\.csv:5: malformed record \[''\]"):
+            read_counts(path, 5)
+        assert multiprocessing.active_children() == []
+
+    path.write_text(RECORDS_HEADER)
+    for n in (2, 1):
+        cpus(monkeypatch, n)
+        assert read_counts(path, 5) == {}
+        with pytest.raises(IncompleteDataError, match="settings without records"):
+            cmd_tomo(records_path=path)
+
+
+def test_records_pool_window_is_bounded(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    path = tmp_path / "r.csv"
+    path.write_text(RECORDS_HEADER + random_rows(200, (0, 1), 4))
+    expected = read_counts(path, 3)
+    monkeypatch.setattr(spinherald.cli, "_READ_BLOCK", 40)
+    ranges = len(list(spinherald.cli._record_blocks(path)))
+    cpus(monkeypatch, 2)
+    in_flight, peak, submitted = set(), [0], [0]
+    submit = concurrent.futures.ProcessPoolExecutor.submit
+    result = concurrent.futures.Future.result
+
+    def counted_submit(self, *args, **kwargs):
+        future = submit(self, *args, **kwargs)
+        in_flight.add(future)
+        submitted[0] += 1
+        peak[0] = max(peak[0], len(in_flight))
+        return future
+
+    def counted_result(self, *args, **kwargs):
+        in_flight.discard(self)
+        return result(self, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", counted_submit)
+    monkeypatch.setattr(concurrent.futures.Future, "result", counted_result)
+    assert_counts_equal(read_counts(path, 3), expected)
+    assert ranges > 50 and submitted[0] == ranges and not in_flight
+    assert 0 < peak[0] <= 4
 
 
 def test_console_entry_leaves_no_process_behind(tmp_path):
