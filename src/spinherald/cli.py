@@ -37,7 +37,7 @@ import os
 import string
 import sys
 from collections import deque
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -56,7 +56,7 @@ from .engine import (
     plan_runs,
     run_chunks,
 )
-from .scattering import entanglement_fidelity
+from .scattering import PolarizationBasis, entanglement_fidelity
 from .spinalg import KET_UP
 from .tomography import (
     ShotCounts,
@@ -77,20 +77,6 @@ _FILTER_BRANCHES = {
 }
 FILTERS = tuple(_FILTER_BRANCHES)
 
-_CONFIG_KEYS = ("p_exc", "eta")
-_ERROR_KEYS = (
-    "p_multi",
-    "p_dark",
-    "e_prep",
-    "e_meas",
-    "pol_misalign",
-    "biref_phase",
-    "phi_jitter_sigma",
-)
-_BASIS_KEYS = ("theta", "ellipticity")
-
-SWEEP_PARAMETERS = ("shots", "seed") + _CONFIG_KEYS + _ERROR_KEYS + _BASIS_KEYS
-
 
 class ManifestError(ValueError):
     """Malformed manifest, with section/key context in the message."""
@@ -103,6 +89,16 @@ class AnalysisRequest:
     bins: int = 20
     filter: str = "all"
     entanglement_fidelity: bool = False
+
+    def __post_init__(self):
+        if self.filter not in FILTERS:
+            raise ValueError(f"filter must be one of {FILTERS}, got {self.filter!r}")
+        if self.fringe_harmonic not in (None, 1, 2):
+            raise ValueError(
+                f"fringe_harmonic must be 1 or 2, got {self.fringe_harmonic!r}"
+            )
+        if self.bins < 1:
+            raise ValueError(f"bins must be >= 1, got {self.bins!r}")
 
 
 @dataclass(frozen=True)
@@ -124,34 +120,56 @@ class RunManifest:
         return seq
 
 
-_MANIFEST_KEYS = {
-    "run": {"sequence", "shots", "seed", "out_dir"},
-    "config": set(_CONFIG_KEYS),
-    "errors": set(_ERROR_KEYS),
-    "basis": set(_BASIS_KEYS),
-    "analysis": {
-        "tomography",
-        "fringe_harmonic",
-        "bins",
-        "filter",
-        "entanglement_fidelity",
-    },
+def _boolean(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
+def _harmonic(raw: str) -> int | None:
+    return int(raw) if raw.strip() else None  # empty: fit no fringes
+
+
+# what a raw value is not when its reader raises ValueError
+_NOUNS = {
+    float: "a number",
+    int: "an integer",
+    _harmonic: "an integer",
+    _boolean: "a boolean",
 }
 
+# each manifest section's keys and the reader of each raw value; a key left
+# out takes the default of the dataclass field it fills, except the shots and
+# seed that ExperimentConfig requires, which load_manifest defaults
+_SCHEMA = {
+    "run": {"sequence": str, "shots": int, "seed": int, "out_dir": str},
+    "config": {"p_exc": float, "eta": float},
+    "errors": {f.name: float for f in fields(ErrorBudget)},
+    "basis": {f.name: float for f in fields(PolarizationBasis)},
+    "analysis": {
+        "tomography": _boolean,
+        "fringe_harmonic": _harmonic,
+        "bins": int,
+        "filter": str,
+        "entanglement_fidelity": _boolean,
+    },
+}
+_SECTION_OF = {key: section for section, keys in _SCHEMA.items() for key in keys}
 
-def _get(parser, section, key, kind, default):
-    """Value of an optional key, parsed as `kind` (float, int or bool)."""
-    if not parser.has_option(section, key):
-        return default
-    getter, noun = {
-        float: (parser.getfloat, "a number"),
-        int: (parser.getint, "an integer"),
-        bool: (parser.getboolean, "a boolean"),
-    }[kind]
+SWEEP_PARAMETERS = (
+    "shots", "seed", *_SCHEMA["config"], *_SCHEMA["errors"], *_SCHEMA["basis"]
+)
+
+
+def _read(parser, section, key):
+    """The value of a key the manifest holds, parsed by its schema reader."""
+    raw = parser.get(section, key)
+    read = _SCHEMA[section][key]
     try:
-        return getter(section, key)
+        return read(raw)
     except ValueError:
-        raw = parser.get(section, key)
+        noun = _NOUNS[read]
         raise ManifestError(f"[{section}] {key} = {raw!r} is not {noun}") from None
 
 
@@ -174,7 +192,7 @@ def load_manifest(path, overrides=None) -> RunManifest:
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        section = next((s for s, keys in _MANIFEST_KEYS.items() if key in keys), None)
+        section = _SECTION_OF.get(key)
         if section is None:
             raise ManifestError(f"unknown manifest key {key!r}")
         if not parser.has_section(section):
@@ -182,62 +200,32 @@ def load_manifest(path, overrides=None) -> RunManifest:
         parser.set(section, key, str(value))
 
     for section in parser.sections():
-        if section not in _MANIFEST_KEYS:
+        if section not in _SCHEMA:
             raise ManifestError(f"unknown manifest section [{section}]")
         for key in parser.options(section):
-            if key not in _MANIFEST_KEYS[section]:
+            if key not in _SCHEMA[section]:
                 raise ManifestError(f"unknown key {key!r} in section [{section}]")
 
     if not parser.has_option("run", "sequence"):
         raise ManifestError("[run] sequence is required")
 
-    errors = ErrorBudget(
-        **{k: _get(parser, "errors", k, float, 0.0) for k in _ERROR_KEYS}
+    run, config, errors, basis, analysis = (
+        {key: _read(parser, section, key) for key in parser.options(section)}
+        if parser.has_section(section)
+        else {}
+        for section in _SCHEMA
     )
     config = ExperimentConfig(
-        shots=_get(parser, "run", "shots", int, 1000),
-        seed=_get(parser, "run", "seed", int, 0),
-        p_exc=_get(parser, "config", "p_exc", float, 1.0),
-        eta=_get(parser, "config", "eta", float, 1.0),
-        errors=errors,
+        shots=run.pop("shots", 1000),
+        seed=run.pop("seed", 0),
+        errors=ErrorBudget(**errors),
+        **config,
     )
-
-    basis_override = {}
-    for key in _BASIS_KEYS:
-        if parser.has_option("basis", key):
-            basis_override[key] = _get(parser, "basis", key, float, 0.0)
-
-    flt = parser.get("analysis", "filter", fallback="all")
-    if flt not in FILTERS:
-        raise ManifestError(f"[analysis] filter must be one of {FILTERS}, got {flt!r}")
-    harmonic = None
-    if parser.get("analysis", "fringe_harmonic", fallback="").strip():
-        harmonic = _get(parser, "analysis", "fringe_harmonic", int, None)
-        if harmonic not in (1, 2):
-            raise ManifestError(
-                f"[analysis] fringe_harmonic must be 1 or 2, got {harmonic!r}"
-            )
-
-    bins = _get(parser, "analysis", "bins", int, 20)
-    if bins < 1:
-        raise ManifestError(f"[analysis] bins must be >= 1, got {bins!r}")
-    analysis = AnalysisRequest(
-        tomography=_get(parser, "analysis", "tomography", bool, False),
-        fringe_harmonic=harmonic,
-        bins=bins,
-        filter=flt,
-        entanglement_fidelity=_get(
-            parser, "analysis", "entanglement_fidelity", bool, False
-        ),
-    )
-
-    manifest = RunManifest(
-        sequence_name=parser.get("run", "sequence"),
-        config=config,
-        basis_override=basis_override,
-        analysis=analysis,
-        out_dir=parser.get("run", "out_dir", fallback="."),
-    )
+    try:
+        analysis = AnalysisRequest(**analysis)
+    except ValueError as exc:
+        raise ManifestError(f"[analysis] {exc}") from None
+    manifest = RunManifest(run.pop("sequence"), config, basis, analysis, **run)
     manifest.sequence()  # fail fast on unknown sequence names
     return manifest
 
@@ -415,14 +403,6 @@ def read_counts(path, n_bins: int) -> dict[int, ShotCounts]:
     return dict(sorted(counts.items()))
 
 
-def apply_filter(counts: ShotCounts, name: str) -> tuple[int, int]:
-    """(n_up, n) of the shots a filter keeps: 'V'/'H' condition on branch
-    1/2, while 'all', 'unconditioned' and 'corrected' keep every shot."""
-    if name not in FILTERS:
-        raise ValueError(f"filter must be one of {FILTERS}, got {name!r}")
-    return counts.up_counts(_FILTER_BRANCHES[name])
-
-
 # ---------------------------------------------------------------------------
 # summaries
 # ---------------------------------------------------------------------------
@@ -454,7 +434,8 @@ def _branch_stats(counts_by_setting: dict) -> dict:
 
 
 def _tomography_summary(counts_by_setting: dict, flt: str) -> dict:
-    result = reconstruct({k: apply_filter(c, flt) for k, c in counts_by_setting.items()})
+    keep = _FILTER_BRANCHES[flt]
+    result = reconstruct({k: c.up_counts(keep) for k, c in counts_by_setting.items()})
     return {
         "filter": flt,
         "identity_overlap": result.identity_overlap,
@@ -519,12 +500,13 @@ def _chunk_task(task) -> tuple[int, ShotCounts, str | None]:
     (index, config, sequence, lo, hi, n_bins, with_records): shots lo ... hi-1
     of one setting's run, its lines formatted only when asked for."""
     index, cfg, seq, lo, hi, n_bins, with_records = task
-    text, counts = io.StringIO(), []
-    for frame in run_chunks(cfg, seq, lo, hi):
-        if with_records:
-            _write_rows(text, index, frame)
-        counts.append(ShotCounts.of(frame, n_bins))
-    return index, reduce(add, counts), text.getvalue() if with_records else None
+    (frame,) = run_chunks(cfg, seq, lo, hi)  # hi - lo <= _CHUNK: one frame
+    text = None
+    if with_records:
+        text = io.StringIO()
+        _write_rows(text, index, frame)
+        text = text.getvalue()
+    return index, ShotCounts.of(frame, n_bins), text
 
 
 def _init_worker() -> None:
@@ -609,7 +591,7 @@ def _run_counts(
     tasks = [
         (index, cfg, seq_s, lo, min(lo + _CHUNK, cfg.shots), n_bins, with_records)
         for index, cfg, seq_s in runs
-        for lo in range(0, cfg.shots, _CHUNK) or (0,)
+        for lo in range(0, cfg.shots, _CHUNK)
     ]
     counts = {}
     for index, c, text in pool.map(_chunk_task, tasks):
@@ -684,7 +666,7 @@ def cmd_simulate(
 def cmd_tomo(
     records_path=None,
     manifest_path=None,
-    flt: str = "all",
+    flt: str = AnalysisRequest.filter,
     out_dir=None,
     seed=None,
     shots=None,
@@ -697,6 +679,7 @@ def cmd_tomo(
     """
     if (records_path is None) == (manifest_path is None):
         raise ValueError("tomo needs exactly one of a records file and a manifest")
+    analysis = AnalysisRequest(tomography=True, filter=flt)  # checks the filter
     if records_path is not None:
         if (seed, shots) != (None, None):
             raise ValueError("seed and shots overrides need a manifest, not records")
@@ -708,9 +691,7 @@ def cmd_tomo(
         }
     else:
         manifest = load_manifest(manifest_path, {"seed": seed, "shots": shots})
-        analysis = AnalysisRequest(
-            tomography=True, bins=manifest.analysis.bins, filter=flt
-        )
+        analysis = replace(analysis, bins=manifest.analysis.bins)
         manifest = replace(manifest, analysis=analysis)
         with _ChunkPool() as pool:
             counts = _run_counts(manifest, pool)
@@ -737,13 +718,11 @@ def cmd_ramsey(
     harmonic = manifest.analysis.fringe_harmonic
     if harmonic is None:
         harmonic = 1 if seq.scatter_first else 2
-    bins = manifest.analysis.bins
-    manifest = replace(manifest, analysis=AnalysisRequest(bins=bins))
+    analysis = AnalysisRequest(fringe_harmonic=harmonic, bins=manifest.analysis.bins)
+    manifest = replace(manifest, analysis=analysis)
     with _ChunkPool() as pool:
         counts = _run_counts(manifest, pool)
-    tables = _fringe_tables(counts)
     summary = _build_summary(manifest, counts)
-    summary["fringes"] = _fringe_summary(tables, harmonic)
 
     out = Path(out_dir if out_dir is not None else manifest.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -751,22 +730,13 @@ def cmd_ramsey(
     with table_path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("branch", "phi_bin_center", "p_up", "count"))
-        for (_, b), table in tables.items():
+        for (_, b), table in _fringe_tables(counts).items():
             for phi_c, p, cnt in table:
                 writer.writerow(
                     (b, format(phi_c, ".9g"), format(p, ".9g"), int(cnt))
                 )
     write_summary(out / "ramsey_summary.json", summary)
     return summary
-
-
-def _manifest_value(manifest: RunManifest, key: str):
-    """The parsed value of a sweepable manifest key: an int for shots and
-    seed, a float otherwise."""
-    if key in _BASIS_KEYS:
-        return manifest.basis_override[key]
-    cfg = manifest.config
-    return getattr(cfg.errors if key in _ERROR_KEYS else cfg, key)
 
 
 def cmd_sweep(manifest_path, parameter: str, grid, out_dir=None) -> list[dict]:
@@ -782,6 +752,7 @@ def cmd_sweep(manifest_path, parameter: str, grid, out_dir=None) -> list[dict]:
     if len(grid) == 0:
         raise ValueError("sweep grid must be nonempty")
     base = load_manifest(manifest_path)
+    read = _SCHEMA[_SECTION_OF[parameter]][parameter]
     out = Path(out_dir if out_dir is not None else base.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -790,7 +761,7 @@ def cmd_sweep(manifest_path, parameter: str, grid, out_dir=None) -> list[dict]:
     with _ChunkPool() as pool:  # one pool for every grid point
         for i, raw in enumerate(grid):
             manifest = load_manifest(manifest_path, {parameter: raw})
-            value = _manifest_value(manifest, parameter)
+            value = read(str(raw))  # as load_manifest parsed it
             summary = _build_summary(manifest, _run_counts(manifest, pool))
             summary["sweep"] = {"parameter": parameter, "value": value}
             write_summary(out / f"summary_{i:03d}.json", summary)
@@ -849,7 +820,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tomo = sub.add_parser("tomo", help="process tomography from records or manifest")
     p_tomo.add_argument("--records", help="records.csv from a tomography run")
     p_tomo.add_argument("--manifest", help="manifest to simulate first")
-    p_tomo.add_argument("--filter", default="all", choices=FILTERS)
+    p_tomo.add_argument(
+        "--filter",
+        default=AnalysisRequest.filter,
+        choices=FILTERS,
+        help="shots to reconstruct from: V/H keep branch 1/2, while all, "
+        "unconditioned and corrected keep every shot",
+    )
     common(p_tomo)
 
     p_ram = sub.add_parser("ramsey", help="fringe table and fits for a Ramsey run")

@@ -208,6 +208,13 @@ class ErrorBudget:
                 raise ValueError(f"{name} must be finite, got {a!r}")
         if self.phi_jitter_sigma < 0.0:
             raise ValueError("phi_jitter_sigma must be >= 0")
+        # the largest jitter offsets: sigma * _ndtri(u) with |_ndtri| <= 8.2096,
+        # and sqrt(2) * sigma * node with noisy_joint_state's 41 nodes <= 8.2131
+        if not math.isfinite(math.sqrt(2.0) * self.phi_jitter_sigma * 8.2131):
+            raise ValueError(
+                f"phi_jitter_sigma = {self.phi_jitter_sigma!r} is too large: "
+                "a phi_tac jitter offset overflows"
+            )
 
     @classmethod
     def nominal(cls) -> "ErrorBudget":

@@ -1,4 +1,5 @@
 import ast
+import configparser
 import hashlib
 import importlib
 import json
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from spinherald.cli import (
+    AnalysisRequest,
     ManifestError,
     cmd_ramsey,
     cmd_simulate,
@@ -136,6 +138,43 @@ def test_manifest_unknown_key(tmp_path):
 def test_manifest_missing_file(tmp_path):
     with pytest.raises(ManifestError, match="not found"):
         load_manifest(tmp_path / "absent.ini")
+
+
+def test_analysis_request_checks_itself():
+    for kwargs, key in (
+        ({"bins": 0}, "bins"),
+        ({"fringe_harmonic": 3}, "fringe_harmonic"),
+        ({"filter": "bogus"}, "filter"),
+    ):
+        with pytest.raises(ValueError, match=key):
+            AnalysisRequest(**kwargs)
+
+
+def test_manifest_schema_doc_matches_the_parser(tmp_path):
+    doc = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    doc.read(Path(__file__).resolve().parents[1] / "docs" / "manifest-schema.ini")
+    schema = spinherald.cli._SCHEMA
+    assert {s: set(doc[s]) for s in doc.sections()} == {
+        s: set(keys) for s, keys in schema.items()
+    }
+    # every value the doc shows is what a manifest holding only the required
+    # sequence yields; the basis is then the sequence's own
+    path = tmp_path / "minimal.ini"
+    path.write_text(f"[run]\nsequence = {doc['run']['sequence']}\n")
+    m = load_manifest(path)
+    cfg = m.config
+    loaded = {
+        "run": {"shots": cfg.shots, "seed": cfg.seed, "out_dir": m.out_dir},
+        "config": {"p_exc": cfg.p_exc, "eta": cfg.eta},
+        "errors": asdict(cfg.errors),
+        "basis": asdict(m.sequence().scatter),
+        "analysis": asdict(m.analysis),
+    }
+    for section, values in loaded.items():
+        for key, value in values.items():
+            assert schema[section][key](doc[section][key]) == value, (section, key)
+    path.write_text("[run]\nsequence = ramsey_HV\n[analysis]\nfringe_harmonic =\n")
+    assert load_manifest(path).analysis.fringe_harmonic is None
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +641,42 @@ def test_failed_simulate_leaves_no_records(tmp_path):
     with pytest.raises(ValueError, match="herald probability"):
         cmd_simulate(manifest, tmp_path / "out")
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_overflowing_phase_jitter_is_rejected(tmp_path):
+    # sigma * _ndtri(u) overflows to inf here, which the engine would record
+    # as a nan phi_tac
+    for extra in ({}, {"entanglement_fidelity": "true"}):
+        manifest = write_manifest(
+            tmp_path / "m.ini", "scatter_HV", shots=50, seed=1,
+            errors={"phi_jitter_sigma": 1e308}, analysis=extra,
+        )
+        with pytest.raises(ValueError, match="phi_jitter_sigma"):
+            cmd_simulate(manifest, tmp_path / "out")
+        assert not (tmp_path / "out" / "records.csv").exists()
+    # the largest jitter kept still records finite phases and a finite state
+    manifest = write_manifest(
+        tmp_path / "m.ini", "scatter_HV", shots=50, seed=1,
+        errors={"phi_jitter_sigma": 1.5e307},
+        analysis={"entanglement_fidelity": "true"},
+    )
+    bundle = cmd_simulate(manifest, tmp_path / "out")
+    assert np.isfinite(read_records(bundle.records_path)[0].phi_tac).all()
+    assert math.isfinite(bundle.summary["entanglement_fidelity"]["fidelity"])
+
+
+def test_tomo_rejects_a_bad_filter_before_any_work(tmp_path, monkeypatch):
+    def never(*args):
+        raise AssertionError("ran work for a request it must reject")
+
+    manifest = write_manifest(tmp_path / "m.ini", "corrected_HV", shots=20)
+    records = cmd_simulate(manifest, tmp_path / "sim").records_path
+    monkeypatch.setattr(spinherald.cli, "_run_counts", never)
+    monkeypatch.setattr(spinherald.cli, "read_counts", never)
+    with pytest.raises(ValueError, match="filter must be one of"):
+        cmd_tomo(manifest_path=manifest, flt="bogus")
+    with pytest.raises(ValueError, match="filter must be one of"):
+        cmd_tomo(records_path=records, flt="bogus")
 
 
 # ---------------------------------------------------------------------------
