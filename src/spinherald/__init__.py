@@ -49,7 +49,6 @@ from .engine import (
     run_chunks,
     run_experiment,
     run_plan,
-    run_range,
     standard_sequences,
 )
 from .tomography import (

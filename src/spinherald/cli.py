@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import io
 import json
 import os
@@ -188,6 +187,8 @@ def load_manifest(path, overrides=None) -> RunManifest:
         raise ManifestError(f"{path}: {exc}") from None
     if not read:
         raise ManifestError(f"manifest not found: {path}")
+    if parser.defaults():  # configparser would copy its keys into every section
+        raise ManifestError("unknown manifest section [DEFAULT]")
 
     for key, value in (overrides or {}).items():
         if value is None:
@@ -235,7 +236,6 @@ def load_manifest(path, overrides=None) -> RunManifest:
 # ---------------------------------------------------------------------------
 
 
-_WRITE_SLICE = 1 << 16  # rows formatted per write
 _READ_BLOCK = 1 << 20  # bytes of a records body read, checked and parsed at once
 _RECORD_DTYPE = np.dtype(
     [
@@ -259,19 +259,16 @@ def _open_records(path):
     return fh
 
 
-def _write_rows(fh, setting_id: int, f: ShotFrame) -> None:
-    """Append the lines of one frame's shots to an open records file."""
+def _record_lines(setting_id: int, f: ShotFrame) -> str:
+    """The records lines of one frame's shots."""
     # %.9g formats a float exactly as f"{x:.9g}" does
-    line = f"%d,{setting_id},%d,%.9g,%s,%d\n"
-    for lo in range(0, len(f), _WRITE_SLICE):
-        part = f.select(slice(lo, lo + _WRITE_SLICE))
-        fields = [0] * (5 * len(part))
-        fields[0::5] = part.shot_id.tolist()
-        fields[1::5] = part.branch.tolist()
-        fields[2::5] = part.phi_tac.tolist()
-        fields[3::5] = _OUTCOME_WORDS[part.outcome_up.astype(np.intp)].tolist()
-        fields[4::5] = part.n_attempts.tolist()
-        fh.write(line * len(part) % tuple(fields))
+    fields = [0] * (5 * len(f))
+    fields[0::5] = f.shot_id.tolist()
+    fields[1::5] = f.branch.tolist()
+    fields[2::5] = f.phi_tac.tolist()
+    fields[3::5] = _OUTCOME_WORDS[f.outcome_up.astype(np.intp)].tolist()
+    fields[4::5] = f.n_attempts.tolist()
+    return f"%d,{setting_id},%d,%.9g,%s,%d\n" * len(f) % tuple(fields)
 
 
 def write_records(path, frames_by_setting: dict) -> None:
@@ -279,7 +276,9 @@ def write_records(path, frames_by_setting: dict) -> None:
     digits), outcome, n_attempts; settings in ascending order."""
     with _open_records(path) as fh:
         for setting_id in sorted(frames_by_setting):
-            _write_rows(fh, setting_id, frames_by_setting[setting_id])
+            f = frames_by_setting[setting_id]
+            for lo in range(0, len(f), _CHUNK):
+                fh.write(_record_lines(setting_id, f.select(slice(lo, lo + _CHUNK))))
 
 
 def _parse_block(block: bytes) -> np.ndarray:
@@ -483,6 +482,21 @@ def write_summary(path, summary: dict) -> None:
     Path(path).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
+def _write_table(path, header, rows) -> None:
+    """A CSV table: the header line, then a line per row with ints as they
+    are, other numbers with 9 significant digits and None as an empty field;
+    every line ends in \\n."""
+
+    def cell(x) -> str:
+        if x is None:
+            return ""
+        return str(x) if isinstance(x, int) else format(x, ".9g")
+
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(cell, row)) + "\n" for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # pipeline pieces shared by the subcommands
 # ---------------------------------------------------------------------------
@@ -501,17 +515,14 @@ def _chunk_task(task) -> tuple[int, ShotCounts, str | None]:
     of one setting's run, its lines formatted only when asked for."""
     index, cfg, seq, lo, hi, n_bins, with_records = task
     (frame,) = run_chunks(cfg, seq, lo, hi)  # hi - lo <= _CHUNK: one frame
-    text = None
-    if with_records:
-        text = io.StringIO()
-        _write_rows(text, index, frame)
-        text = text.getvalue()
+    text = _record_lines(index, frame) if with_records else None
     return index, ShotCounts.of(frame, n_bins), text
 
 
-def _init_worker() -> None:
-    """Leave an interrupt to the parent, which cancels the tasks not started
-    and joins the workers; on Linux, die with the parent if it is killed."""
+def _init_worker(parent: int) -> None:
+    """Leave an interrupt to the parent (pid `parent`), which cancels the
+    tasks not started and joins the workers; on Linux, die with the parent
+    if it is killed, also if it was killed before this ran."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -519,6 +530,8 @@ def _init_worker() -> None:
         import ctypes
 
         ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+        if os.getppid() != parent:  # no parent left to send the signal
+            os._exit(1)
 
 
 class _ChunkPool:
@@ -561,6 +574,7 @@ class _ChunkPool:
                 workers,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_init_worker,
+                initargs=(os.getpid(),),
             )
             self._window = 2 * workers
         return self._ordered(fn, tasks)
@@ -610,11 +624,7 @@ def _build_summary(manifest: RunManifest, counts_by_setting: dict) -> dict:
         "seed": cfg.seed,
         "config": {
             "sequence": manifest.sequence_name,
-            "shots": cfg.shots,
-            "seed": cfg.seed,
-            "p_exc": cfg.p_exc,
-            "eta": cfg.eta,
-            "errors": asdict(cfg.errors),
+            **asdict(cfg),
             "basis_override": dict(manifest.basis_override),
         },
         "branch_stats": _branch_stats(counts_by_setting),
@@ -666,7 +676,7 @@ def cmd_simulate(
 def cmd_tomo(
     records_path=None,
     manifest_path=None,
-    flt: str = AnalysisRequest.filter,
+    flt: str | None = None,
     out_dir=None,
     seed=None,
     shots=None,
@@ -674,24 +684,30 @@ def cmd_tomo(
     """Reconstruct the process matrix from records (or simulate first).
 
     Records must cover all 12 plan settings; the summary carries the
-    projected chi, the identity overlap and the Bloch ellipsoid.  The seed
-    and shot overrides apply to a manifest only.
+    projected chi, the identity overlap and the Bloch ellipsoid.  A filter
+    of None takes the manifest's own, or all shots of a records file.  The
+    seed and shot overrides apply to a manifest only.
     """
     if (records_path is None) == (manifest_path is None):
         raise ValueError("tomo needs exactly one of a records file and a manifest")
-    analysis = AnalysisRequest(tomography=True, filter=flt)  # checks the filter
+    if flt is not None:
+        AnalysisRequest(filter=flt)  # checks the filter
     if records_path is not None:
         if (seed, shots) != (None, None):
             raise ValueError("seed and shots overrides need a manifest, not records")
+        counts = read_counts(records_path, 1)  # the tomography needs no phase bins
         summary = {
             "version": __version__,
             "records": str(records_path),
-            # the tomography needs no phase bins
-            "tomography": _tomography_summary(read_counts(records_path, 1), flt),
+            "tomography": _tomography_summary(counts, flt or AnalysisRequest.filter),
         }
     else:
         manifest = load_manifest(manifest_path, {"seed": seed, "shots": shots})
-        analysis = replace(analysis, bins=manifest.analysis.bins)
+        analysis = AnalysisRequest(
+            tomography=True,
+            bins=manifest.analysis.bins,
+            filter=flt or manifest.analysis.filter,
+        )
         manifest = replace(manifest, analysis=analysis)
         with _ChunkPool() as pool:
             counts = _run_counts(manifest, pool)
@@ -726,15 +742,15 @@ def cmd_ramsey(
 
     out = Path(out_dir if out_dir is not None else manifest.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    table_path = out / "fringe.csv"
-    with table_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("branch", "phi_bin_center", "p_up", "count"))
-        for (_, b), table in _fringe_tables(counts).items():
-            for phi_c, p, cnt in table:
-                writer.writerow(
-                    (b, format(phi_c, ".9g"), format(p, ".9g"), int(cnt))
-                )
+    _write_table(
+        out / "fringe.csv",
+        ("branch", "phi_bin_center", "p_up", "count"),
+        (
+            (b, phi_c, p, int(cnt))
+            for (_, b), table in _fringe_tables(counts).items()
+            for phi_c, p, cnt in table.tolist()
+        ),
+    )
     write_summary(out / "ramsey_summary.json", summary)
     return summary
 
@@ -766,32 +782,16 @@ def cmd_sweep(manifest_path, parameter: str, grid, out_dir=None) -> list[dict]:
             summary["sweep"] = {"parameter": parameter, "value": value}
             write_summary(out / f"summary_{i:03d}.json", summary)
             summaries.append(summary)
+            stats = summary["branch_stats"]
+            rows.append((
+                value,
+                stats["n_shots"],
+                stats["branch_1_fraction"],
+                summary.get("tomography", {}).get("identity_overlap"),
+            ))
 
-            row = {
-                "value": value,
-                "n_shots": summary["branch_stats"]["n_shots"],
-                "branch_1_fraction": summary["branch_stats"]["branch_1_fraction"],
-                "identity_overlap": summary.get("tomography", {}).get(
-                    "identity_overlap", ""
-                ),
-            }
-            rows.append(row)
-
-    with (out / "sweep.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow((parameter, "n_shots", "branch_1_fraction", "identity_overlap"))
-        for row in rows:
-            writer.writerow(
-                (
-                    row["value"] if isinstance(row["value"], int)
-                    else format(row["value"], ".9g"),
-                    row["n_shots"],
-                    format(row["branch_1_fraction"], ".9g"),
-                    format(row["identity_overlap"], ".9g")
-                    if row["identity_overlap"] != ""
-                    else "",
-                )
-            )
+    header = (parameter, "n_shots", "branch_1_fraction", "identity_overlap")
+    _write_table(out / "sweep.csv", header, rows)
     return summaries
 
 
@@ -822,10 +822,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tomo.add_argument("--manifest", help="manifest to simulate first")
     p_tomo.add_argument(
         "--filter",
-        default=AnalysisRequest.filter,
         choices=FILTERS,
         help="shots to reconstruct from: V/H keep branch 1/2, while all, "
-        "unconditioned and corrected keep every shot",
+        "unconditioned and corrected keep every shot (default: the "
+        "manifest's [analysis] filter, or all with --records)",
     )
     common(p_tomo)
 

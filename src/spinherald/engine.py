@@ -11,8 +11,7 @@ taken from a Philox counter stream keyed by the run seed.  `run_chunks`
 simulates any contiguous range of shots from its own counter blocks as a
 stream of frames of at most 2^16 shots, which bounds the draws and
 temporaries held at once; the produced records are bit-identical for any
-partition of the shot range.  `run_range` and `run_experiment` concatenate
-that stream.
+partition of the shot range.  `run_experiment` concatenates that stream.
 
 The per-shot state is a Bloch vector, held component-major in one (3, n)
 array per run whose x, y and z rows are contiguous; fixed pulses act on it
@@ -49,7 +48,6 @@ __all__ = [
     "standard_sequences",
     "get_sequence",
     "run_chunks",
-    "run_range",
     "run_experiment",
     "plan_runs",
     "run_plan",
@@ -70,6 +68,9 @@ _BLOCKS_PER_SHOT = DRAWS_PER_SHOT // 4
 # Shots per frame of run_chunks: bounds the draws and kernel temporaries
 # held at once, whatever the shot count.
 _CHUNK = 1 << 16
+# Gauss-Hermite nodes of noisy_joint_state's phi_tac jitter average; the
+# jitter bound of ErrorBudget holds for this count only
+_JITTER_NODES = 41
 
 
 class UnsupportedCorrectionError(ValueError):
@@ -209,7 +210,7 @@ class ErrorBudget:
         if self.phi_jitter_sigma < 0.0:
             raise ValueError("phi_jitter_sigma must be >= 0")
         # the largest jitter offsets: sigma * _ndtri(u) with |_ndtri| <= 8.2096,
-        # and sqrt(2) * sigma * node with noisy_joint_state's 41 nodes <= 8.2131
+        # and sqrt(2) * sigma * node with the _JITTER_NODES nodes <= 8.2131
         if not math.isfinite(math.sqrt(2.0) * self.phi_jitter_sigma * 8.2131):
             raise ValueError(
                 f"phi_jitter_sigma = {self.phi_jitter_sigma!r} is too large: "
@@ -559,17 +560,13 @@ def run_chunks(config: ExperimentConfig, seq: PulseSequence, lo: int = 0, hi=Non
         yield _simulate_rows(config, seq, rng.random(out=buf[:m]), start, state[:, :m])
 
 
-def run_range(
-    config: ExperimentConfig, seq: PulseSequence, lo: int, hi: int
+def run_experiment(
+    config: ExperimentConfig, seq: PulseSequence, lo: int = 0, hi=None
 ) -> ShotFrame:
-    """Rows lo ... hi-1 of the run, exactly as run_experiment emits them."""
+    """Rows lo ... hi-1 (by default all `config.shots`) of a run of
+    independent shots of a sequence: the frames of `run_chunks`
+    concatenated in order."""
     return ShotFrame.concat(run_chunks(config, seq, lo, hi))
-
-
-def run_experiment(config: ExperimentConfig, seq: PulseSequence) -> ShotFrame:
-    """Run `config.shots` independent shots of a sequence: the frames of
-    `run_chunks` concatenated in order."""
-    return ShotFrame.concat(run_chunks(config, seq))
 
 
 def plan_runs(config: ExperimentConfig, seq: PulseSequence, settings):
@@ -652,12 +649,7 @@ def get_sequence(name: str) -> PulseSequence:
 # ---------------------------------------------------------------------------
 
 
-def noisy_joint_state(
-    state_in,
-    phase: float,
-    errors: ErrorBudget,
-    n_quad: int = 41,
-) -> np.ndarray:
+def noisy_joint_state(state_in, phase: float, errors: ErrorBudget) -> np.ndarray:
     """Joint ion-photon density matrix under the error budget.
 
     Composes, at the state level: the preparation flip, the (misaligned,
@@ -679,7 +671,7 @@ def noisy_joint_state(
     e_h = np.array([0.0, 1.0], dtype=complex)
 
     if errors.phi_jitter_sigma > 0.0:
-        nodes, weights = np.polynomial.hermite.hermgauss(n_quad)
+        nodes, weights = np.polynomial.hermite.hermgauss(_JITTER_NODES)
         deltas = math.sqrt(2.0) * errors.phi_jitter_sigma * nodes
         weights = weights / math.sqrt(math.pi)
     else:

@@ -6,8 +6,8 @@ from spinherald.engine import (
     ExperimentConfig,
     ShotFrame,
     get_sequence,
+    run_experiment,
     run_plan,
-    run_range,
 )
 from spinherald.spinalg import PAULIS, from_bloch, to_bloch
 from spinherald.tomography import tomography_plan
@@ -29,7 +29,7 @@ def run_in_ranges(config, seq, parts):
     concatenate them in order."""
     bounds = np.linspace(0, config.shots, parts + 1, dtype=int).tolist()
     return ShotFrame.concat(
-        run_range(config, seq, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
+        run_experiment(config, seq, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
     )
 
 

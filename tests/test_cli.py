@@ -135,6 +135,16 @@ def test_manifest_unknown_key(tmp_path):
             load_manifest(path)
 
 
+def test_manifest_rejects_a_default_section(tmp_path):
+    # configparser copies [DEFAULT] keys into every section: a known key
+    # would slip into [run] unchecked, and fail as unknown in [errors]
+    path = tmp_path / "m.ini"
+    for extra in ("", "[errors]\np_dark = 0.1\n"):
+        path.write_text(f"[DEFAULT]\nshots = 5\n[run]\nsequence = scatter_HV\n{extra}")
+        with pytest.raises(ManifestError, match=r"unknown manifest section \[DEFAULT\]"):
+            load_manifest(path)
+
+
 def test_manifest_missing_file(tmp_path):
     with pytest.raises(ManifestError, match="not found"):
         load_manifest(tmp_path / "absent.ini")
@@ -665,6 +675,19 @@ def test_overflowing_phase_jitter_is_rejected(tmp_path):
     assert math.isfinite(bundle.summary["entanglement_fidelity"]["fidelity"])
 
 
+def test_tomo_manifest_takes_the_manifest_filter(tmp_path):
+    manifest = write_manifest(
+        tmp_path / "m.ini", "corrected_HV", shots=300, seed=49,
+        errors=NOMINAL_ERRORS, analysis={"tomography": "true", "filter": "V"},
+    )
+    sim = cmd_simulate(manifest, tmp_path / "sim").summary
+    assert cmd_tomo(manifest_path=manifest)["tomography"] == sim["tomography"]
+    # an explicit filter still wins; records carry no filter and take all
+    assert cmd_tomo(manifest_path=manifest, flt="H")["tomography"]["filter"] == "H"
+    records = tmp_path / "sim" / "records.csv"
+    assert cmd_tomo(records_path=records)["tomography"]["filter"] == "all"
+
+
 def test_tomo_rejects_a_bad_filter_before_any_work(tmp_path, monkeypatch):
     def never(*args):
         raise AssertionError("ran work for a request it must reject")
@@ -923,6 +946,31 @@ def test_sweep_echoes_the_parsed_value(tmp_path):
     assert [s["sweep"]["value"] for s in summaries] == [1e-3, 0.1234567891]
     table = (tmp_path / "b" / "sweep.csv").read_text().strip().split("\n")
     assert [row.split(",")[0] for row in table[1:]] == ["0.001", "0.123456789"]
+
+
+def test_sweep_table_bytes_are_pinned(tmp_path):
+    # floats with an identity overlap, then ints with an empty overlap field
+    manifest = write_manifest(
+        tmp_path / "m.ini", "corrected_HV", shots=3000, seed=48,
+        errors={"p_dark": 0.03, "phi_jitter_sigma": 0.17},
+        analysis={"tomography": "true", "filter": "corrected"},
+    )
+    cmd_sweep(manifest, "p_multi", ["0", "0.05", "0.1234567891"], tmp_path / "a")
+    assert (tmp_path / "a" / "sweep.csv").read_text().split("\n")[:2] == [
+        "p_multi,n_shots,branch_1_fraction,identity_overlap",
+        "0,36000,0.496833333,0.975984545",
+    ]
+    assert sha256(tmp_path / "a" / "sweep.csv") == (
+        "e3482336bc33c69e33a295491d88b2c96cbb29b14fd44546d2312e2fb7726779"
+    )
+    cmd_sweep(DEMOS / "ramsey_hv.ini", "seed", ["1", "1234567890123"], tmp_path / "b")
+    assert (tmp_path / "b" / "sweep.csv").read_text().split("\n")[:2] == [
+        "seed,n_shots,branch_1_fraction,identity_overlap",
+        "1,100000,0.50184,",
+    ]
+    assert sha256(tmp_path / "b" / "sweep.csv") == (
+        "ad3b72df52da091ce7057fb54699585af4466719ad76a1f807ca2447668d2cf4"
+    )
 
 
 def test_sweep_unknown_parameter(tmp_path):

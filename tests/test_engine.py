@@ -10,6 +10,7 @@ import pytest
 
 from spinherald.engine import (
     _CHUNK,
+    _JITTER_NODES,
     _apply_correction,
     _apply_scatter_block,
     _ndtri,
@@ -25,7 +26,6 @@ from spinherald.engine import (
     noisy_joint_state,
     run_chunks,
     run_experiment,
-    run_range,
     standard_sequences,
 )
 from spinherald.scattering import (
@@ -350,18 +350,18 @@ def test_run_range_matches_run_experiment_rows():
     seq = get_sequence("corrected_HV")
     frame = run_experiment(cfg, seq)
     for i in (0, 1, 17, 49):
-        shot = run_range(cfg, seq, i, i + 1)
+        shot = run_experiment(cfg, seq, i, i + 1)
         assert len(shot) == 1
         assert shot.equals(frame.select(frame.shot_id == i))
     for lo, hi in ((-1, 1), (3, 2), (0, cfg.shots + 1)):
         with pytest.raises(ValueError, match="shot range"):
-            run_range(cfg, seq, lo, hi)
+            run_experiment(cfg, seq, lo, hi)
     # rows on both sides of a chunk boundary and the last row of a partial chunk
     cfg = replace(cfg, shots=2 * _CHUNK + 3)
     frame = run_experiment(cfg, seq)
     assert len(frame) == cfg.shots
     for i in (_CHUNK - 1, _CHUNK, cfg.shots - 1):
-        assert run_range(cfg, seq, i, i + 1).equals(frame.select(frame.shot_id == i))
+        assert run_experiment(cfg, seq, i, i + 1).equals(frame.select(frame.shot_id == i))
 
 
 def test_run_experiment_memory_is_bounded_by_chunks():
@@ -384,7 +384,7 @@ def test_counts_of_a_run_equal_the_sum_over_an_uneven_partition():
     bounds = (0, 1, 1, 5000, _CHUNK + 3, 2 * _CHUNK + 10, cfg.shots)
     parts = reduce(
         add,
-        (ShotCounts.of(run_range(cfg, seq, lo, hi), 9) for lo, hi in zip(bounds, bounds[1:])),
+        (ShotCounts.of(run_experiment(cfg, seq, lo, hi), 9) for lo, hi in zip(bounds, bounds[1:])),
     )
     assert np.array_equal(parts.n, whole.n)
     assert parts.attempts == whole.attempts
@@ -524,3 +524,12 @@ def test_noisy_joint_state_is_valid_density_matrix():
     rho = noisy_joint_state(KET_UP, 1.2, ErrorBudget.nominal())
     assert abs(np.trace(rho).real - 1.0) < 1e-10
     assert np.linalg.eigvalsh(rho).min() > -1e-10
+
+
+def test_jitter_bound_holds_for_the_joint_state_nodes():
+    # ErrorBudget admits sqrt(2) * sigma * 8.2131 < inf: the largest node
+    # noisy_joint_state averages over must stay within that bound
+    nodes, _ = np.polynomial.hermite.hermgauss(_JITTER_NODES)
+    assert np.abs(nodes).max() <= 8.2131
+    rho = noisy_joint_state(KET_UP, 0.0, ErrorBudget(phi_jitter_sigma=1.5e307))
+    assert np.isfinite(rho).all()
