@@ -11,7 +11,7 @@ sweep      repeat a manifest over a grid of one parameter and tabulate the
            summaries
 
 Manifests are flat INI files (see docs/manifest-schema.ini).  Records files
-hold one line per shot with a fixed column order; summaries are JSON and
+are ASCII, one line per shot with a fixed column order; summaries are JSON and
 round-trip losslessly.  Exit status is nonzero exactly when an error was
 reported.
 
@@ -247,33 +247,146 @@ _RECORD_DTYPE = np.dtype(
         ("n_attempts", np.int64),
     ]
 )
-_OUTCOME_WORDS = np.array(["down", "up"], dtype=object)
 # every byte a records body may hold: no whitespace, quote or comment mark
 _RECORD_BYTES = (string.ascii_letters + string.digits + "+-.,\n").encode()
+# 10**k, k = 0 ... 13: exact in int64, and in float64 too
+_POW10 = 10 ** np.arange(14, dtype=np.int64)
+# an outcome's 4 columns: "down", or "up" and two padding bytes
+_OUTCOME_BYTES = np.frombuffer(b"downup\0\0", np.uint8).reshape(2, 4).T
+# phi_tac's columns: 9 integer-part digits, the point and 13 fraction digits
+_PHI_WIDTH = 23
 
 
 def _open_records(path):
-    """A new records file, open for writing, holding the header line."""
-    fh = Path(path).open("w", newline="")
-    fh.write(",".join(RECORD_COLUMNS) + "\n")
+    """A new records file, open for binary writing, holding the header line."""
+    fh = Path(path).open("wb")
+    fh.write(",".join(RECORD_COLUMNS).encode() + b"\n")
     return fh
 
 
-def _record_lines(setting_id: int, f: ShotFrame) -> str:
-    """The records lines of one frame's shots."""
-    # %.9g formats a float exactly as f"{x:.9g}" does
-    fields = [0] * (5 * len(f))
-    fields[0::5] = f.shot_id.tolist()
-    fields[1::5] = f.branch.tolist()
-    fields[2::5] = f.phi_tac.tolist()
-    fields[3::5] = _OUTCOME_WORDS[f.outcome_up.astype(np.intp)].tolist()
-    fields[4::5] = f.n_attempts.tolist()
-    return f"%d,{setting_id},%d,%.9g,%s,%d\n" * len(f) % tuple(fields)
+def _check_records(setting_id: int, f: ShotFrame) -> None:
+    """ValueError, naming the setting and the column, unless every value of
+    the frame lies in the grammar of `read_records`."""
+    for column, ok, rule in (
+        ("setting_id", 0 <= setting_id < 2**63, "a non-negative int64"),
+        ("shot_id", f.shot_id.min(initial=0) >= 0, "non-negative"),
+        ("branch", ((f.branch >= 0) & (f.branch <= 2)).all(), "0, 1 or 2"),
+        ("phi_tac", np.isfinite(f.phi_tac).all(), "finite"),
+        ("n_attempts", f.n_attempts.min(initial=0) >= 0, "non-negative"),
+    ):
+        if not ok:
+            raise ValueError(
+                f"records of setting {setting_id}: {column} must be {rule}"
+            )
+
+
+def _digits(rows: np.ndarray, t: np.ndarray) -> None:
+    """The decimal digits of non-negative integers t, right-aligned in
+    `rows` (one uint8 row per digit, at least as many rows as the widest
+    value has digits) as the numbers 0-9."""
+    # a copy, which the loop overwrites; int32 arithmetic is ~3x faster and
+    # holds any value of at most 9 digits
+    t = t.astype(np.int32 if len(rows) <= 9 else np.int64)
+    q, ten_q = np.empty_like(t), np.empty_like(t)
+    for row in rows[:0:-1]:
+        np.floor_divide(t, 10, out=q)
+        np.multiply(q, 10, out=ten_q)
+        np.subtract(t, ten_q, out=row, casting="unsafe")
+        t, q = q, t
+    rows[0] = t
+
+
+def _ascii(rows: np.ndarray) -> np.ndarray:
+    """Digits 0-9 in `rows` as ASCII, except that the zeros ahead of the
+    first nonzero digit in row order become 0 bytes; True where a digit is
+    nonzero."""
+    seen = np.zeros(rows.shape[1], bool)
+    for row in rows:
+        seen |= row != 0
+        row += ord("0")
+        row *= seen
+    return seen
+
+
+def _integer_column(rows: np.ndarray, t: np.ndarray) -> None:
+    """Non-negative int64 values t as decimal text right-aligned in `rows`,
+    their leading zeros 0 bytes."""
+    _digits(rows, t)
+    _ascii(rows[:-1])
+    rows[-1] += ord("0")  # the units digit, also of a 0
+
+
+def _phi_columns(rows: np.ndarray, x: np.ndarray) -> None:
+    """Finite x as `format(x, ".9g")` in `rows` (_PHI_WIDTH uint8 rows), with
+    0 bytes where the text has no character.
+
+    With e = floor(log10 |x|) clipped to [-4, 8], y = x * 10**(8 - e) takes
+    one rounding (error < 6e-8, as y < 1e9 and 10**(8 - e) is exact).  Where
+    its rint r lies in [1e8, 1e9) and y is no near-tie, r is the correctly
+    rounded 9-digit significand of a fixed-point text, written as the digits
+    of r / 10**(8 - e) with the fraction's trailing zeros (and a bare point)
+    dropped.  Every other row (zeros, negatives, exponent form, near-ties,
+    a log10 one off) is formatted by Python and copied in."""
+    with np.errstate(divide="ignore"):
+        e = np.floor(np.log10(np.abs(x)))
+    k = 8 - np.clip(e, -4, 8).astype(np.intp)
+    scale = _POW10[k]
+    y = x * scale
+    r = np.rint(y)
+    fast = (r >= 1e8) & (r < 1e9) & (np.abs(y - np.floor(y) - 0.5) > 1e-6)
+    r = np.where(fast, r, 0.0).astype(np.int64)
+    whole = r // scale
+    _integer_column(rows[:9], whole)
+    point, frac = rows[9], rows[10:]
+    fraction = (r - whole * scale) * _POW10[13 - k]  # its 13 digits, as an integer
+    high = fraction // _POW10[7]  # in two halves of 6 and 7 digits, for int32
+    _digits(frac[:6], high)
+    _digits(frac[6:], fraction - high * _POW10[7])
+    point[:] = _ascii(frac[::-1]) * ord(".")  # trailing zeros dropped
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        text = [format(v, ".9g").encode() for v in x[slow].tolist()]
+        text = np.array(text, f"S{_PHI_WIDTH}").view(np.uint8)
+        rows[:, slow] = text.reshape(-1, _PHI_WIDTH).T
+
+
+def _record_lines(setting_id: int, f: ShotFrame) -> bytes:
+    """The records lines of one frame's shots, as ASCII bytes; ValueError if
+    a value lies outside the grammar of `read_records`.
+
+    One uint8 row per output column of a (width, shots) matrix, each written
+    whole: shot_id digits (as many as its largest value has), ",setting_id,",
+    the branch digit and ",", phi_tac (`_phi_columns`), ",", the outcome in 4
+    columns, ",", n_attempts digits and "\n".  Bytes that belong to no text
+    (leading and trailing zeros, padding) are 0 and are dropped once the
+    matrix is laid out row by row."""
+    _check_records(setting_id, f)
+    if len(f) == 0:
+        return b""
+    setting = f",{setting_id},".encode()
+    shot_width, attempts_width = (len(str(c.max())) for c in (f.shot_id, f.n_attempts))
+    widths = (shot_width, len(setting), 2, _PHI_WIDTH, 1, 4, 1, attempts_width, 1)
+    M = np.empty((sum(widths), len(f)), np.uint8)
+    shot, sid, branch, phi, comma1, outcome, comma2, attempts, newline = np.split(
+        M, np.cumsum(widths)[:-1]
+    )
+    _integer_column(shot, f.shot_id)
+    sid[:] = np.frombuffer(setting, np.uint8)[:, None]
+    np.add(f.branch, ord("0"), out=branch[0], casting="unsafe")
+    branch[1] = comma1[0] = comma2[0] = ord(",")
+    _phi_columns(phi, f.phi_tac)
+    np.take(_OUTCOME_BYTES, f.outcome_up.astype(np.intp), axis=1, out=outcome)
+    _integer_column(attempts, f.n_attempts)
+    newline[0] = ord("\n")
+    return M.T.tobytes().translate(None, b"\0")  # tobytes writes line after line
 
 
 def write_records(path, frames_by_setting: dict) -> None:
     """One line per shot: shot_id, setting_id, branch, phi_tac (9 significant
-    digits), outcome, n_attempts; settings in ascending order."""
+    digits), outcome, n_attempts; settings in ascending order.  A value that
+    `read_records` would reject raises ValueError before the file is opened."""
+    for setting_id, f in frames_by_setting.items():
+        _check_records(setting_id, f)
     with _open_records(path) as fh:
         for setting_id in sorted(frames_by_setting):
             f = frames_by_setting[setting_id]
@@ -509,14 +622,14 @@ class ResultBundle:
     summary: dict
 
 
-def _chunk_task(task) -> tuple[int, ShotCounts, str | None]:
+def _chunk_task(task) -> tuple[int, ShotCounts, bytes | None]:
     """(setting index, counts, records lines or None) of one chunk task
     (index, config, sequence, lo, hi, n_bins, with_records): shots lo ... hi-1
     of one setting's run, its lines formatted only when asked for."""
     index, cfg, seq, lo, hi, n_bins, with_records = task
     (frame,) = run_chunks(cfg, seq, lo, hi)  # hi - lo <= _CHUNK: one frame
-    text = _record_lines(index, frame) if with_records else None
-    return index, ShotCounts.of(frame, n_bins), text
+    lines = _record_lines(index, frame) if with_records else None
+    return index, ShotCounts.of(frame, n_bins), lines
 
 
 def _init_worker(parent: int) -> None:
@@ -608,9 +721,9 @@ def _run_counts(
         for lo in range(0, cfg.shots, _CHUNK)
     ]
     counts = {}
-    for index, c, text in pool.map(_chunk_task, tasks):
+    for index, c, lines in pool.map(_chunk_task, tasks):
         if with_records:
-            records.write(text)
+            records.write(lines)
         counts[index] = counts[index] + c if index in counts else c
     return counts
 

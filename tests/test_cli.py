@@ -425,6 +425,89 @@ def test_records_write_phi_tac_as_nine_significant_digits(tmp_path):
     assert second.read_bytes() == first.read_bytes()
 
 
+_REFERENCE_OUTCOMES = np.array(["down", "up"], dtype=object)
+
+
+def reference_record_lines(setting_id: int, f: ShotFrame) -> str:
+    """The records lines of one frame's shots from one %-format over every
+    field, the writer's reference; %.9g formats a float as f"{x:.9g}" does."""
+    fields = [0] * (5 * len(f))
+    fields[0::5] = f.shot_id.tolist()
+    fields[1::5] = f.branch.tolist()
+    fields[2::5] = f.phi_tac.tolist()
+    fields[3::5] = _REFERENCE_OUTCOMES[f.outcome_up.astype(np.intp)].tolist()
+    fields[4::5] = f.n_attempts.tolist()
+    return f"%d,{setting_id},%d,%.9g,%s,%d\n" * len(f) % tuple(fields)
+
+
+def test_record_lines_equal_the_reference_formatter():
+    rng = np.random.default_rng(16)
+    int64_max = 2**63 - 1
+
+    def integers(n, top):
+        # every digit count up to that of top
+        return rng.integers(0, top, n, endpoint=True) // 10 ** rng.integers(0, 19, n)
+
+    def frame(phi, top=int64_max):
+        n = len(phi)
+        return ShotFrame(
+            shot_id=integers(n, top),
+            branch=rng.integers(0, 3, n).astype(np.int8),
+            phi_tac=np.asarray(phi, dtype=np.float64),
+            outcome_up=rng.random(n) < 0.5,
+            n_attempts=integers(n, top),
+        )
+
+    special = [
+        0.0, -0.0, 5e-324, 9.9999999995e-5, 9.9999999995, 999999999.6, 1e300,
+        1e-4, 1e9, 99999999.95, -1.25, -math.pi, -1e-7, -1e300,
+    ]
+    n = 4000
+    log_uniform = 10.0 ** rng.uniform(-8.0, 12.0, n)
+    frames = [
+        frame(log_uniform),
+        frame((rng.integers(0, 10**9, n) + 0.5) / 1e8),  # decimal ties
+        frame(rng.choice(special, n)),
+        frame(log_uniform * rng.choice([-1.0, 1.0], n)),
+        frame(np.round(log_uniform, 3)),  # trailing fraction zeros
+        frame([]),
+        frame([2 * math.pi]),
+    ]
+    for top in (9, 10**9 - 1, 2**31, 10**10 - 1, int64_max):  # 1, 9, 10, 10, 19 digits
+        f = frame(log_uniform[:50], top)
+        f.shot_id[0] = f.n_attempts[-1] = top
+        frames.append(f)
+    for setting_id in (0, 7, 11, 1234567, int64_max):
+        for f in frames:
+            expected = reference_record_lines(setting_id, f).encode()
+            assert spinherald.cli._record_lines(setting_id, f) == expected
+
+
+def test_write_records_rejects_what_read_records_rejects(tmp_path):
+    def frame(**column):
+        values = {
+            "shot_id": [0, 1], "branch": [0, 2], "phi_tac": [0.5, 1.5],
+            "outcome_up": [True, False], "n_attempts": [1, 3], **column,
+        }
+        dtypes = (np.int64, np.int8, np.float64, bool, np.int64)
+        return ShotFrame(*(np.array(v, t) for v, t in zip(values.values(), dtypes)))
+
+    path = tmp_path / "r.csv"
+    for setting_id, f, column in (
+        (0, frame(phi_tac=[0.5, math.nan]), "phi_tac"),
+        (0, frame(phi_tac=[math.inf, 0.5]), "phi_tac"),
+        (1, frame(shot_id=[-1, 1]), "shot_id"),
+        (2, frame(n_attempts=[1, -3]), "n_attempts"),
+        (3, frame(branch=[3, 1]), "branch"),
+        (-4, frame(), "setting_id"),
+    ):
+        with pytest.raises(ValueError, match=rf"setting {setting_id}: {column} must be"):
+            write_records(path, {5: frame(), setting_id: f})
+        assert not path.exists()  # nothing is written
+    write_records(path, {5: frame()})
+    assert read_records(path)[5].equals(frame())
+
+
 def random_rows(n: int, settings, seed: int) -> str:
     """Records lines of n shots, the i-th in setting settings[i % len]."""
     rng = np.random.default_rng(seed)
@@ -818,6 +901,30 @@ def test_ramsey_memory_does_not_grow_with_shots(tmp_path):
     small = peak(1 << 17)
     # a frame of 2^21 shots alone would take 2^21 * 26 B = 54 MB
     assert peak(1 << 21) <= small + (1 << 20)
+
+
+def test_simulate_memory_does_not_grow_with_shots(tmp_path, monkeypatch):
+    # in process, so that tracemalloc sees the engine, the counts and the
+    # records lines of every chunk
+    cpus(monkeypatch, 1)
+    manifest = write_manifest(
+        tmp_path / "m.ini", "ramsey_HV", shots=1, seed=44, config={"p_exc": 0.075}
+    )
+
+    def peak(shots):
+        tracemalloc.start()
+        try:
+            bundle = cmd_simulate(manifest, tmp_path / "out", shots=shots)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bundle.summary["branch_stats"]["n_shots"] == shots
+        assert bundle.records_path.stat().st_size > 20 * shots
+        return traced
+
+    small = peak(1 << 17)
+    # the records of 2^19 shots held whole would take over 2^19 * 20 B = 10 MB
+    assert peak(1 << 19) <= small + (1 << 20)
 
 
 def test_tomo_records_memory_does_not_grow_with_rows(tmp_path):
