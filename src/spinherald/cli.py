@@ -21,9 +21,12 @@ the engine (simulate, tomo --manifest, ramsey, sweep) hand a worker a whole
 engine chunk, which it reduces to counts and, for simulate, formats as
 records lines; tomo --records hands it a range of whole lines of the
 records file, which it reads, parses and counts.  Records and summaries are
-the same bytes as a run in one process, and there is no option to set.
-read_counts uses the same pool; the other library functions (run_chunks,
-write_records, read_records, ...) run in the calling process.
+the same bytes as a run in one process, and there is no option to set.  On
+Linux with glibc a worker keeps the pages a chunk frees for its next chunk
+instead of faulting them in again; the calling process's allocator, which
+also serves a run in process, is left as it is.  read_counts uses the same
+pool; the other library functions (run_chunks, write_records, read_records,
+...) run in the calling process.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import numpy as np
 from . import __version__
 from .engine import (
     _CHUNK,
+    DRAWS_PER_SHOT,
     ErrorBudget,
     ExperimentConfig,
     PulseSequence,
@@ -632,19 +636,42 @@ def _chunk_task(task) -> tuple[int, ShotCounts, bytes | None]:
     return index, ShotCounts.of(frame, n_bins), lines
 
 
+# glibc's malloc thresholds for a pool worker: a chunk's largest array, its
+# draw buffer, stays below the mmap threshold, and one chunk's working set
+# below the trim threshold, so the pages a chunk frees serve the next chunk
+_MMAP_THRESHOLD = 1 << (_CHUNK * DRAWS_PER_SHOT * 8).bit_length()  # 8 MiB
+_TRIM_THRESHOLD = 8 * _MMAP_THRESHOLD
+
+
+def _keep_freed_pages(libc) -> None:
+    """Have `libc`'s malloc keep the memory a chunk frees for the next one
+    instead of giving it back to the kernel (heap trimming and munmap),
+    which the next chunk would page-fault in again; nothing without
+    `mallopt`."""
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is not None:
+        mallopt(-3, _MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
+        mallopt(-1, _TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+
+
 def _init_worker(parent: int) -> None:
     """Leave an interrupt to the parent (pid `parent`), which cancels the
     tasks not started and joins the workers; on Linux, die with the parent
-    if it is killed, also if it was killed before this ran."""
+    if it is killed, also if it was killed before this ran, and keep the
+    pages a chunk frees for the next chunk (`_keep_freed_pages`).  Only a
+    worker's allocator is tuned: the parent, and a run in process, belong to
+    the caller."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     if sys.platform == "linux":
         import ctypes
 
-        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+        libc = ctypes.CDLL(None)
+        libc.prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
         if os.getppid() != parent:  # no parent left to send the signal
             os._exit(1)
+        _keep_freed_pages(libc)
 
 
 class _ChunkPool:

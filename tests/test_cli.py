@@ -12,6 +12,7 @@ import time
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from spinherald.cli import (
 )
 import spinherald.cli
 from spinherald.engine import (
+    _CHUNK,
+    DRAWS_PER_SHOT,
     ShotFrame,
     UnsupportedCorrectionError,
     run_experiment,
@@ -903,6 +906,13 @@ def test_ramsey_memory_does_not_grow_with_shots(tmp_path):
     assert peak(1 << 21) <= small + (1 << 20)
 
 
+def test_ramsey_memory_does_not_grow_with_shots_in_process(tmp_path, monkeypatch):
+    # on a pool tracemalloc sees only the parent; in process it sees the
+    # engine and the counts of every chunk
+    cpus(monkeypatch, 1)
+    test_ramsey_memory_does_not_grow_with_shots(tmp_path)
+
+
 def test_simulate_memory_does_not_grow_with_shots(tmp_path, monkeypatch):
     # in process, so that tracemalloc sees the engine, the counts and the
     # records lines of every chunk
@@ -1170,14 +1180,19 @@ def sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def console(argv, out):
-    """The console entry on argv, started in a session of its own."""
+def src_env() -> dict:
+    """This environment with the checkout's src/ first on PYTHONPATH."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
+def console(argv, out):
+    """The console entry on argv, started in a session of its own."""
     return subprocess.Popen(
         [sys.executable, "-c", CLI_ENTRY, *argv, "--out", str(out)],
-        env=env, stdout=subprocess.DEVNULL, start_new_session=True,
+        env=src_env(), stdout=subprocess.DEVNULL, start_new_session=True,
     )
 
 
@@ -1412,6 +1427,45 @@ def test_console_entry_leaves_no_process_behind(tmp_path):
     )
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)  # the session's group is empty: no worker lives on
+
+
+def test_keep_freed_pages_sets_both_malloc_thresholds():
+    calls = []
+    spinherald.cli._keep_freed_pages(SimpleNamespace(mallopt=lambda *call: calls.append(call)))
+    mmap, trim = spinherald.cli._MMAP_THRESHOLD, spinherald.cli._TRIM_THRESHOLD
+    assert calls == [(-3, mmap), (-1, trim)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    assert _CHUNK * DRAWS_PER_SHOT * 8 < mmap < trim  # the draw buffer stays on the heap
+    spinherald.cli._keep_freed_pages(SimpleNamespace())  # a libc without mallopt
+
+
+WORKER_RUSAGE = """
+import os, resource, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from spinherald.cli import cmd_ramsey
+cmd_ramsey(sys.argv[1], sys.argv[2], shots=int(sys.argv[3]))
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(usage.ru_minflt, usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="tunes glibc's malloc; ru_maxrss in KiB")
+def test_worker_page_faults_do_not_grow_with_chunks(tmp_path):
+    def worker_usage(shots):
+        # a fresh CLI process on a pool of two workers: RUSAGE_CHILDREN sums
+        # the faults of the workers it joined and keeps the largest peak RSS
+        out = subprocess.run(
+            [sys.executable, "-c", WORKER_RUSAGE, str(DEMOS / "ramsey_hv.ini"),
+             str(tmp_path / str(shots)), str(shots)],
+            env=src_env(), capture_output=True, text=True, check=True, timeout=300,
+        ).stdout
+        return map(int, out.split())
+
+    faults, peak_kib = worker_usage(1 << 18)  # 4 chunks
+    more_faults, more_peak_kib = worker_usage(1 << 21)  # 32 chunks
+    # a worker that gives a chunk's pages back faults ~2,900 of them in again
+    # for every later chunk: ~80,000 more here
+    assert more_faults <= faults + 8000
+    assert more_peak_kib <= peak_kib + 1024
 
 
 def group_states(pgid: int) -> dict[int, str]:
