@@ -79,6 +79,8 @@ _FILTER_BRANCHES = {
     "corrected": (0, 1, 2),
 }
 FILTERS = tuple(_FILTER_BRANCHES)
+# the most phi_tac bins a run may ask for: its counts hold 6 int64 per bin
+_MAX_BINS = 4096
 
 
 class ManifestError(ValueError):
@@ -100,8 +102,8 @@ class AnalysisRequest:
             raise ValueError(
                 f"fringe_harmonic must be 1 or 2, got {self.fringe_harmonic!r}"
             )
-        if self.bins < 1:
-            raise ValueError(f"bins must be >= 1, got {self.bins!r}")
+        if not 1 <= self.bins <= _MAX_BINS:
+            raise ValueError(f"bins must lie in [1, {_MAX_BINS}], got {self.bins!r}")
 
 
 @dataclass(frozen=True)
@@ -538,14 +540,10 @@ def _branch_stats(counts_by_setting: dict) -> dict:
     # phase-resolved branch asymmetry over the populated phi_tac bins: 0 for
     # a linear analysis basis (both branches fire with probability 1/2 at
     # every phase) and maximal in the projective circular limit
-    if heralded:
-        bins = total.branch_fringe()
-        frac = bins[bins[:, 2] > 0, 1]
-        stats["phase_resolved_branch_asymmetry"] = float(
-            np.mean(np.abs(2.0 * frac - 1.0))
-        )
-    else:
-        stats["phase_resolved_branch_asymmetry"] = 0.0
+    bins = total.branch_fringe()
+    frac = bins[bins[:, 2] > 0, 1]
+    asymmetry = float(np.mean(np.abs(2.0 * frac - 1.0))) if heralded else 0.0
+    stats["phase_resolved_branch_asymmetry"] = asymmetry
     return stats
 
 
@@ -994,10 +992,7 @@ def main(argv=None) -> int:
             summary = cmd_tomo(
                 args.records, args.manifest, args.filter, args.out, args.seed, args.shots
             )
-            print(
-                "identity_overlap:",
-                format(summary["tomography"]["identity_overlap"], ".6f"),
-            )
+            print(f"identity_overlap: {summary['tomography']['identity_overlap']:.6f}")
         elif args.command == "ramsey":
             summary = cmd_ramsey(args.manifest, args.out, args.seed, args.shots)
             for fit in summary["fringes"]:

@@ -33,7 +33,9 @@ from .scattering import (
     PolarizationBasis,
     branch_operators_from_vectors,
 )
-from .spinalg import ID2, SIGMA_X, SIGMA_Y, pauli_transfer, rotation, rotation_bloch
+from .spinalg import (
+    ID2, SIGMA_X, SIGMA_Y, pauli_transfer, rotation, rotation_bloch, unit_state
+)
 
 __all__ = [
     "DRAWS_PER_SHOT",
@@ -68,9 +70,6 @@ _BLOCKS_PER_SHOT = DRAWS_PER_SHOT // 4
 # Shots per frame of run_chunks: bounds the draws and kernel temporaries
 # held at once, whatever the shot count.
 _CHUNK = 1 << 16
-# Gauss-Hermite nodes of noisy_joint_state's phi_tac jitter average; the
-# jitter bound of ErrorBudget holds for this count only
-_JITTER_NODES = 41
 
 
 class UnsupportedCorrectionError(ValueError):
@@ -209,9 +208,9 @@ class ErrorBudget:
                 raise ValueError(f"{name} must be finite, got {a!r}")
         if self.phi_jitter_sigma < 0.0:
             raise ValueError("phi_jitter_sigma must be >= 0")
-        # the largest jitter offsets: sigma * _ndtri(u) with |_ndtri| <= 8.2096,
-        # and sqrt(2) * sigma * node with the _JITTER_NODES nodes <= 8.2131
-        if not math.isfinite(math.sqrt(2.0) * self.phi_jitter_sigma * 8.2131):
+        # the largest jitter offset the engine draws: sigma * _ndtri(u) with
+        # |_ndtri| <= 8.2096
+        if not math.isfinite(self.phi_jitter_sigma * 8.2096):
             raise ValueError(
                 f"phi_jitter_sigma = {self.phi_jitter_sigma!r} is too large: "
                 "a phi_tac jitter offset overflows"
@@ -649,18 +648,35 @@ def get_sequence(name: str) -> PulseSequence:
 # ---------------------------------------------------------------------------
 
 
+def _jitter_phases(sigma: float) -> list[tuple[float, float]]:
+    """Offsets delta_j = 2 pi j / 5 and weights w_j that average any
+    trigonometric polynomial of degree <= 2 exactly over delta ~ N(0, sigma^2):
+    w_j = (1 + 2 d_1 cos(delta_j) + 2 d_2 cos(2 delta_j)) / 5 with the damping
+    d_k = exp(-k^2 sigma^2 / 2), written through d_k - 1 so that sigma = 0
+    gives exactly (1, 0, 0, 0, 0)."""
+    s2 = sigma * sigma  # a float product: inf, not an error, damps to exactly 0
+    g1, g2 = math.expm1(-0.5 * s2), math.expm1(-2.0 * s2)
+    deltas = [TAU * j / 5 for j in range(5)]
+    return [
+        (d, float(j == 0) + 0.4 * (g1 * math.cos(d) + g2 * math.cos(2.0 * d)))
+        for j, d in enumerate(deltas)
+    ]
+
+
 def noisy_joint_state(state_in, phase: float, errors: ErrorBudget) -> np.ndarray:
     """Joint ion-photon density matrix under the error budget.
 
     Composes, at the state level: the preparation flip, the (misaligned,
-    birefringent) analysis basis, Gauss-Hermite averaging over the phi_tac
-    jitter (the reference phase is the recorded one), the dark-count
+    birefringent) analysis basis, the exact average over the Gaussian
+    phi_tac jitter (the reference phase is the recorded one; the state has
+    degree <= 2 in the offset, so five phases suffice), the dark-count
     admixture (unscattered spin with a maximally mixed photon record) and
     the extra-scattering channel on the spin side.  Detection errors e_meas
     affect recorded outcomes, not the state, and are not applied here.
     """
-    psi = np.asarray(state_in, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
+    if not math.isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase!r}")
+    psi = unit_state(state_in)
     flipped = np.array([-np.conj(psi[1]), np.conj(psi[0])])
     inputs = [(1.0 - errors.e_prep, psi)]
     if errors.e_prep > 0.0:
@@ -670,18 +686,11 @@ def noisy_joint_state(state_in, phase: float, errors: ErrorBudget) -> np.ndarray
     e_v = np.array([1.0, 0.0], dtype=complex)
     e_h = np.array([0.0, 1.0], dtype=complex)
 
-    if errors.phi_jitter_sigma > 0.0:
-        nodes, weights = np.polynomial.hermite.hermgauss(_JITTER_NODES)
-        deltas = math.sqrt(2.0) * errors.phi_jitter_sigma * nodes
-        weights = weights / math.sqrt(math.pi)
-    else:
-        deltas, weights = np.array([0.0]), np.array([1.0])
-
     rho = np.zeros((4, 4), dtype=complex)
     rho_in = np.zeros((2, 2), dtype=complex)
     for w_in, phi_state in inputs:
         rho_in += w_in * np.outer(phi_state, phi_state.conj())
-        for delta, w in zip(deltas, weights):
+        for delta, w in _jitter_phases(errors.phi_jitter_sigma):
             m1, m2 = branch_operators_from_vectors(
                 vecs, DEFAULT_EXCITATION, phase - delta
             )

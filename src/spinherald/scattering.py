@@ -31,6 +31,7 @@ from .spinalg import (
     SIGMA_Z,
     pauli_projection,
     rotating_frame,
+    unit_state,
     validate_density_matrix,
 )
 
@@ -126,10 +127,9 @@ def branch_operators_from_vectors(vectors, excitation, phase: float) -> np.ndarr
     """
     vectors = np.asarray(vectors, dtype=complex)
     r_l = pauli_projection(excitation)
-    ops = np.stack(
+    return np.stack(
         [rotating_frame(_r_lambda(lam) @ r_l, phase) / np.sqrt(2.0) for lam in vectors]
     )
-    return ops
 
 
 def branch_operators(
@@ -179,8 +179,9 @@ def joint_state(state_in, phase: float = 0.0) -> np.ndarray:
         (1/sqrt 2) [ (alpha|up> + beta|down>) (x) |V>
                      + i (beta e^{-i phase}|up> + alpha e^{+i phase}|down>) (x) |H> ]
     """
-    psi = np.asarray(state_in, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
+    if not math.isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase!r}")
+    psi = unit_state(state_in)
     m_v, m_h = branch_operators(DEFAULT_EXCITATION, PolarizationBasis(), phase)
     e_v = np.array([1.0, 0.0], dtype=complex)
     e_h = np.array([0.0, 1.0], dtype=complex)

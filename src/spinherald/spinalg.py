@@ -39,6 +39,7 @@ __all__ = [
     "to_bloch",
     "from_bloch",
     "density",
+    "unit_state",
     "apply_kraus",
     "state_fidelity",
     "validate_density_matrix",
@@ -120,10 +121,19 @@ def pauli_transfer(a, b) -> np.ndarray:
     )
 
 
+def unit_state(psi) -> np.ndarray:
+    """A state vector scaled to unit norm, as complex; ValueError unless its
+    norm is finite and non-zero."""
+    psi = np.asarray(psi, dtype=complex)
+    norm = float(np.linalg.norm(psi))
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise ValueError(f"state must have a finite, non-zero norm, got {norm!r}")
+    return psi / norm
+
+
 def density(psi) -> np.ndarray:
     """Density matrix |psi><psi| of a pure state (normalized first)."""
-    psi = np.asarray(psi, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
+    psi = unit_state(psi)
     return np.outer(psi, psi.conj())
 
 
@@ -144,13 +154,7 @@ def validate_density_matrix(rho, atol: float = 1e-9) -> np.ndarray:
 def to_bloch(rho) -> np.ndarray:
     """Bloch vector (x, y, z) of a 2x2 density matrix."""
     rho = validate_density_matrix(rho)
-    return np.array(
-        [
-            np.trace(rho @ SIGMA_X).real,
-            np.trace(rho @ SIGMA_Y).real,
-            np.trace(rho @ SIGMA_Z).real,
-        ]
-    )
+    return np.array([np.trace(rho @ p).real for p in PAULIS[1:]])
 
 
 def from_bloch(v) -> np.ndarray:
@@ -187,7 +191,7 @@ def state_fidelity(rho, psi) -> float:
         raise ValueError(
             f"dimension mismatch: state has shape {psi.shape}, matrix {rho.shape}"
         )
-    psi = psi / np.linalg.norm(psi)
+    psi = unit_state(psi)
     return float(np.real(psi.conj() @ rho @ psi))
 
 

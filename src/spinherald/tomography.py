@@ -185,9 +185,7 @@ _L_CHI_TO_PTM, _L_PTM_TO_CHI = _build_basis_change()
 
 # columns (I (x) P_m) |sum_i i,i>: the congruence between chi and the Choi
 # matrix (input factor first)
-_V_CHOI = np.zeros((4, 4), dtype=complex)
-for _m, _p in enumerate(PAULIS):
-    _V_CHOI[:, _m] = np.kron(ID2, _p) @ np.array([1.0, 0.0, 0.0, 1.0])
+_V_CHOI = np.stack([np.kron(ID2, p) @ np.array([1.0, 0.0, 0.0, 1.0]) for p in PAULIS], 1)
 
 
 def chi_to_ptm(chi) -> np.ndarray:
@@ -411,16 +409,13 @@ def fit_fringe(bins, harmonic: int) -> FringeFit:
     coeff, *_ = np.linalg.lstsq(design * sw[:, None], p * sw, rcond=None)
     offset, a, b = coeff
     amplitude = float(np.hypot(a, b))
-    phase = float(np.arctan2(-b, a))
-    contrast = float(amplitude / offset) if offset > 1e-9 else 0.0
-    residual = float(np.sqrt(np.mean((design @ coeff - p) ** 2)))
     return FringeFit(
         offset=float(offset),
         amplitude=amplitude,
-        phase=phase,
+        phase=float(np.arctan2(-b, a)),
         harmonic=harmonic,
-        contrast=contrast,
-        residual=residual,
+        contrast=float(amplitude / offset) if offset > 1e-9 else 0.0,
+        residual=float(np.sqrt(np.mean((design @ coeff - p) ** 2))),
     )
 
 
@@ -448,10 +443,5 @@ def reconstruct(outcomes_by_setting) -> TomographyResult:
     chi = project_cptp(chi_raw)
     ptm = chi_to_ptm(chi)
     return TomographyResult(
-        ptm_raw=ptm_raw,
-        chi_raw=chi_raw,
-        chi=chi,
-        ptm=ptm,
-        identity_overlap=identity_overlap(chi),
-        ellipsoid=bloch_ellipsoid(ptm),
+        ptm_raw, chi_raw, chi, ptm, identity_overlap(chi), bloch_ellipsoid(ptm)
     )

@@ -163,6 +163,24 @@ def test_analysis_request_checks_itself():
             AnalysisRequest(**kwargs)
 
 
+def test_analysis_bins_have_an_upper_limit(tmp_path):
+    # a run's counts hold 6 int64 per phi_tac bin, whatever its shot count
+    assert AnalysisRequest(bins=4096).bins == 4096
+    with pytest.raises(ValueError, match=r"bins must lie in \[1, 4096\]"):
+        AnalysisRequest(bins=4097)
+    big = {"bins": 4097}
+    tomo = write_manifest(tmp_path / "t.ini", "corrected_HV", shots=10, analysis=big)
+    ramsey = write_manifest(tmp_path / "r.ini", "ramsey_HV", shots=10, analysis=big)
+    for run in (
+        lambda: cmd_simulate(tomo, tmp_path / "out"),
+        lambda: cmd_tomo(manifest_path=tomo),
+        lambda: cmd_ramsey(ramsey, tmp_path / "out"),
+    ):
+        with pytest.raises(ManifestError, match=r"\[analysis\] bins"):
+            run()
+    assert not (tmp_path / "out").exists()
+
+
 def test_manifest_schema_doc_matches_the_parser(tmp_path):
     doc = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     doc.read(Path(__file__).resolve().parents[1] / "docs" / "manifest-schema.ini")
@@ -581,8 +599,7 @@ def test_tomo_records_in_small_blocks_equals_simulate(tmp_path, monkeypatch):
 
 
 def test_demo_imports_resolve():
-    # the demos are too slow for this suite, so check that every name they
-    # import from the package still exists
+    # every name the demos import from the package still exists
     demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
     assert demos
     for demo in demos:
@@ -591,6 +608,18 @@ def test_demo_imports_resolve():
                 module = importlib.import_module(node.module)
                 for alias in node.names:
                     assert hasattr(module, alias.name), (demo.name, alias.name)
+
+
+def test_demos_run_to_completion(tmp_path):
+    # each demo in a fresh interpreter, from an empty working directory
+    demos = sorted(DEMOS.glob("0*.py"))
+    assert len(demos) == 4
+    for demo in demos:
+        done = subprocess.run(
+            [sys.executable, str(demo)], cwd=tmp_path, env=src_env(),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, (demo.name, done.stderr[-2000:])
 
 
 def test_demo_records_bytes_are_pinned(tmp_path):
@@ -750,10 +779,11 @@ def test_overflowing_phase_jitter_is_rejected(tmp_path):
         with pytest.raises(ValueError, match="phi_jitter_sigma"):
             cmd_simulate(manifest, tmp_path / "out")
         assert not (tmp_path / "out" / "records.csv").exists()
-    # the largest jitter kept still records finite phases and a finite state
+    # the largest jitter kept still records finite phases and a finite state:
+    # 2.1897e307 * 8.2096 is finite, and 2.1898e307 * 8.2096 is not
     manifest = write_manifest(
         tmp_path / "m.ini", "scatter_HV", shots=50, seed=1,
-        errors={"phi_jitter_sigma": 1.5e307},
+        errors={"phi_jitter_sigma": 2.1897e307},
         analysis={"entanglement_fidelity": "true"},
     )
     bundle = cmd_simulate(manifest, tmp_path / "out")

@@ -1,6 +1,7 @@
 import math
 import statistics
 import tracemalloc
+import warnings
 from dataclasses import replace
 from functools import reduce
 from operator import add
@@ -10,7 +11,6 @@ import pytest
 
 from spinherald.engine import (
     _CHUNK,
-    _JITTER_NODES,
     _apply_correction,
     _apply_scatter_block,
     _ndtri,
@@ -32,6 +32,7 @@ from spinherald.scattering import (
     PolarizationBasis,
     branch_operators,
     entanglement_fidelity,
+    joint_state,
     unconditioned_channel,
 )
 from spinherald.spinalg import ID2, KET_UP, from_bloch, to_bloch
@@ -527,9 +528,76 @@ def test_noisy_joint_state_is_valid_density_matrix():
 
 
 def test_jitter_bound_holds_for_the_joint_state_nodes():
-    # ErrorBudget admits sqrt(2) * sigma * 8.2131 < inf: the largest node
-    # noisy_joint_state averages over must stay within that bound
-    nodes, _ = np.polynomial.hermite.hermgauss(_JITTER_NODES)
-    assert np.abs(nodes).max() <= 8.2131
     rho = noisy_joint_state(KET_UP, 0.0, ErrorBudget(phi_jitter_sigma=1.5e307))
     assert np.isfinite(rho).all()
+
+
+def dense_jitter_average(psi, phase, errors):
+    """The jitter-free joint state averaged over the offset by a trapezoid
+    rule on a fine grid of the Gaussian density.  Only the scattering phase
+    depends on the offset, and every later step of the model is affine, so
+    this is the jittered state.  For a trigonometric polynomial of degree
+    <= 2 the rule errs by ~exp(-(2 pi / h - 2 sigma)^2 / 2) at step h."""
+    h = 0.25
+    z = np.arange(-10.0, 10.0 + h / 2, h)
+    weights = h * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    fixed = replace(errors, phi_jitter_sigma=0.0)
+    return sum(
+        w * noisy_joint_state(psi, phase - errors.phi_jitter_sigma * zi, fixed)
+        for zi, w in zip(z, weights)
+    )
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.17, 1.0, 2.0])
+def test_noisy_joint_state_averages_the_jitter_exactly(sigma):
+    rng = np.random.default_rng(int(100 * sigma) + 5)
+    for _ in range(3):
+        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+        errors = ErrorBudget(
+            p_multi=rng.uniform(0.0, 0.3),
+            p_dark=rng.uniform(0.0, 0.3),
+            e_prep=rng.uniform(0.0, 0.3),
+            pol_misalign=rng.normal(0.0, 0.3),
+            biref_phase=rng.normal(0.0, 0.5),
+            phi_jitter_sigma=sigma,
+        )
+        phase = rng.uniform(-2.0 * math.pi, 2.0 * math.pi)
+        rho = noisy_joint_state(psi, phase, errors)
+        assert np.abs(rho - dense_jitter_average(psi, phase, errors)).max() <= 1e-13
+
+
+def test_huge_jitter_dephases_fully_without_a_warning():
+    errors = replace(ErrorBudget.nominal(), biref_phase=0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = noisy_joint_state(KET_UP, 0.4, replace(errors, phi_jitter_sigma=1e200))
+    assert np.isfinite(rho).all()
+    limit = noisy_joint_state(KET_UP, 0.4, replace(errors, phi_jitter_sigma=40.0))
+    np.testing.assert_allclose(rho, limit, rtol=0.0, atol=1e-15)
+    assert entanglement_fidelity(rho, KET_UP, 0.4) < entanglement_fidelity(
+        noisy_joint_state(KET_UP, 0.4, errors), KET_UP, 0.4
+    )
+
+
+@pytest.mark.parametrize(
+    "state, phase, match",
+    [
+        ((0.0, 0.0), 0.3, "norm"),
+        ((1.0, math.nan), 0.3, "norm"),
+        ((math.inf, 1.0), 0.3, "norm"),
+        ((1.0, 0.0), math.nan, "phase"),
+        ((1.0, 0.0), math.inf, "phase"),
+        ((1.0, 0.0), -math.inf, "phase"),
+    ],
+)
+def test_joint_states_reject_a_degenerate_input(state, phase, match):
+    psi = np.array(state)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: noisy_joint_state(psi, phase, ErrorBudget.nominal()),
+            lambda: joint_state(psi, phase),
+            lambda: entanglement_fidelity(np.eye(4) / 4, psi, phase),
+        ):
+            with pytest.raises(ValueError, match=match):
+                call()

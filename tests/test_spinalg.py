@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -20,6 +22,7 @@ from spinherald.spinalg import (
     rotation_bloch,
     state_fidelity,
     to_bloch,
+    unit_state,
 )
 
 
@@ -278,3 +281,20 @@ def test_equal_up_to_phase():
     u = rotation(random_axis(rng), 0.9)
     assert equal_up_to_phase(u, np.exp(0.31j) * u)
     assert not equal_up_to_phase(u, rotation((0, 0, 1), 2.0) @ u)
+
+
+def test_unit_state_scales_to_unit_norm():
+    psi = unit_state([3.0, 4.0j])
+    assert psi.dtype == complex
+    assert np.allclose(psi, [0.6, 0.8j], atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "psi", [[0.0, 0.0], [1.0, np.nan], [np.inf, 0.0], [1.0, complex(0.0, np.nan)]]
+)
+def test_zero_or_non_finite_states_are_rejected(psi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (unit_state, density, lambda v: state_fidelity(ID2 / 2, v)):
+            with pytest.raises(ValueError, match="norm"):
+                call(np.array(psi, dtype=complex))
