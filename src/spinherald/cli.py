@@ -634,9 +634,9 @@ def _chunk_task(task) -> tuple[int, ShotCounts, bytes | None]:
     return index, ShotCounts.of(frame, n_bins), lines
 
 
-# glibc's malloc thresholds for a pool worker: a chunk's largest array, its
-# draw buffer, stays below the mmap threshold, and one chunk's working set
-# below the trim threshold, so the pages a chunk frees serve the next chunk
+# glibc's malloc thresholds for a pool worker: each array of a chunk, the
+# largest its records matrix, stays below the mmap threshold, and its working
+# set below the trim threshold, so the pages a chunk frees serve the next one
 _MMAP_THRESHOLD = 1 << (_CHUNK * DRAWS_PER_SHOT * 8).bit_length()  # 8 MiB
 _TRIM_THRESHOLD = 8 * _MMAP_THRESHOLD
 

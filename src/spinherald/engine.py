@@ -9,12 +9,14 @@ pulse and a projective z measurement (with flip error).
 Randomness contract: shot i consumes a fixed block of 12 uniform variates
 taken from a Philox counter stream keyed by the run seed.  `run_chunks`
 simulates any contiguous range of shots from its own counter blocks as a
-stream of frames of at most 2^16 shots, which bounds the draws and
-temporaries held at once; the produced records are bit-identical for any
-partition of the shot range.  `run_experiment` concatenates that stream.
+stream of frames of at most 2^16 shots, which bounds the rows a caller holds
+at once; inside a frame the kernel runs block by block, 2^13 shots at a
+time, which bounds its draws and temporaries.  The produced records are
+bit-identical for any partition of the shot range.  `run_experiment`
+concatenates that stream.
 
 The per-shot state is a Bloch vector, held component-major in one (3, n)
-array per run whose x, y and z rows are contiguous; fixed pulses act on it
+array per block whose x, y and z rows are contiguous; fixed pulses act on it
 as elementwise 3x3 updates.  Scattering branch operators enter through their
 4x4 Pauli transfer matrices conjugated by the per-shot precession phase, one
 cos/sin of which serves both conjugations.
@@ -67,9 +69,12 @@ TAU = 2.0 * math.pi
 # every other slot its variate.
 DRAWS_PER_SHOT = 12
 _BLOCKS_PER_SHOT = DRAWS_PER_SHOT // 4
-# Shots per frame of run_chunks: bounds the draws and kernel temporaries
-# held at once, whatever the shot count.
+# Shots per frame of run_chunks: bounds the rows a caller holds at once,
+# whatever the shot count.
 _CHUNK = 1 << 16
+# Shots per kernel pass inside a frame: bounds the draw buffer, the (3, n)
+# state and every kernel temporary.
+_BLOCK = 1 << 13
 
 
 class UnsupportedCorrectionError(ValueError):
@@ -354,9 +359,12 @@ _AS241_FAR = (
 
 
 def _horner(coefficients, r: np.ndarray) -> np.ndarray:
-    acc = coefficients[0]
-    for c in coefficients[1:]:
-        acc = acc * r + c
+    """The polynomial at r, in place: the roundings of acc * r + c."""
+    acc = coefficients[0] * r
+    acc += coefficients[1]
+    for c in coefficients[2:]:
+        acc *= r
+        acc += c
     return acc
 
 
@@ -375,11 +383,11 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     qt = q[tail]
     r = np.sqrt(-np.log(np.where(qt <= 0.0, u[tail], 1.0 - u[tail])))
     (near_num, near_den), (far_num, far_den) = _AS241_NEAR, _AS241_FAR
-    xt = np.where(
-        r <= 5.0,
-        _horner(near_num, r - 1.6) / _horner(near_den, r - 1.6),
-        _horner(far_num, r - 5.0) / _horner(far_den, r - 5.0),
-    )
+    xt = _horner(near_num, r - 1.6) / _horner(near_den, r - 1.6)
+    far = r > 5.0  # u within e^-25 of 0 or 1: rare, so evaluated only where met
+    if far.any():
+        rf = r[far] - 5.0
+        xt[far] = _horner(far_num, rf) / _horner(far_den, rf)
     x[tail] = np.where(qt < 0.0, -xt, xt)
     return x
 
@@ -402,7 +410,7 @@ def _effective_vectors(basis: PolarizationBasis, errors: ErrorBudget) -> np.ndar
 @lru_cache(maxsize=64)
 def _pulse_matrix(spec: RotationSpec | None) -> np.ndarray:
     """Bloch matrix of a fixed pulse (the identity for none), built once per
-    run however many chunks apply it; it is shared, so never write to it."""
+    run however many blocks apply it; it is shared, so never write to it."""
     return np.eye(3) if spec is None else spec.bloch_matrix()
 
 
@@ -500,7 +508,7 @@ def _apply_correction(basis, branch, phi_rec, bloch):
 
 
 def _simulate_rows(config, seq, draws, first_shot_id: int, bloch) -> ShotFrame:
-    """The chunk's shots from their draws, with `bloch` as the (3, n) state."""
+    """The block's shots from their draws, with `bloch` as the (3, n) state."""
     err = config.errors
     n = draws.shape[0]
 
@@ -541,9 +549,12 @@ def run_chunks(config: ExperimentConfig, seq: PulseSequence, lo: int = 0, hi=Non
     empty frame.
 
     Shot i consumes the draw block derived from (seed, i) only: the run's
-    Philox stream is advanced to lo's counter block and read on, chunk after
-    chunk, into one reused draw buffer.  A chunk of 12 draws per shot ends
-    on a counter boundary, so each chunk reads what `advance` would reach.
+    Philox stream is advanced to lo's counter block and read on, block after
+    block of at most `_BLOCK` shots, into one reused draw buffer, and each
+    block's rows are written into its frame's columns (which holds less at
+    once than joining the blocks' frames).  A block of 12 draws per shot
+    ends on a counter boundary, so each block reads what `advance` would
+    reach.
     """
     hi = config.shots if hi is None else hi
     if not 0 <= lo <= hi <= config.shots:
@@ -552,11 +563,19 @@ def run_chunks(config: ExperimentConfig, seq: PulseSequence, lo: int = 0, hi=Non
     bg = np.random.Philox(key=key)
     bg.advance(lo * _BLOCKS_PER_SHOT)
     rng = np.random.Generator(bg)
-    buf = np.empty((min(hi - lo, _CHUNK), DRAWS_PER_SHOT))
+    buf = np.empty((min(hi - lo, _BLOCK), DRAWS_PER_SHOT))
     state = np.empty((3, len(buf)))
     for start in range(lo, hi, _CHUNK) or (lo,):
         m = min(hi - start, _CHUNK)
-        yield _simulate_rows(config, seq, rng.random(out=buf[:m]), start, state[:, :m])
+        columns = None
+        for b in range(0, m, _BLOCK) or (0,):
+            k = min(m - b, _BLOCK)
+            draws = rng.random(out=buf[:k])
+            rows = _simulate_rows(config, seq, draws, start + b, state[:, :k])._columns()
+            columns = columns or [np.empty(m, col.dtype) for col in rows]
+            for column, col in zip(columns, rows):
+                column[b : b + k] = col
+        yield ShotFrame(*columns)
 
 
 def run_experiment(

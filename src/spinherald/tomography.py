@@ -358,6 +358,8 @@ class ShotCounts:
     def of(cls, shots, n_bins: int) -> "ShotCounts":
         """Counts of `shots`: any object with branch, phi_tac, outcome_up and
         n_attempts columns, such as an engine ShotFrame."""
+        if n_bins < 1:
+            raise ValueError(f"n_bins must be >= 1, got {n_bins!r}")
         branch = np.asarray(shots.branch, dtype=np.int64)
         cell = (branch * n_bins + _phase_bin(shots.phi_tac, n_bins)) * 2
         cell += np.asarray(shots.outcome_up, dtype=bool)

@@ -577,6 +577,14 @@ def test_read_counts_adds_settings_across_blocks(tmp_path, monkeypatch):
         assert counts[key].attempts == oracle.attempts
 
 
+@pytest.mark.parametrize("n_bins", [0, -1])
+def test_read_counts_rejects_fewer_than_one_bin(tmp_path, n_bins):
+    path = tmp_path / "r.csv"
+    path.write_text(RECORDS_HEADER + random_rows(20, (0, 1), 3))
+    with pytest.raises(ValueError, match=rf"n_bins must be >= 1, got {n_bins}"):
+        read_counts(path, n_bins)
+
+
 def test_tomo_records_in_small_blocks_equals_simulate(tmp_path, monkeypatch):
     monkeypatch.setattr(spinherald.cli, "_READ_BLOCK", 100)
     for flt in ("all", "V", "H", "corrected"):

@@ -2,6 +2,7 @@ import math
 import statistics
 import tracemalloc
 import warnings
+from collections import deque
 from dataclasses import replace
 from functools import reduce
 from operator import add
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from spinherald.engine import (
+    _BLOCK,
     _CHUNK,
     _apply_correction,
     _apply_scatter_block,
@@ -19,6 +21,7 @@ from spinherald.engine import (
     ExperimentConfig,
     PulseSequence,
     RotationSpec,
+    ShotFrame,
     UnsupportedCorrectionError,
     correction_for,
     derive_seed,
@@ -401,6 +404,40 @@ def test_run_chunks_streams_bounded_frames_from_lo():
     for c in chunks:
         assert c.equals(frame.select(c.shot_id))
     assert [len(c) for c in run_chunks(cfg, seq, 5, 5)] == [0]
+
+
+@pytest.mark.parametrize(
+    "name, errors", [("corrected_HV", ErrorBudget.nominal()), ("ramsey_HV", ErrorBudget())]
+)
+def test_streaming_memory_is_bounded_by_the_block(name, errors):
+    cfg = ideal_config(1 << 18, 23, errors=errors)
+    tracemalloc.start()
+    try:
+        deque(run_chunks(cfg, get_sequence(name)), maxlen=0)  # drops each frame
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one frame's columns plus one block's draws, state and temporaries
+    assert peak <= 10 * 10**6
+
+
+def test_rows_at_block_edges_match_the_whole_run():
+    cfg = ideal_config(_CHUNK + 2 * _BLOCK + 3, 24, p_exc=0.4, errors=ErrorBudget.nominal())
+    seq = get_sequence("corrected_45")
+    frame = run_experiment(cfg, seq)
+    assert frame.shot_id.tolist() == list(range(cfg.shots))
+    for i in (_BLOCK - 1, _BLOCK, _CHUNK - 1, _CHUNK + _BLOCK):
+        assert run_experiment(cfg, seq, i, i + 1).equals(frame.select(slice(i, i + 1)))
+    # a partition cut at block edges and just off them
+    bounds = (0, _BLOCK - 1, _BLOCK, 3 * _BLOCK, _CHUNK - 1, _CHUNK + _BLOCK, cfg.shots)
+    parts = [run_experiment(cfg, seq, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    whole, summed = ShotCounts.of(frame, 7), reduce(add, (ShotCounts.of(p, 7) for p in parts))
+    assert np.array_equal(summed.n, whole.n)
+    assert summed.attempts == whole.attempts
+    # frames stay _CHUNK shots whatever block a range starts in
+    chunks = list(run_chunks(cfg, seq, _BLOCK - 1))
+    assert [len(c) for c in chunks] == [_CHUNK, cfg.shots - _BLOCK + 1 - _CHUNK]
+    assert ShotFrame.concat(chunks).equals(frame.select(slice(_BLOCK - 1, None)))
 
 
 def test_attempt_count_beyond_int64_is_rejected():

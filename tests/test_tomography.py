@@ -422,6 +422,13 @@ def test_shot_counts_add_and_sum_attempts_exactly():
     assert np.array_equal(total.n, ShotCounts.of(a, 4).n + ShotCounts.of(b, 4).n)
 
 
+@pytest.mark.parametrize("n_bins", [0, -1])
+def test_shot_counts_reject_fewer_than_one_bin(n_bins):
+    shots = random_shots(np.random.default_rng(34), 10)
+    with pytest.raises(ValueError, match=rf"n_bins must be >= 1, got {n_bins}"):
+        ShotCounts.of(shots, n_bins)
+
+
 # ---------------------------------------------------------------------------
 # full pipeline smoke
 # ---------------------------------------------------------------------------
