@@ -46,7 +46,6 @@ from .engine import (
     correction_for,
     get_sequence,
     noisy_joint_state,
-    run_chunks,
     run_experiment,
     run_plan,
     standard_sequences,

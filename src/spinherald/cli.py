@@ -17,16 +17,16 @@ reported.
 
 Every command spreads its work over a process pool sized to the CPUs this
 process may use and collects the results in order.  The commands that run
-the engine (simulate, tomo --manifest, ramsey, sweep) hand a worker a whole
-engine chunk, which it reduces to counts and, for simulate, formats as
+the engine (simulate, tomo --manifest, ramsey, sweep) hand a worker a chunk
+of `_CHUNK` shots, which it reduces to counts and, for simulate, formats as
 records lines; tomo --records hands it a range of whole lines of the
 records file, which it reads, parses and counts.  Records and summaries are
 the same bytes as a run in one process, and there is no option to set.  On
 Linux with glibc a worker keeps the pages a chunk frees for its next chunk
 instead of faulting them in again; the calling process's allocator, which
 also serves a run in process, is left as it is.  read_counts uses the same
-pool; the other library functions (run_chunks, write_records, read_records,
-...) run in the calling process.
+pool; the other library functions (run_experiment, write_records,
+read_records, ...) run in the calling process.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ import numpy as np
 
 from . import __version__
 from .engine import (
-    _CHUNK,
-    DRAWS_PER_SHOT,
     ErrorBudget,
     ExperimentConfig,
     PulseSequence,
@@ -57,7 +55,7 @@ from .engine import (
     get_sequence,
     noisy_joint_state,
     plan_runs,
-    run_chunks,
+    run_experiment,
 )
 from .scattering import PolarizationBasis, entanglement_fidelity
 from .spinalg import KET_UP
@@ -81,6 +79,7 @@ _FILTER_BRANCHES = {
 FILTERS = tuple(_FILTER_BRANCHES)
 # the most phi_tac bins a run may ask for: its counts hold 6 int64 per bin
 _MAX_BINS = 4096
+_CHUNK = 1 << 16  # shots of a pool task and of a slice that write_records formats
 
 
 class ManifestError(ValueError):
@@ -394,8 +393,7 @@ def write_records(path, frames_by_setting: dict) -> None:
     for setting_id, f in frames_by_setting.items():
         _check_records(setting_id, f)
     with _open_records(path) as fh:
-        for setting_id in sorted(frames_by_setting):
-            f = frames_by_setting[setting_id]
+        for setting_id, f in sorted(frames_by_setting.items()):
             for lo in range(0, len(f), _CHUNK):
                 fh.write(_record_lines(setting_id, f.select(slice(lo, lo + _CHUNK))))
 
@@ -513,6 +511,8 @@ def read_counts(path, n_bins: int) -> dict[int, ShotCounts]:
     """Counts of each setting of a records file, in ascending setting order,
     counted range by range on a `_ChunkPool` whose workers each read their
     own range of the file, and added in file order: memory stays bounded."""
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be >= 1, got {n_bins!r}")
     counts = {}
     with _ChunkPool() as pool:
         for part in _record_blocks(path, n_bins, pool.map):
@@ -629,15 +629,15 @@ def _chunk_task(task) -> tuple[int, ShotCounts, bytes | None]:
     (index, config, sequence, lo, hi, n_bins, with_records): shots lo ... hi-1
     of one setting's run, its lines formatted only when asked for."""
     index, cfg, seq, lo, hi, n_bins, with_records = task
-    (frame,) = run_chunks(cfg, seq, lo, hi)  # hi - lo <= _CHUNK: one frame
+    frame = run_experiment(cfg, seq, lo, hi)
     lines = _record_lines(index, frame) if with_records else None
     return index, ShotCounts.of(frame, n_bins), lines
 
 
 # glibc's malloc thresholds for a pool worker: each array of a chunk, the
-# largest its records matrix, stays below the mmap threshold, and its working
-# set below the trim threshold, so the pages a chunk frees serve the next one
-_MMAP_THRESHOLD = 1 << (_CHUNK * DRAWS_PER_SHOT * 8).bit_length()  # 8 MiB
+# largest its records matrix of <= 91 bytes a shot, stays below the mmap
+# threshold and its working set below the trim one, so freed pages are reused
+_MMAP_THRESHOLD = 1 << (_CHUNK * 91).bit_length()  # 8 MiB
 _TRIM_THRESHOLD = 8 * _MMAP_THRESHOLD
 
 

@@ -7,13 +7,11 @@ undetected scattering event, the heralded correction pulse, the analysis
 pulse and a projective z measurement (with flip error).
 
 Randomness contract: shot i consumes a fixed block of 12 uniform variates
-taken from a Philox counter stream keyed by the run seed.  `run_chunks`
-simulates any contiguous range of shots from its own counter blocks as a
-stream of frames of at most 2^16 shots, which bounds the rows a caller holds
-at once; inside a frame the kernel runs block by block, 2^13 shots at a
-time, which bounds its draws and temporaries.  The produced records are
-bit-identical for any partition of the shot range.  `run_experiment`
-concatenates that stream.
+taken from a Philox counter stream keyed by the run seed.  `run_experiment`
+simulates any contiguous range of shots from its own counter blocks, block
+by block, 2^13 shots at a time, which bounds its draws and temporaries
+next to the range's columns.  The produced records are bit-identical for
+any partition of the shot range.
 
 The per-shot state is a Bloch vector, held component-major in one (3, n)
 array per block whose x, y and z rows are contiguous; fixed pulses act on it
@@ -51,7 +49,6 @@ __all__ = [
     "correction_for",
     "standard_sequences",
     "get_sequence",
-    "run_chunks",
     "run_experiment",
     "plan_runs",
     "run_plan",
@@ -69,11 +66,8 @@ TAU = 2.0 * math.pi
 # every other slot its variate.
 DRAWS_PER_SHOT = 12
 _BLOCKS_PER_SHOT = DRAWS_PER_SHOT // 4
-# Shots per frame of run_chunks: bounds the rows a caller holds at once,
-# whatever the shot count.
-_CHUNK = 1 << 16
-# Shots per kernel pass inside a frame: bounds the draw buffer, the (3, n)
-# state and every kernel temporary.
+# Shots per kernel pass: bounds the draw buffer, the (3, n) state and every
+# kernel temporary.
 _BLOCK = 1 << 13
 
 
@@ -543,18 +537,18 @@ def _simulate_rows(config, seq, draws, first_shot_id: int, bloch) -> ShotFrame:
 # ---------------------------------------------------------------------------
 
 
-def run_chunks(config: ExperimentConfig, seq: PulseSequence, lo: int = 0, hi=None):
-    """Rows lo ... hi-1 of the run (hi defaults to config.shots) as
-    consecutive frames of at most `_CHUNK` shots; an empty range is one
-    empty frame.
+def run_experiment(
+    config: ExperimentConfig, seq: PulseSequence, lo: int = 0, hi=None
+) -> ShotFrame:
+    """Rows lo ... hi-1 (by default all `config.shots`) of a run of
+    independent shots of a sequence; an empty range is an empty frame.
 
     Shot i consumes the draw block derived from (seed, i) only: the run's
     Philox stream is advanced to lo's counter block and read on, block after
     block of at most `_BLOCK` shots, into one reused draw buffer, and each
-    block's rows are written into its frame's columns (which holds less at
-    once than joining the blocks' frames).  A block of 12 draws per shot
-    ends on a counter boundary, so each block reads what `advance` would
-    reach.
+    block's rows are written into the range's columns, allocated once.  A
+    block of 12 draws per shot ends on a counter boundary, so each block
+    reads what `advance` would reach.
     """
     hi = config.shots if hi is None else hi
     if not 0 <= lo <= hi <= config.shots:
@@ -563,28 +557,18 @@ def run_chunks(config: ExperimentConfig, seq: PulseSequence, lo: int = 0, hi=Non
     bg = np.random.Philox(key=key)
     bg.advance(lo * _BLOCKS_PER_SHOT)
     rng = np.random.Generator(bg)
-    buf = np.empty((min(hi - lo, _BLOCK), DRAWS_PER_SHOT))
+    n = hi - lo
+    buf = np.empty((min(n, _BLOCK), DRAWS_PER_SHOT))
     state = np.empty((3, len(buf)))
-    for start in range(lo, hi, _CHUNK) or (lo,):
-        m = min(hi - start, _CHUNK)
-        columns = None
-        for b in range(0, m, _BLOCK) or (0,):
-            k = min(m - b, _BLOCK)
-            draws = rng.random(out=buf[:k])
-            rows = _simulate_rows(config, seq, draws, start + b, state[:, :k])._columns()
-            columns = columns or [np.empty(m, col.dtype) for col in rows]
-            for column, col in zip(columns, rows):
-                column[b : b + k] = col
-        yield ShotFrame(*columns)
-
-
-def run_experiment(
-    config: ExperimentConfig, seq: PulseSequence, lo: int = 0, hi=None
-) -> ShotFrame:
-    """Rows lo ... hi-1 (by default all `config.shots`) of a run of
-    independent shots of a sequence: the frames of `run_chunks`
-    concatenated in order."""
-    return ShotFrame.concat(run_chunks(config, seq, lo, hi))
+    columns = None
+    for b in range(0, n, _BLOCK) or (0,):
+        k = min(n - b, _BLOCK)
+        draws = rng.random(out=buf[:k])
+        rows = _simulate_rows(config, seq, draws, lo + b, state[:, :k])._columns()
+        columns = columns or [np.empty(n, col.dtype) for col in rows]
+        for column, col in zip(columns, rows):
+            column[b : b + k] = col
+    return ShotFrame(*columns)
 
 
 def plan_runs(config: ExperimentConfig, seq: PulseSequence, settings):

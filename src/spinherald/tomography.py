@@ -17,6 +17,7 @@ are the semi-axes of the ellipsoid that the pure-state sphere maps onto.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,15 +126,20 @@ def tomography_plan() -> list[TomographySetting]:
     return plan
 
 
-def _up_counts(value) -> tuple[int, int]:
-    """(n_up, n) of one setting: given as such a pair, or counted from
-    boolean outcomes or an object with an `outcome_up` attribute."""
+def _up_counts(setting, value) -> tuple[int, int]:
+    """(n_up, n) of one setting: given as such a pair of integers, or counted
+    from 1-d bool outcomes or an object with an `outcome_up` attribute."""
     if isinstance(value, tuple):
-        n_up, n = map(int, value)
+        try:
+            n_up, n = map(operator.index, value)
+        except (TypeError, ValueError):
+            raise ValueError(f"setting {setting}: {value!r} is not an integer pair") from None
         if not 0 <= n_up <= n:
-            raise ValueError(f"up count {n_up} is not within [0, {n}]")
+            raise ValueError(f"setting {setting}: up count {n_up} is not within [0, {n}]")
         return n_up, n
-    up = np.asarray(getattr(value, "outcome_up", value), dtype=bool)
+    up = np.asarray(getattr(value, "outcome_up", value))
+    if up.dtype != bool or up.ndim != 1:
+        raise ValueError(f"setting {setting}: outcomes are not a 1-d bool array")
     return int(np.count_nonzero(up)), len(up)
 
 
@@ -141,7 +147,7 @@ def estimate_ptm(outcomes_by_setting) -> np.ndarray:
     """Pauli transfer matrix by least-squares linear inversion.
 
     `outcomes_by_setting` maps the plan index to its up/down outcomes: an
-    (n_up, n) pair of counts, a boolean array or an object with an
+    (n_up, n) tuple of integer counts, a 1-d bool array or an object with an
     `outcome_up` attribute.  For measurement axis j the model
     <a_j> = t_j + T_j . r_k is solved over the four prepared Bloch vectors
     r_k; the estimate is unbiased for the true channel in the infinite-shot
@@ -151,7 +157,7 @@ def estimate_ptm(outcomes_by_setting) -> np.ndarray:
     stray = sorted(set(outcomes_by_setting) - {s.index for s in plan})
     if stray:
         raise ValueError(f"settings outside the {len(plan)}-setting plan: {stray}")
-    counts = {k: _up_counts(v) for k, v in outcomes_by_setting.items()}
+    counts = {k: _up_counts(k, v) for k, v in outcomes_by_setting.items()}
     missing = [s.label for s in plan if counts.get(s.index, (0, 0))[1] == 0]
     if missing:
         raise IncompleteDataError(f"settings without records: {missing}")

@@ -31,8 +31,8 @@ from spinherald.cli import (
     write_records,
 )
 import spinherald.cli
+from spinherald.cli import _CHUNK
 from spinherald.engine import (
-    _CHUNK,
     DRAWS_PER_SHOT,
     ShotFrame,
     UnsupportedCorrectionError,
@@ -583,6 +583,15 @@ def test_read_counts_rejects_fewer_than_one_bin(tmp_path, n_bins):
     path.write_text(RECORDS_HEADER + random_rows(20, (0, 1), 3))
     with pytest.raises(ValueError, match=rf"n_bins must be >= 1, got {n_bins}"):
         read_counts(path, n_bins)
+
+
+@pytest.mark.parametrize("n_bins", [0, -1])
+def test_read_counts_checks_its_bins_before_reading(tmp_path, n_bins):
+    path = tmp_path / "r.csv"
+    path.write_text(RECORDS_HEADER)  # no rows, so no range is ever counted
+    for records in (path, tmp_path / "missing.csv"):
+        with pytest.raises(ValueError, match=rf"n_bins must be >= 1, got {n_bins}"):
+            read_counts(records, n_bins)
 
 
 def test_tomo_records_in_small_blocks_equals_simulate(tmp_path, monkeypatch):
@@ -1473,6 +1482,11 @@ def test_keep_freed_pages_sets_both_malloc_thresholds():
     mmap, trim = spinherald.cli._MMAP_THRESHOLD, spinherald.cli._TRIM_THRESHOLD
     assert calls == [(-3, mmap), (-1, trim)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
     assert _CHUNK * DRAWS_PER_SHOT * 8 < mmap < trim  # the draw buffer stays on the heap
+    # so does a chunk's largest array, its records matrix: lines of at most a
+    # 19-digit shot_id, ",<19-digit setting_id>,", the branch and ",", the
+    # phi_tac columns, ",", 4 outcome columns, ",", a 19-digit n_attempts, "\n"
+    widest = 19 + 21 + 2 + spinherald.cli._PHI_WIDTH + 1 + 4 + 1 + 19 + 1
+    assert widest == 91 and _CHUNK * widest < mmap
     spinherald.cli._keep_freed_pages(SimpleNamespace())  # a libc without mallopt
 
 

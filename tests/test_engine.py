@@ -2,7 +2,6 @@ import math
 import statistics
 import tracemalloc
 import warnings
-from collections import deque
 from dataclasses import replace
 from functools import reduce
 from operator import add
@@ -12,7 +11,6 @@ import pytest
 
 from spinherald.engine import (
     _BLOCK,
-    _CHUNK,
     _apply_correction,
     _apply_scatter_block,
     _ndtri,
@@ -21,16 +19,15 @@ from spinherald.engine import (
     ExperimentConfig,
     PulseSequence,
     RotationSpec,
-    ShotFrame,
     UnsupportedCorrectionError,
     correction_for,
     derive_seed,
     get_sequence,
     noisy_joint_state,
-    run_chunks,
     run_experiment,
     standard_sequences,
 )
+from spinherald.cli import _CHUNK
 from spinherald.scattering import (
     PolarizationBasis,
     branch_operators,
@@ -366,6 +363,11 @@ def test_run_range_matches_run_experiment_rows():
     assert len(frame) == cfg.shots
     for i in (_CHUNK - 1, _CHUNK, cfg.shots - 1):
         assert run_experiment(cfg, seq, i, i + 1).equals(frame.select(frame.shot_id == i))
+    # a range from lo to the end, and an empty range with a full run's dtypes
+    assert run_experiment(cfg, seq, 7).equals(frame.select(slice(7, None)))
+    empty = run_experiment(cfg, seq, 5, 5)
+    assert len(empty) == 0
+    assert [c.dtype for c in empty._columns()] == [c.dtype for c in frame._columns()]
 
 
 def test_run_experiment_memory_is_bounded_by_chunks():
@@ -395,30 +397,21 @@ def test_counts_of_a_run_equal_the_sum_over_an_uneven_partition():
     assert whole.n.sum() == cfg.shots
 
 
-def test_run_chunks_streams_bounded_frames_from_lo():
-    cfg = ideal_config(2 * _CHUNK + 3, 22, errors=ErrorBudget.nominal())
-    seq = get_sequence("ramsey_HV")
-    frame = run_experiment(cfg, seq)
-    chunks = list(run_chunks(cfg, seq, 7, cfg.shots))
-    assert [len(c) for c in chunks] == [_CHUNK, cfg.shots - 7 - _CHUNK]
-    for c in chunks:
-        assert c.equals(frame.select(c.shot_id))
-    assert [len(c) for c in run_chunks(cfg, seq, 5, 5)] == [0]
-
-
+@pytest.mark.parametrize("shots", [1 << 18, 1 << 20])
 @pytest.mark.parametrize(
     "name, errors", [("corrected_HV", ErrorBudget.nominal()), ("ramsey_HV", ErrorBudget())]
 )
-def test_streaming_memory_is_bounded_by_the_block(name, errors):
-    cfg = ideal_config(1 << 18, 23, errors=errors)
+def test_run_experiment_memory_is_bounded_by_the_block(name, errors, shots):
+    cfg = ideal_config(shots, 23, errors=errors)
     tracemalloc.start()
     try:
-        deque(run_chunks(cfg, get_sequence(name)), maxlen=0)  # drops each frame
+        frame = run_experiment(cfg, get_sequence(name))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one frame's columns plus one block's draws, state and temporaries
-    assert peak <= 10 * 10**6
+    # beyond the range's columns: one block's draws, state and temporaries
+    nbytes = sum(col.nbytes for col in frame._columns())
+    assert peak - nbytes <= 4 * 10**6
 
 
 def test_rows_at_block_edges_match_the_whole_run():
@@ -434,10 +427,8 @@ def test_rows_at_block_edges_match_the_whole_run():
     whole, summed = ShotCounts.of(frame, 7), reduce(add, (ShotCounts.of(p, 7) for p in parts))
     assert np.array_equal(summed.n, whole.n)
     assert summed.attempts == whole.attempts
-    # frames stay _CHUNK shots whatever block a range starts in
-    chunks = list(run_chunks(cfg, seq, _BLOCK - 1))
-    assert [len(c) for c in chunks] == [_CHUNK, cfg.shots - _BLOCK + 1 - _CHUNK]
-    assert ShotFrame.concat(chunks).equals(frame.select(slice(_BLOCK - 1, None)))
+    # a range that starts one shot before a block edge
+    assert run_experiment(cfg, seq, _BLOCK - 1).equals(frame.select(slice(_BLOCK - 1, None)))
 
 
 def test_attempt_count_beyond_int64_is_rejected():

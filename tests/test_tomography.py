@@ -137,6 +137,22 @@ def test_estimate_ptm_from_counts_equals_outcome_arrays():
         estimate_ptm(counts)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [[30, 100], (30.9, 100.7), np.array([2, 0, 5]), np.ones((2, 3), bool)],
+    ids=["list", "floats", "ints", "2-d"],
+)
+def test_estimate_ptm_rejects_counts_that_are_neither_integers_nor_booleans(bad):
+    rng = np.random.default_rng(37)
+    outcomes = bernoulli_outcomes(channel_p_up(np.eye(3)), 100, rng)
+    counts = {k: (int(up.sum()), len(up)) for k, up in outcomes.items()}
+    counts[4] = (np.int64(counts[4][0]), np.int32(counts[4][1]))  # numpy integers pass
+    estimate_ptm(counts)
+    counts[4] = bad
+    with pytest.raises(ValueError, match="setting 4: "):
+        estimate_ptm(counts)
+
+
 # ---------------------------------------------------------------------------
 # chi <-> ptm
 # ---------------------------------------------------------------------------
