@@ -24,9 +24,9 @@ records file, which it reads, parses and counts.  Records and summaries are
 the same bytes as a run in one process, and there is no option to set.  On
 Linux with glibc a worker keeps the pages a chunk frees for its next chunk
 instead of faulting them in again; the calling process's allocator, which
-also serves a run in process, is left as it is.  read_counts uses the same
-pool; the other library functions (run_experiment, write_records,
-read_records, ...) run in the calling process.
+also serves a run in process, is left as it is.  read_counts, the one
+records reader, uses the same pool; the other library functions
+(run_experiment, run_plan, ...) run in the calling process.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from functools import reduce
 from operator import add
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,6 +68,7 @@ from .tomography import (
 )
 
 RECORD_COLUMNS = ("shot_id", "setting_id", "branch", "phi_tac", "outcome", "n_attempts")
+_HEADER = ",".join(RECORD_COLUMNS).encode()  # a records file's first line
 # recorded branches each filter keeps: V and H condition on their detector
 # branch, the others keep every shot
 _FILTER_BRANCHES = {
@@ -79,7 +81,7 @@ _FILTER_BRANCHES = {
 FILTERS = tuple(_FILTER_BRANCHES)
 # the most phi_tac bins a run may ask for: its counts hold 6 int64 per bin
 _MAX_BINS = 4096
-_CHUNK = 1 << 16  # shots of a pool task and of a slice that write_records formats
+_CHUNK = 1 << 16  # shots of a pool task
 
 
 class ManifestError(ValueError):
@@ -262,16 +264,9 @@ _OUTCOME_BYTES = np.frombuffer(b"downup\0\0", np.uint8).reshape(2, 4).T
 _PHI_WIDTH = 23
 
 
-def _open_records(path):
-    """A new records file, open for binary writing, holding the header line."""
-    fh = Path(path).open("wb")
-    fh.write(",".join(RECORD_COLUMNS).encode() + b"\n")
-    return fh
-
-
 def _check_records(setting_id: int, f: ShotFrame) -> None:
     """ValueError, naming the setting and the column, unless every value of
-    the frame lies in the grammar of `read_records`."""
+    the frame lies in the grammar of `read_counts`."""
     for column, ok, rule in (
         ("setting_id", 0 <= setting_id < 2**63, "a non-negative int64"),
         ("shot_id", f.shot_id.min(initial=0) >= 0, "non-negative"),
@@ -357,7 +352,7 @@ def _phi_columns(rows: np.ndarray, x: np.ndarray) -> None:
 
 def _record_lines(setting_id: int, f: ShotFrame) -> bytes:
     """The records lines of one frame's shots, as ASCII bytes; ValueError if
-    a value lies outside the grammar of `read_records`.
+    a value lies outside the grammar of `read_counts`.
 
     One uint8 row per output column of a (width, shots) matrix, each written
     whole: shot_id digits (as many as its largest value has), ",setting_id,",
@@ -386,18 +381,6 @@ def _record_lines(setting_id: int, f: ShotFrame) -> bytes:
     return M.T.tobytes().translate(None, b"\0")  # tobytes writes line after line
 
 
-def write_records(path, frames_by_setting: dict) -> None:
-    """One line per shot: shot_id, setting_id, branch, phi_tac (9 significant
-    digits), outcome, n_attempts; settings in ascending order.  A value that
-    `read_records` would reject raises ValueError before the file is opened."""
-    for setting_id, f in frames_by_setting.items():
-        _check_records(setting_id, f)
-    with _open_records(path) as fh:
-        for setting_id, f in sorted(frames_by_setting.items()):
-            for lo in range(0, len(f), _CHUNK):
-                fh.write(_record_lines(setting_id, f.select(slice(lo, lo + _CHUNK))))
-
-
 def _parse_block(block: bytes) -> np.ndarray:
     """The lines of a nonempty run of whole lines of a records body as one
     structured row each; ValueError unless every line is a record."""
@@ -418,28 +401,10 @@ def _parse_block(block: bytes) -> np.ndarray:
     return rec
 
 
-def _frames_by_setting(rec: np.ndarray) -> dict[int, ShotFrame]:
-    """One frame per setting_id of parsed rows, in ascending setting order;
-    each frame keeps its rows in file order."""
-    order = np.argsort(rec["setting_id"], kind="stable")
-    setting = rec["setting_id"][order]
-    cuts = np.flatnonzero(np.diff(setting)) + 1
-    columns = (
-        rec["shot_id"],
-        rec["branch"].astype(np.int8),
-        rec["phi_tac"],
-        rec["outcome"] == b"up",
-        rec["n_attempts"],
-    )
-    parts = zip(*(np.split(col[order], cuts) for col in columns))
-    keys = setting[np.r_[0, cuts]].tolist()
-    return {key: ShotFrame(*cols) for key, cols in zip(keys, parts)}
-
-
 def _range_task(task) -> tuple[int, dict | None, tuple | None]:
-    """(rows, frames by setting, None) of the whole lines in bytes lo ... hi-1
-    of a records file (counts in place of frames given n_bins), or (0, None,
-    (index, fields)) of the first line `_parse_block` rejects, by bisection."""
+    """(rows, counts by setting, None) of the whole lines in bytes lo ... hi-1
+    of a records file, or (0, None, (index, fields)) of the first line
+    `_parse_block` rejects, by bisection."""
     path, lo, hi, n_bins = task
     with open(path, "rb") as fh:
         fh.seek(lo)
@@ -457,25 +422,39 @@ def _range_task(task) -> tuple[int, dict | None, tuple | None]:
             except ValueError:
                 hi = mid
         return 0, None, (lo, lines[lo].decode(errors="replace").split(","))
-    frames = _frames_by_setting(rec)
-    if n_bins is not None:
-        frames = {key: ShotCounts.of(f, n_bins) for key, f in frames.items()}
-    return len(rec), frames, None
+    del block  # the counting below peaks without it
+    setting, up, counts = rec["setting_id"], rec["outcome"] == b"up", {}
+    for key in set(setting.tolist()):
+        mask = setting == key
+        shots = SimpleNamespace(  # the columns that ShotCounts.of reads
+            branch=rec["branch"][mask],
+            phi_tac=rec["phi_tac"][mask],
+            outcome_up=up[mask],
+            n_attempts=rec["n_attempts"][mask],
+        )
+        counts[key] = ShotCounts.of(shots, n_bins)
+    return len(rec), counts, None
 
 
-def _record_blocks(path, n_bins=None, run=map):
-    """The body of a records file in ranges of whole lines of about
-    `_READ_BLOCK` bytes, computed by `run(_range_task, tasks)` and yielded
-    in file order, each as `_frames_by_setting` of its rows (or their counts
-    given n_bins); the first line outside the grammar of `read_records`
-    raises a `path:lineno` error."""
+def read_counts(path, n_bins: int) -> dict[int, ShotCounts]:
+    """Counts of each setting of a records file, in ascending setting order.
+
+    After the header, every line must be six comma-separated fields in the
+    writer's form, without whitespace, quotes or blank lines: a non-negative
+    int64 shot_id and setting_id, a branch in {0, 1, 2}, a finite phi_tac,
+    an outcome of up or down and a non-negative int64 n_attempts.  The first
+    line that is not raises a `path:lineno` error.  The body is counted in
+    ranges of whole lines of about `_READ_BLOCK` bytes on a `_ChunkPool`,
+    whose workers each read their own range of the file, and the counts are
+    added in file order: memory stays bounded."""
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be >= 1, got {n_bins!r}")
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"records file not found: {path}")
-    expected = ",".join(RECORD_COLUMNS).encode()
     with path.open("rb") as fh:
-        header = fh.readline(len(expected) + 1).removesuffix(b"\n")
-        if header != expected:
+        header = fh.readline(len(_HEADER) + 1).removesuffix(b"\n")
+        if header != _HEADER:
             header = header.decode(errors="replace")
             raise ValueError(f"{path}: unexpected records header {header!r}")
         lo, size, tasks = fh.tell(), os.fstat(fh.fileno()).st_size, []
@@ -485,37 +464,13 @@ def _record_blocks(path, n_bins=None, run=map):
             hi = min(fh.tell(), size)
             tasks.append((path, lo, hi, n_bins))
             lo = hi
-    rows = 0
-    for n, frames, bad in run(_range_task, tasks):
-        if bad is not None:
-            raise ValueError(f"{path}:{rows + 2 + bad[0]}: malformed record {bad[1]!r}")
-        rows += n
-        yield frames
-
-
-def read_records(path) -> dict[int, ShotFrame]:
-    """Parse a records file into one frame per setting, in ascending setting
-    order.  After the header, every line must be six comma-separated fields
-    in the writer's form, without whitespace, quotes or blank lines: a
-    non-negative int64 shot_id and setting_id, a branch in {0, 1, 2}, a
-    finite phi_tac, an outcome of up or down and a non-negative int64
-    n_attempts.  The first line that is not raises a `path:lineno` error."""
-    parts = {}
-    for frames in _record_blocks(path):
-        for key, frame in frames.items():
-            parts.setdefault(key, []).append(frame)
-    return {key: ShotFrame.concat(parts[key]) for key in sorted(parts)}
-
-
-def read_counts(path, n_bins: int) -> dict[int, ShotCounts]:
-    """Counts of each setting of a records file, in ascending setting order,
-    counted range by range on a `_ChunkPool` whose workers each read their
-    own range of the file, and added in file order: memory stays bounded."""
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins!r}")
-    counts = {}
+    counts, rows = {}, 0
     with _ChunkPool() as pool:
-        for part in _record_blocks(path, n_bins, pool.map):
+        for n, part, bad in pool.map(_range_task, tasks):
+            if bad is not None:
+                lineno = rows + 2 + bad[0]
+                raise ValueError(f"{path}:{lineno}: malformed record {bad[1]!r}")
+            rows += n
             for key, c in part.items():
                 counts[key] = counts[key] + c if key in counts else c
     return dict(sorted(counts.items()))
@@ -800,7 +755,8 @@ def cmd_simulate(
     summary_path = out / "summary.json"
     partial = out / "records.csv.partial"
     try:
-        with _ChunkPool() as pool, _open_records(partial) as fh:
+        with _ChunkPool() as pool, partial.open("wb") as fh:
+            fh.write(_HEADER + b"\n")
             counts = _run_counts(manifest, pool, fh)
         summary = _build_summary(manifest, counts)
     except BaseException:

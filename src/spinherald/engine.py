@@ -285,11 +285,6 @@ class ShotFrame:
     def _columns(self) -> tuple:
         return tuple(getattr(self, f.name) for f in fields(self))
 
-    @classmethod
-    def concat(cls, frames) -> "ShotFrame":
-        """The rows of `frames`, in order, as one frame."""
-        return cls(*map(np.concatenate, zip(*(f._columns() for f in frames))))
-
     def select(self, mask) -> "ShotFrame":
         return ShotFrame(*(col[mask] for col in self._columns()))
 

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -24,13 +26,35 @@ def tomography_frames(sequence_name, errors, seed, shots=SHOTS_PER_SETTING):
     return run_plan(cfg, get_sequence(sequence_name), PLAN)
 
 
-def run_in_ranges(config, seq, parts):
-    """Simulate the shot range as `parts` near-equal contiguous ranges and
-    concatenate them in order."""
+def ranges_equal_serial(serial, config, seq, parts):
+    """True when each of `parts` near-equal contiguous ranges lo ... hi-1 of
+    the shot range, simulated alone, equals those rows of the serial run."""
     bounds = np.linspace(0, config.shots, parts + 1, dtype=int).tolist()
-    return ShotFrame.concat(
-        run_experiment(config, seq, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
+    return all(
+        run_experiment(config, seq, lo, hi).equals(serial.select(slice(lo, hi)))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
     )
+
+
+_FRAME_DTYPES = (np.int64, np.int8, np.float64, bool, np.int64)
+
+
+def read_frames(path):
+    """Reference records reader: one ShotFrame per setting_id, in ascending
+    setting order, each keeping its rows in file order.  Parsed line by line
+    with the csv module, int and float, apart from the reader under test."""
+    with open(path, newline="") as fh:
+        header, *lines = csv.reader(fh)
+    assert ",".join(header) == "shot_id,setting_id,branch,phi_tac,outcome,n_attempts"
+    rows = {}
+    for shot_id, setting_id, branch, phi_tac, outcome, n_attempts in lines:
+        assert outcome in ("up", "down"), outcome
+        row = (int(shot_id), int(branch), float(phi_tac), outcome == "up", int(n_attempts))
+        rows.setdefault(int(setting_id), []).append(row)
+    return {
+        key: ShotFrame(*map(np.array, zip(*rows[key]), _FRAME_DTYPES))
+        for key in sorted(rows)
+    }
 
 
 def oracle_fringe(phi, values, n_bins):

@@ -39,7 +39,7 @@ from conftest import (
     PLAN,
     kraus_transfer,
     oracle_fringe,
-    run_in_ranges,
+    ranges_equal_serial,
     synthetic_outcomes,
     tomography_frames,
 )
@@ -493,7 +493,7 @@ def _check_determinism() -> bool:
     serial = run_experiment(cfg, seq)
     if not serial.equals(run_experiment(cfg, seq)):
         return False
-    return all(serial.equals(run_in_ranges(cfg, seq, parts)) for parts in (2, 5))
+    return all(ranges_equal_serial(serial, cfg, seq, parts) for parts in (2, 5))
 
 
 def _check_oracle_equivalence(rng) -> bool:

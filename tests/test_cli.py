@@ -27,8 +27,6 @@ from spinherald.cli import (
     load_manifest,
     main,
     read_counts,
-    read_records,
-    write_records,
 )
 import spinherald.cli
 from spinherald.cli import _CHUNK
@@ -49,7 +47,7 @@ from spinherald.tomography import (
     tomography_plan,
 )
 
-from conftest import oracle_fringe
+from conftest import oracle_fringe, read_frames
 
 NOMINAL_ERRORS = {
     "p_multi": 0.05,
@@ -289,12 +287,10 @@ def test_records_file_round_trip(tmp_path):
         analysis={"tomography": "true"},
     )
     bundle = cmd_simulate(manifest, tmp_path / "out")
-    tables = read_records(bundle.records_path)
+    tables = read_frames(bundle.records_path)
     assert sorted(tables) == list(range(12))
-    # writing the parsed frames back reproduces the file byte for byte
-    out2 = tmp_path / "copy.csv"
-    write_records(out2, tables)
-    assert out2.read_bytes() == bundle.records_path.read_bytes()
+    # formatting the parsed frames again reproduces the file byte for byte
+    assert records_bytes(tables) == bundle.records_path.read_bytes()
 
 
 def test_summary_json_round_trip(tmp_path):
@@ -324,11 +320,29 @@ def test_read_records_rejects_malformed(tmp_path):
     ):
         bad.write_text(f"shot_id,setting_id,branch,phi_tac,outcome,n_attempts\n{row}\n")
         with pytest.raises(ValueError, match=r"r\.csv:2: malformed record"):
-            read_records(bad)
+            read_counts(bad, 1)
 
 
 RECORDS_HEADER = "shot_id,setting_id,branch,phi_tac,outcome,n_attempts\n"
 GOOD_ROW = "0,0,1,0.5,up,1\n"
+
+
+def records_bytes(frames: dict) -> bytes:
+    """A records file of frames by setting: the header line, then the lines
+    that `_record_lines` formats, settings in ascending order."""
+    lines = (spinherald.cli._record_lines(k, f) for k, f in sorted(frames.items()))
+    return RECORDS_HEADER.encode() + b"".join(lines)
+
+
+def count_ranges(path, monkeypatch) -> int:
+    """How many ranges `read_counts` cuts the body of a records file into,
+    counted in process."""
+    calls, task = [], spinherald.cli._range_task
+    with monkeypatch.context() as m:
+        cpus(m, 1)
+        m.setattr(spinherald.cli, "_range_task", lambda t: calls.append(t) or task(t))
+        read_counts(path, 1)
+    return len(calls)
 
 
 def test_read_records_rejects_lines_outside_the_grammar(tmp_path):
@@ -345,7 +359,7 @@ def test_read_records_rejects_lines_outside_the_grammar(tmp_path):
     ):
         bad.write_text(RECORDS_HEADER + body)
         with pytest.raises(ValueError, match=rf"r\.csv:{lineno}: malformed record"):
-            read_records(bad)
+            read_counts(bad, 1)
 
 
 def test_read_records_accepts_only_what_the_writer_writes(tmp_path):
@@ -363,21 +377,19 @@ def test_read_records_accepts_only_what_the_writer_writes(tmp_path):
     ):
         bad.write_bytes((RECORDS_HEADER + GOOD_ROW + row).encode())
         with pytest.raises(ValueError, match=r"r\.csv:3: malformed record"):
-            read_records(bad)
+            read_counts(bad, 1)
 
 
 def test_read_records_header_only_and_single_row(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text(RECORDS_HEADER)
-    assert read_records(path) == {}
+    assert read_counts(path, 1) == {}
     path.write_text(RECORDS_HEADER + "5,3,2,-1.25,down,4")  # no final newline
-    (setting, frame), = read_records(path).items()
+    (setting, counts), = read_counts(path, 4).items()
     assert setting == 3
-    assert frame.shot_id.tolist() == [5]
-    assert frame.branch.tolist() == [2]
-    assert frame.phi_tac.tolist() == [-1.25]
-    assert frame.outcome_up.tolist() == [False]
-    assert frame.n_attempts.tolist() == [4]
+    # one shot of branch 2, outcome down, in the bin of -1.25 + 2 pi
+    assert counts.n.sum() == counts.n[2, 3, 0] == 1
+    assert counts.attempts == 4
 
 
 def test_read_records_checks_the_grammar_across_block_boundaries(tmp_path, monkeypatch):
@@ -386,18 +398,18 @@ def test_read_records_checks_the_grammar_across_block_boundaries(tmp_path, monke
     path = tmp_path / "r.csv"
     body = "".join(f"{i},0,1,0.5,up,1\n" for i in range(9))
     path.write_text(RECORDS_HEADER + body)
-    expected = read_records(path)
+    expected = read_counts(path, 3)
     monkeypatch.setattr(spinherald.cli, "_READ_BLOCK", 4)
-    assert read_records(path)[0].equals(expected[0])
+    assert_counts_equal(read_counts(path, 3), expected)
     lines = body.splitlines(keepends=True)
     for k in range(len(lines) + 1):
         path.write_text(RECORDS_HEADER + "".join(lines[:k]) + "\n" + "".join(lines[k:]))
         with pytest.raises(ValueError, match=rf"r\.csv:{k + 2}: malformed record"):
-            read_records(path)
+            read_counts(path, 1)
 
 
 def test_records_write_read_write_is_byte_identical(tmp_path):
-    # more rows than one write slice, two settings, every branch and outcome
+    # more rows than one pool task, two settings, every branch and outcome
     rng = np.random.default_rng(12)
     n = 2**16 + 3
     frame = ShotFrame(
@@ -407,13 +419,14 @@ def test_records_write_read_write_is_byte_identical(tmp_path):
         outcome_up=rng.random(n) < 0.5,
         n_attempts=rng.geometric(0.3, n).astype(np.int64),
     )
-    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_records(first, {4: frame, 1: frame.select(slice(0, 10))})
-    frames = read_records(first)
+    path = tmp_path / "r.csv"
+    path.write_bytes(records_bytes({4: frame, 1: frame.select(slice(0, 10))}))
+    frames = read_frames(path)
     assert sorted(frames) == [1, 4]
     assert len(frames[4]) == n
-    write_records(second, frames)
-    assert second.read_bytes() == first.read_bytes()
+    assert records_bytes(frames) == path.read_bytes()
+    expected = {k: ShotCounts.of(f, 9) for k, f in frames.items()}
+    assert_counts_equal(read_counts(path, 9), expected)
 
 
 def test_records_write_phi_tac_as_nine_significant_digits(tmp_path):
@@ -436,14 +449,13 @@ def test_records_write_phi_tac_as_nine_significant_digits(tmp_path):
         outcome_up=np.arange(n) % 2 == 0,
         n_attempts=np.arange(n, dtype=np.int64) * 7,
     )
-    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_records(first, {3: frame})
-    assert first.read_text().splitlines()[1:] == [
+    path = tmp_path / "r.csv"
+    path.write_bytes(records_bytes({3: frame}))
+    assert path.read_text().splitlines()[1:] == [
         f"{i},3,{i % 3},{phi:.9g},{'down' if i % 2 else 'up'},{7 * i}"
         for i, phi in enumerate(phis)
     ]
-    write_records(second, read_records(first))
-    assert second.read_bytes() == first.read_bytes()
+    assert records_bytes(read_frames(path)) == path.read_bytes()
 
 
 _REFERENCE_OUTCOMES = np.array(["down", "up"], dtype=object)
@@ -513,7 +525,6 @@ def test_write_records_rejects_what_read_records_rejects(tmp_path):
         dtypes = (np.int64, np.int8, np.float64, bool, np.int64)
         return ShotFrame(*(np.array(v, t) for v, t in zip(values.values(), dtypes)))
 
-    path = tmp_path / "r.csv"
     for setting_id, f, column in (
         (0, frame(phi_tac=[0.5, math.nan]), "phi_tac"),
         (0, frame(phi_tac=[math.inf, 0.5]), "phi_tac"),
@@ -523,10 +534,11 @@ def test_write_records_rejects_what_read_records_rejects(tmp_path):
         (-4, frame(), "setting_id"),
     ):
         with pytest.raises(ValueError, match=rf"setting {setting_id}: {column} must be"):
-            write_records(path, {5: frame(), setting_id: f})
-        assert not path.exists()  # nothing is written
-    write_records(path, {5: frame()})
-    assert read_records(path)[5].equals(frame())
+            spinherald.cli._record_lines(setting_id, f)
+    path = tmp_path / "r.csv"
+    path.write_bytes(records_bytes({5: frame()}))
+    assert read_frames(path)[5].equals(frame())
+    assert_counts_equal(read_counts(path, 2), {5: ShotCounts.of(frame(), 2)})
 
 
 def random_rows(n: int, settings, seed: int) -> str:
@@ -545,17 +557,16 @@ def test_record_blocks_report_the_line_number_in_the_file(tmp_path, monkeypatch)
     path = tmp_path / "r.csv"
     lines = random_rows(30, (0,), 1).splitlines(keepends=True)
     path.write_text(RECORDS_HEADER + "".join(lines))
-    assert len(list(spinherald.cli._record_blocks(path))) > 10
+    assert count_ranges(path, monkeypatch) > 10
     for k in (0, 13, 29):
         bad = lines.copy()
         bad[k] = f"{k},0,1,0.5,UP,1\n"
         path.write_text(RECORDS_HEADER + "".join(bad))
-        for read in (read_records, lambda p: read_counts(p, 1)):
-            with pytest.raises(
-                ValueError,
-                match=rf"r\.csv:{k + 2}: malformed record \['{k}', '0', '1', '0.5', 'UP', '1'\]",
-            ):
-                read(path)
+        with pytest.raises(
+            ValueError,
+            match=rf"r\.csv:{k + 2}: malformed record \['{k}', '0', '1', '0.5', 'UP', '1'\]",
+        ):
+            read_counts(path, 1)
 
 
 def test_read_counts_adds_settings_across_blocks(tmp_path, monkeypatch):
@@ -563,18 +574,16 @@ def test_read_counts_adds_settings_across_blocks(tmp_path, monkeypatch):
     # rows for 0, then 1, then 0 again, ... spread over many blocks; the
     # final line has no line end
     path.write_text(RECORDS_HEADER + random_rows(60, (0, 0, 1, 0, 2, 2, 1), 2).rstrip("\n"))
-    expected = read_records(path)
-    monkeypatch.setattr(spinherald.cli, "_READ_BLOCK", 40)
-    frames = read_records(path)
-    assert list(frames) == list(expected) == [0, 1, 2]
-    assert all(frames[k].equals(expected[k]) for k in frames)
+    frames = read_frames(path)
+    assert list(frames) == [0, 1, 2]
     assert frames[0].shot_id.tolist() == [i for i in range(60) if i % 7 in (0, 1, 3)]
+    whole = read_counts(path, 5)  # the body in one range
+    monkeypatch.setattr(spinherald.cli, "_READ_BLOCK", 40)
+    assert count_ranges(path, monkeypatch) > 10
     counts = read_counts(path, 5)
     assert list(counts) == [0, 1, 2]
-    for key, frame in frames.items():
-        oracle = ShotCounts.of(frame, 5)
-        assert np.array_equal(counts[key].n, oracle.n)
-        assert counts[key].attempts == oracle.attempts
+    assert_counts_equal(counts, whole)
+    assert_counts_equal(counts, {k: ShotCounts.of(f, 5) for k, f in frames.items()})
 
 
 @pytest.mark.parametrize("n_bins", [0, -1])
@@ -804,7 +813,7 @@ def test_overflowing_phase_jitter_is_rejected(tmp_path):
         analysis={"entanglement_fidelity": "true"},
     )
     bundle = cmd_simulate(manifest, tmp_path / "out")
-    assert np.isfinite(read_records(bundle.records_path)[0].phi_tac).all()
+    assert np.isfinite(read_frames(bundle.records_path)[0].phi_tac).all()
     assert math.isfinite(bundle.summary["entanglement_fidelity"]["fidelity"])
 
 
@@ -998,7 +1007,7 @@ def test_tomo_records_memory_does_not_grow_with_rows(tmp_path):
                 n_attempts=rng.geometric(0.3, n).astype(np.int64),
             )
         records = tmp_path / f"records_{rows}.csv"
-        write_records(records, frames)
+        records.write_bytes(records_bytes(frames))
         tracemalloc.start()
         try:
             summary = cmd_tomo(records_path=records, flt="all")
@@ -1409,7 +1418,7 @@ def test_records_ranges_on_the_pool(tmp_path, monkeypatch):
     for text in (body, body.rstrip("\n")):  # with and without a final line end
         path.write_text(RECORDS_HEADER + text)
         monkeypatch.undo()
-        expected = {k: ShotCounts.of(f, 5) for k, f in read_records(path).items()}
+        expected = {k: ShotCounts.of(f, 5) for k, f in read_frames(path).items()}
         cpus(monkeypatch, 2)
         monkeypatch.setattr(spinherald.cli, "_READ_BLOCK", 4)  # every line is longer
         assert_counts_equal(read_counts(path, 5), expected)
@@ -1441,7 +1450,7 @@ def test_records_pool_window_is_bounded(tmp_path, monkeypatch):
     path.write_text(RECORDS_HEADER + random_rows(200, (0, 1), 4))
     expected = read_counts(path, 3)
     monkeypatch.setattr(spinherald.cli, "_READ_BLOCK", 40)
-    ranges = len(list(spinherald.cli._record_blocks(path)))
+    ranges = count_ranges(path, monkeypatch)
     cpus(monkeypatch, 2)
     in_flight, peak, submitted = set(), [0], [0]
     submit = concurrent.futures.ProcessPoolExecutor.submit

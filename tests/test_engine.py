@@ -38,7 +38,7 @@ from spinherald.scattering import (
 from spinherald.spinalg import ID2, KET_UP, from_bloch, to_bloch
 from spinherald.tomography import ShotCounts, estimate_ptm, fit_fringe
 
-from conftest import oracle_fringe, run_in_ranges
+from conftest import oracle_fringe, ranges_equal_serial
 
 
 def ideal_config(shots, seed, p_exc=1.0, eta=1.0, errors=None):
@@ -338,12 +338,12 @@ def test_seed_changes_records():
     assert not a.equals(b)
 
 
-def test_parallel_equals_serial():
+def test_ranges_of_a_partition_equal_the_serial_rows():
     cfg = ideal_config(5000, 15, p_exc=0.5, eta=0.8, errors=ErrorBudget.nominal())
     seq = get_sequence("corrected_HV")
     serial = run_experiment(cfg, seq)
     for parts in (2, 3, 8):
-        assert serial.equals(run_in_ranges(cfg, seq, parts))
+        assert ranges_equal_serial(serial, cfg, seq, parts)
 
 
 def test_run_range_matches_run_experiment_rows():
@@ -368,19 +368,6 @@ def test_run_range_matches_run_experiment_rows():
     empty = run_experiment(cfg, seq, 5, 5)
     assert len(empty) == 0
     assert [c.dtype for c in empty._columns()] == [c.dtype for c in frame._columns()]
-
-
-def test_run_experiment_memory_is_bounded_by_chunks():
-    cfg = ideal_config(1 << 20, 18, errors=ErrorBudget.nominal())
-    seq = get_sequence("corrected_HV")
-    tracemalloc.start()
-    try:
-        frame = run_experiment(cfg, seq)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    nbytes = sum(col.nbytes for col in frame._columns())
-    assert peak < 3 * nbytes
 
 
 def test_counts_of_a_run_equal_the_sum_over_an_uneven_partition():
