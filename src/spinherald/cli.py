@@ -18,26 +18,30 @@ reported.
 Every command spreads its work over a process pool sized to the CPUs this
 process may use and collects the results in order.  The commands that run
 the engine (simulate, tomo --manifest, ramsey, sweep) hand a worker a chunk
-of `_CHUNK` shots, which it reduces to counts and, for simulate, formats as
-records lines; tomo --records hands it a range of whole lines of the
-records file, which it reads, parses and counts.  Records and summaries are
-the same bytes as a run in one process, and there is no option to set.  On
-Linux with glibc a worker keeps the pages a chunk frees for its next chunk
-instead of faulting them in again; the calling process's allocator, which
-also serves a run in process, is left as it is.  read_counts, the one
-records reader, uses the same pool; the other library functions
-(run_experiment, run_plan, ...) run in the calling process.
+of `_CHUNK` shots, which it reduces to counts.  For simulate it also formats
+the chunk's records lines and writes them into its slot of a spool file,
+from which the calling process appends them to the records file in shot
+order without reading them.  tomo --records hands a worker a range of whole
+lines of the records file, which it reads, parses and counts.  Records and
+summaries are the same bytes as a run in one process, and there is no
+option to set.  On Linux with glibc a worker keeps the pages a chunk frees
+for its next chunk instead of faulting them in again; the calling
+process's allocator, which also serves a run in process, is left as it is.
+read_counts, the one records reader, uses the same pool; the other library
+functions (run_experiment, run_plan, ...) run in the calling process.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import errno
 import io
 import json
 import os
 import string
 import sys
+import tempfile
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import reduce
@@ -262,6 +266,10 @@ _POW10 = 10 ** np.arange(14, dtype=np.int64)
 _OUTCOME_BYTES = np.frombuffer(b"downup\0\0", np.uint8).reshape(2, 4).T
 # phi_tac's columns: 9 integer-part digits, the point and 13 fraction digits
 _PHI_WIDTH = 23
+# bytes of the widest records line: a 19-digit shot_id, ",<19-digit
+# setting_id>,", the branch and ",", the phi_tac columns, ",", 4 outcome
+# columns, ",", a 19-digit n_attempts and "\n"
+_LINE_MAX = 91
 
 
 def _check_records(setting_id: int, f: ShotFrame) -> None:
@@ -579,20 +587,72 @@ class ResultBundle:
     summary: dict
 
 
-def _chunk_task(task) -> tuple[int, ShotCounts, bytes | None]:
-    """(setting index, counts, records lines or None) of one chunk task
-    (index, config, sequence, lo, hi, n_bins, with_records): shots lo ... hi-1
-    of one setting's run, its lines formatted only when asked for."""
-    index, cfg, seq, lo, hi, n_bins, with_records = task
+def _chunk_task(task) -> tuple[int, ShotCounts, bytes | int | None]:
+    """(setting index, counts, records) of one chunk task (index, config,
+    sequence, lo, hi, n_bins, with_records, slot): shots lo ... hi-1 of one
+    setting's run.  Its records lines are formatted only when asked for.
+    With a slot (fd, offset, size) of the spool file they are written there
+    (`_spool_write`) and records is their byte count; without one, records
+    is the lines themselves."""
+    index, cfg, seq, lo, hi, n_bins, with_records, slot = task
     frame = run_experiment(cfg, seq, lo, hi)
-    lines = _record_lines(index, frame) if with_records else None
-    return index, ShotCounts.of(frame, n_bins), lines
+    records = _record_lines(index, frame) if with_records else None
+    if slot is not None:
+        records = _spool_write(records, *slot)  # the lines are freed here
+    return index, ShotCounts.of(frame, n_bins), records
+
+
+def _spool_write(lines: bytes, fd: int, offset: int, size: int) -> int:
+    """Write records lines with os.pwrite into the slot of `size` bytes at
+    `offset` of the file open as `fd`; their byte count.  ValueError if they
+    overflow the slot, OSError if the write fails or comes up short."""
+    if len(lines) > size:
+        raise ValueError(f"{len(lines)} bytes of records overflow a {size}-byte slot")
+    written = os.pwrite(fd, lines, offset)
+    if written != len(lines):
+        raise OSError(f"short write to the records spool: {written} of {len(lines)} bytes")
+    return written
+
+
+# copy_file_range errors that leave a slot to the buffered copy
+_COPY_REFUSED = (errno.ENOSYS, errno.EXDEV, errno.EINVAL)
+_COPY_BUFFER = 1 << 16  # bytes of that copy's buffer
+
+
+def _append_slot(spool, offset: int, count: int, records) -> None:
+    """Append bytes offset ... offset+count-1 of the unbuffered `spool` file
+    to the `records` file at its position, which must have nothing left in
+    its buffer: in the kernel with os.copy_file_range, looping on short
+    copies, or where that call is missing or refused, through one buffer of
+    at most `_COPY_BUFFER` bytes."""
+    src, dst = spool.fileno(), records.fileno()
+    copy = getattr(os, "copy_file_range", None)
+    try:
+        while count and copy is not None:
+            n = copy(src, dst, count, offset)
+            if not n:  # the spool's end: the buffered copy reports it
+                break
+            offset, count = offset + n, count - n
+    except OSError as exc:
+        if exc.errno not in _COPY_REFUSED:
+            raise
+    buffer = memoryview(bytearray(min(count, _COPY_BUFFER)))
+    while count:
+        spool.seek(offset)
+        n = spool.readinto(buffer[:count])
+        if not n:
+            raise EOFError(f"records spool ends {count} bytes short")
+        view = buffer[:n]
+        while view:
+            view = view[os.write(dst, view):]
+        offset, count = offset + n, count - n
 
 
 # glibc's malloc thresholds for a pool worker: each array of a chunk, the
-# largest its records matrix of <= 91 bytes a shot, stays below the mmap
-# threshold and its working set below the trim one, so freed pages are reused
-_MMAP_THRESHOLD = 1 << (_CHUNK * 91).bit_length()  # 8 MiB
+# largest its records matrix of <= _LINE_MAX bytes a shot, stays below the
+# mmap threshold and its working set below the trim one, so freed pages are
+# reused
+_MMAP_THRESHOLD = 1 << (_CHUNK * _LINE_MAX).bit_length()  # 8 MiB
 _TRIM_THRESHOLD = 8 * _MMAP_THRESHOLD
 
 
@@ -630,14 +690,16 @@ def _init_worker(parent: int) -> None:
 class _ChunkPool:
     """`map(fn, tasks)` on a fork process pool, one worker per CPU this
     process may use (capped at the task count of the first call that starts
-    it): results come in submission order with at most two tasks per worker
-    submitted and not yet collected, so memory stays O(task).
+    it): results come in submission order with at most `window` tasks, two
+    per worker, submitted and not yet collected, so memory stays O(task).
+    Task k is submitted only once the caller has taken the result of task
+    k - window.
 
-    The pool is started by the first `map` call with more than one task and
-    reused by later calls; leaving the `with` block shuts it down, cancelling
-    the tasks not started and joining the workers.  With one worker, or on a
-    platform that cannot report the CPU affinity (and may lack fork), tasks
-    run in this process.  Fork, not spawn: a spawned worker would import
+    The pool is started by the first `map` or `window` call with more than
+    one task and reused by later calls; leaving the `with` block shuts it
+    down, cancelling the tasks not started and joining the workers.  With
+    one worker, or on a platform that cannot report the CPU affinity (and
+    may lack fork), tasks run in this process.  Fork, not spawn: a spawned worker would import
     numpy again.
     """
 
@@ -653,13 +715,16 @@ class _ChunkPool:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
 
-    def map(self, fn, tasks: list):
+    def window(self, n_tasks: int) -> int:
+        """The most tasks `map` keeps submitted and not yet collected, on
+        the pool this starts for `n_tasks` tasks if none runs yet; 0 while
+        tasks run in this process."""
         if self._executor is None:
             # the affinity call exists only where the fork method does too
             affinity = getattr(os, "sched_getaffinity", None)
-            workers = min(len(affinity(0)) if affinity else 1, len(tasks))
+            workers = min(len(affinity(0)) if affinity else 1, n_tasks)
             if workers < 2:
-                return map(fn, tasks)
+                return 0
             import multiprocessing  # ~25 ms of import that only a pool needs
             from concurrent.futures import ProcessPoolExecutor
 
@@ -670,6 +735,11 @@ class _ChunkPool:
                 initargs=(os.getpid(),),
             )
             self._window = 2 * workers
+        return self._window
+
+    def map(self, fn, tasks: list):
+        if not self.window(len(tasks)):
+            return map(fn, tasks)
         return self._ordered(fn, tasks)
 
     def _ordered(self, fn, tasks):
@@ -683,26 +753,44 @@ class _ChunkPool:
 
 
 def _run_counts(
-    manifest: RunManifest, pool: _ChunkPool, records=None
+    manifest: RunManifest, pool: _ChunkPool, records=None, spool=None
 ) -> dict[int, ShotCounts]:
     """Counts of each setting of the manifest's run (the tomography plan or
     one run as setting 0), reduced chunk by chunk as the pool returns them in
-    shot order; with an open records file, each chunk's lines are appended
-    to it."""
+    shot order.
+
+    With an open records file, each chunk's lines are appended to it.  Where
+    os.pwrite exists, task k writes them into slot k mod S of the unbuffered
+    `spool` file, open before the pool starts, and this process copies them
+    from there (`_append_slot`) without reading them: a slot holds _CHUNK
+    lines of at most `_LINE_MAX` bytes, and S is the pool's window (1 in
+    process), so a slot is written again only once its lines are copied
+    out.  Elsewhere tasks run in process and their lines are written here."""
     seq = manifest.sequence()
     if manifest.analysis.tomography:
         runs = plan_runs(manifest.config, seq, tomography_plan())
     else:
         runs = [(0, manifest.config, seq)]
     n_bins, with_records = manifest.analysis.bins, records is not None
-    tasks = [
-        (index, cfg, seq_s, lo, min(lo + _CHUNK, cfg.shots), n_bins, with_records)
+    spans = [
+        (index, cfg, seq_s, lo, min(lo + _CHUNK, cfg.shots))
         for index, cfg, seq_s in runs
         for lo in range(0, cfg.shots, _CHUNK)
     ]
+    slots, size = max(pool.window(len(spans)), 1), _CHUNK * _LINE_MAX
+    spooled = with_records and hasattr(os, "pwrite")
+    if spooled:
+        records.flush()  # the header goes first
+    tasks = [
+        (*span, n_bins, with_records,
+         (spool.fileno(), k % slots * size, size) if spooled else None)
+        for k, span in enumerate(spans)
+    ]
     counts = {}
-    for index, c, lines in pool.map(_chunk_task, tasks):
-        if with_records:
+    for k, (index, c, lines) in enumerate(pool.map(_chunk_task, tasks)):
+        if spooled:
+            _append_slot(spool, k % slots * size, lines, records)
+        elif with_records:
             records.write(lines)
         counts[index] = counts[index] + c if index in counts else c
     return counts
@@ -745,7 +833,11 @@ def cmd_simulate(
 
     Records are written chunk by chunk while the run is reduced to counts,
     into a partial file that replaces records.csv only once the summary is
-    built; a failed run leaves the output directory as it was.
+    built; a failed run leaves the output directory as it was.  Where
+    os.pwrite exists, the tasks write their lines into an unnamed spool file
+    in the output directory, opened before the pool starts so that its
+    workers inherit it, and this process only appends them to the partial
+    file (`_run_counts`).
     """
     manifest = load_manifest(manifest_path, {"seed": seed, "shots": shots})
     out = Path(out_dir if out_dir is not None else manifest.out_dir)
@@ -755,9 +847,13 @@ def cmd_simulate(
     summary_path = out / "summary.json"
     partial = out / "records.csv.partial"
     try:
-        with _ChunkPool() as pool, partial.open("wb") as fh:
+        with (
+            _ChunkPool() as pool,
+            partial.open("wb") as fh,
+            tempfile.TemporaryFile(dir=out, buffering=0) as spool,
+        ):
             fh.write(_HEADER + b"\n")
-            counts = _run_counts(manifest, pool, fh)
+            counts = _run_counts(manifest, pool, fh, spool)
         summary = _build_summary(manifest, counts)
     except BaseException:
         partial.unlink(missing_ok=True)

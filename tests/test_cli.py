@@ -1,5 +1,6 @@
 import ast
 import configparser
+import errno
 import hashlib
 import importlib
 import json
@@ -514,6 +515,25 @@ def test_record_lines_equal_the_reference_formatter():
         for f in frames:
             expected = reference_record_lines(setting_id, f).encode()
             assert spinherald.cli._record_lines(setting_id, f) == expected
+
+
+def test_record_lines_are_at_most_line_max_bytes():
+    # int64-max integers and the widest phi_tac texts: a sign, 9 digits and
+    # a 4-character exponent, or a sign and 14 fixed-point characters
+    int64_max = 2**63 - 1
+    phi = [-1.23456789e-100, -1.23456789e100, -0.000123456789, -123456789.5, 5e-324]
+    n = len(phi)
+    f = ShotFrame(
+        shot_id=np.full(n, int64_max),
+        branch=np.full(n, 2, np.int8),
+        phi_tac=np.array(phi),
+        outcome_up=np.zeros(n, bool),
+        n_attempts=np.full(n, int64_max),
+    )
+    lines = spinherald.cli._record_lines(int64_max, f).splitlines(keepends=True)
+    assert len(lines) == n
+    assert max(map(len, lines)) == 19 + 21 + 2 + 16 + 1 + 4 + 1 + 19 + 1
+    assert max(map(len, lines)) <= spinherald.cli._LINE_MAX
 
 
 def test_write_records_rejects_what_read_records_rejects(tmp_path):
@@ -1208,9 +1228,11 @@ def test_cli_import_loads_no_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    # nor the ~15 ms of pool modules, which only a run on the pool imports
+    lazy = ("scipy", "multiprocessing", "concurrent")
     code = (
         "import spinherald.cli, sys; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {lazy!r}))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -1270,6 +1292,72 @@ def test_multi_chunk_outputs_are_pinned_on_the_pool_and_in_process(tmp_path, mon
         )
         outputs[n] = (bundle.summary, ramsey)
     assert outputs[2] == outputs[1]
+
+
+def test_multi_chunk_outputs_are_pinned_whatever_copies_the_records(tmp_path, monkeypatch):
+    # the records spool copied out through the buffer, where copy_file_range
+    # is missing or refused, and the lines written without a spool, where
+    # os.pwrite is missing
+    def refused(*args):
+        raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+    for name, patch in (
+        ("no_copy", lambda: monkeypatch.delattr(os, "copy_file_range", raising=False)),
+        ("refused", lambda: monkeypatch.setattr(os, "copy_file_range", refused)),
+        ("no_pwrite", lambda: monkeypatch.delattr(os, "pwrite")),
+    ):
+        patch()
+        test_multi_chunk_outputs_are_pinned_on_the_pool_and_in_process(
+            tmp_path / name, monkeypatch
+        )
+        monkeypatch.undo()
+
+
+def test_simulate_on_the_pool_holds_no_records_lines(tmp_path, monkeypatch):
+    # the workers write their lines into the spool, and this process copies
+    # them to the records file without reading them
+    cpus(monkeypatch, 2)
+    manifest = write_manifest(
+        tmp_path / "m.ini", "ramsey_HV", shots=1, seed=44, config={"p_exc": 0.075}
+    )
+    cmd_simulate(manifest, tmp_path / "warm", shots=1 << 18)  # imports the pool
+
+    def peak(shots):
+        tracemalloc.start()
+        try:
+            bundle = cmd_simulate(manifest, tmp_path / str(shots), shots=shots)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bundle.records_path.stat().st_size > 20 * shots
+        return traced
+
+    small, large = peak(1 << 18), peak(1 << 20)  # 4 and 16 chunks
+    # the lines of one chunk alone take over _CHUNK * 20 B = 1.25 MiB
+    assert max(small, large) < _CHUNK * 20
+    assert large <= small + (1 << 16)
+
+
+def test_records_spool_write_failures_fail_simulate(tmp_path, monkeypatch):
+    pwrite = os.pwrite
+
+    def short(fd, data, offset):
+        return pwrite(fd, data[: len(data) // 2], offset)
+
+    def full(fd, data, offset):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    manifest = write_manifest(tmp_path / "m.ini", "ramsey_HV", shots=5000, seed=3)
+    monkeypatch.setattr(spinherald.cli, "_CHUNK", 1000)  # five chunks
+    for write, message in ((short, "short write"), (full, os.strerror(errno.ENOSPC))):
+        monkeypatch.setattr(os, "pwrite", write)
+        for n in (2, 1):
+            cpus(monkeypatch, n)
+            out = tmp_path / f"{write.__name__}{n}"
+            with pytest.raises(OSError, match=message):
+                cmd_simulate(manifest, out)
+            assert list(out.iterdir()) == []
+            assert multiprocessing.active_children() == []
 
 
 def test_pool_and_in_process_write_the_same_outputs(tmp_path, monkeypatch):
@@ -1495,7 +1583,7 @@ def test_keep_freed_pages_sets_both_malloc_thresholds():
     # 19-digit shot_id, ",<19-digit setting_id>,", the branch and ",", the
     # phi_tac columns, ",", 4 outcome columns, ",", a 19-digit n_attempts, "\n"
     widest = 19 + 21 + 2 + spinherald.cli._PHI_WIDTH + 1 + 4 + 1 + 19 + 1
-    assert widest == 91 and _CHUNK * widest < mmap
+    assert widest == spinherald.cli._LINE_MAX == 91 and _CHUNK * widest < mmap
     spinherald.cli._keep_freed_pages(SimpleNamespace())  # a libc without mallopt
 
 
