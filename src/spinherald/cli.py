@@ -15,20 +15,23 @@ are ASCII, one line per shot with a fixed column order; summaries are JSON and
 round-trip losslessly.  Exit status is nonzero exactly when an error was
 reported.
 
-Every command spreads its work over a process pool sized to the CPUs this
-process may use and collects the results in order.  The commands that run
-the engine (simulate, tomo --manifest, ramsey, sweep) hand a worker a chunk
-of `_CHUNK` shots, which it reduces to counts.  For simulate it also formats
-the chunk's records lines and writes them into its slot of a spool file,
-from which the calling process appends them to the records file in shot
-order without reading them.  tomo --records hands a worker a range of whole
-lines of the records file, which it reads, parses and counts.  Records and
-summaries are the same bytes as a run in one process, and there is no
-option to set.  On Linux with glibc a worker keeps the pages a chunk frees
-for its next chunk instead of faulting them in again; the calling
-process's allocator, which also serves a run in process, is left as it is.
-read_counts, the one records reader, uses the same pool; the other library
-functions (run_experiment, run_plan, ...) run in the calling process.
+Every command spreads its work over a pool of worker processes sized to the
+CPUs this process may use and collects the results in order.  This process
+forks the workers itself and talks to each over a task pipe and a result
+pipe of its own: no executor, no thread, no multiprocessing.  The commands
+that run the engine (simulate, tomo --manifest, ramsey, sweep) hand a worker
+a chunk of `_CHUNK` shots, which it reduces to counts.  For simulate it
+also formats the chunk's records lines and writes them into its slot of a
+spool file, from which the calling process appends them to the records
+file in shot order without reading them.  tomo --records hands a worker a
+range of whole lines of the records file, which it reads, parses and
+counts.  Records and summaries are the same bytes as a run in one process,
+and there is no option to set.  On Linux with glibc a worker keeps the
+pages a chunk frees for its next chunk instead of faulting them in again;
+the calling process's allocator, which also serves a run in process, is
+left as it is.  read_counts, the one records reader, uses the same pool;
+the other library functions (run_experiment, run_plan, ...) run in the
+calling process.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import errno
 import io
 import json
 import os
+import pickle
 import string
 import sys
 import tempfile
@@ -668,8 +672,8 @@ def _keep_freed_pages(libc) -> None:
 
 
 def _init_worker(parent: int) -> None:
-    """Leave an interrupt to the parent (pid `parent`), which cancels the
-    tasks not started and joins the workers; on Linux, die with the parent
+    """Leave an interrupt to the parent (pid `parent`), which kills and
+    reaps the workers; on Linux, die with the parent
     if it is killed, also if it was killed before this ran, and keep the
     pages a chunk frees for the next chunk (`_keep_freed_pages`).  Only a
     worker's allocator is tuned: the parent, and a run in process, belong to
@@ -687,55 +691,134 @@ def _init_worker(parent: int) -> None:
         _keep_freed_pages(libc)
 
 
-class _ChunkPool:
-    """`map(fn, tasks)` on a fork process pool, one worker per CPU this
-    process may use (capped at the task count of the first call that starts
-    it): results come in submission order with at most `window` tasks, two
-    per worker, submitted and not yet collected, so memory stays O(task).
-    Task k is submitted only once the caller has taken the result of task
-    k - window.
+def _send(fd: int, data: bytes) -> None:
+    """Write a pickle to the pipe `fd` as one message: its byte count (8
+    bytes, little-endian), then the pickle."""
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
 
-    The pool is started by the first `map` or `window` call with more than
-    one task and reused by later calls; leaving the `with` block shuts it
-    down, cancelling the tasks not started and joining the workers.  With
-    one worker, or on a platform that cannot report the CPU affinity (and
-    may lack fork), tasks run in this process.  Fork, not spawn: a spawned worker would import
-    numpy again.
+
+def _read_exactly(fd: int, n: int) -> bytearray | None:
+    """The next n bytes of the pipe `fd`, None if it ends before them."""
+    buffer, got = bytearray(n), 0
+    while got < n:
+        k = os.readv(fd, [memoryview(buffer)[got:]])
+        if not k:
+            return None
+        got += k
+    return buffer
+
+
+def _receive(fd: int):
+    """The next object `_send` wrote to the pipe `fd`, None if it ends first."""
+    head = _read_exactly(fd, 8)
+    body = None if head is None else _read_exactly(fd, int.from_bytes(head, "little"))
+    return None if body is None else pickle.loads(body)
+
+
+def _serve(tasks: int, results: int) -> None:
+    """A pool worker's loop: for each (fn, task) read from the pipe `tasks`
+    until it ends, write (True, fn(task)) or (False, (exception, traceback
+    text)) to the pipe `results`.  A value or an exception that pickle
+    refuses comes back as a RuntimeError that carries the traceback text."""
+    while (message := _receive(tasks)) is not None:
+        fn, task = message
+        try:
+            reply = True, fn(task)
+        except Exception as exc:
+            import traceback
+
+            reply = False, (exc, traceback.format_exc())
+        try:
+            data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            import traceback
+
+            text = traceback.format_exc() if reply[0] else reply[1][1]
+            data = pickle.dumps((False, (RuntimeError(text), text)))
+        _send(results, data)
+
+
+class _WorkerTraceback(Exception):
+    """The formatted traceback of an exception raised in a pool worker."""
+
+    def __str__(self):
+        return "\n" + self.args[0]
+
+
+class _ChunkPool:
+    """`map(fn, tasks)` on worker processes that this process forks itself,
+    one per CPU it may use (capped at the task count of the first call that
+    starts them), with no executor and no thread.  Results come in
+    submission order with at most `window` tasks, two per worker, submitted
+    and not yet collected, so memory stays O(task): task k is submitted
+    only once the caller has taken the result of task k - window.
+
+    Each worker has a task pipe and a result pipe of its own (`_serve`).  A
+    task goes to any worker that holds fewer than two; the results are
+    polled, and those that come early wait here for their turn.  A task's
+    exception is raised here with the worker's traceback as its cause; a
+    worker that dies fails the map with its pid and exit status.
+
+    The first `map` or `window` call with more than one task starts the
+    workers, and later calls reuse them.  Leaving the `with` block closes
+    every pipe, so an idle worker exits and a busy one fails on its next
+    write, and reaps every worker, killing them first on an exception.
+    With one worker, or on a platform that cannot report the CPU affinity
+    (and may lack fork), tasks run in this process.  Fork, not spawn: a
+    spawned worker would import numpy again.
     """
 
     def __init__(self):
-        self._executor = None
-        self._window = 0
+        self._workers = {}  # result pipe -> (pid, task pipe)
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc_info):
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
+    def __exit__(self, exc_type, *exc_info):
+        workers, self._workers = self._workers, {}
+        for results, (pid, tasks) in workers.items():
+            if exc_type is not None:
+                os.kill(pid, 9)  # SIGKILL
+            os.close(tasks)
+            os.close(results)
+        for pid, _ in workers.values():
+            os.waitpid(pid, 0)
 
     def window(self, n_tasks: int) -> int:
         """The most tasks `map` keeps submitted and not yet collected, on
         the pool this starts for `n_tasks` tasks if none runs yet; 0 while
         tasks run in this process."""
-        if self._executor is None:
-            # the affinity call exists only where the fork method does too
+        if not self._workers:
+            # the affinity call exists only where fork does too
             affinity = getattr(os, "sched_getaffinity", None)
             workers = min(len(affinity(0)) if affinity else 1, n_tasks)
             if workers < 2:
                 return 0
-            import multiprocessing  # ~25 ms of import that only a pool needs
-            from concurrent.futures import ProcessPoolExecutor
+            for _ in range(workers):
+                self._fork()
+        return 2 * len(self._workers)
 
-            self._executor = ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker,
-                initargs=(os.getpid(),),
-            )
-            self._window = 2 * workers
-        return self._window
+    def _fork(self) -> None:
+        """Start a worker; it closes the pipes of the workers before it."""
+        (task_read, tasks), (results, result_write) = os.pipe(), os.pipe()
+        parent, pid = os.getpid(), os.fork()
+        if pid == 0:  # the worker, which never returns into the caller
+            status = 1
+            try:
+                for fd in (tasks, results, *self._workers):
+                    os.close(fd)
+                for _, fd in self._workers.values():
+                    os.close(fd)
+                _init_worker(parent)
+                _serve(task_read, result_write)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(task_read)
+        os.close(result_write)
+        self._workers[results] = pid, tasks
 
     def map(self, fn, tasks: list):
         if not self.window(len(tasks)):
@@ -743,13 +826,53 @@ class _ChunkPool:
         return self._ordered(fn, tasks)
 
     def _ordered(self, fn, tasks):
-        pending = deque()
-        for task in tasks:
-            if len(pending) == self._window:
-                yield pending.popleft().result()
-            pending.append(self._executor.submit(fn, task))
-        while pending:
-            yield pending.popleft().result()
+        import select
+
+        poll, held = select.poll(), {results: deque() for results in self._workers}
+        for results in held:
+            poll.register(results, select.POLLIN)
+        early, sent = {}, 0  # results that came before their turn, by task
+        for taken in range(len(tasks)):
+            while sent < len(tasks) and sent - taken < 2 * len(held):
+                results = min(held, key=lambda r: len(held[r]))
+                if len(held[results]) == 2:
+                    break
+                self._submit(results, fn, tasks[sent])
+                held[results].append(sent)
+                sent += 1
+            while taken not in early:
+                for results, _ in poll.poll():
+                    reply = _receive(results)
+                    if reply is None:
+                        self._died(results)
+                    early[held[results].popleft()] = reply
+            yield self._result(early.pop(taken))
+
+    def _submit(self, results: int, fn, task) -> None:
+        """Send (fn, task) to the worker of the result pipe `results`."""
+        try:
+            data = pickle.dumps((fn, task), pickle.HIGHEST_PROTOCOL)
+            _send(self._workers[results][1], data)
+        except BrokenPipeError:
+            self._died(results)
+
+    def _died(self, results: int):
+        """Close the pipes of the worker of the result pipe `results`, which
+        has ended, reap it and raise an error naming it."""
+        pid, tasks = self._workers.pop(results)
+        os.close(tasks)
+        os.close(results)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+        raise RuntimeError(f"pool worker {pid} ended ({how}) before its results")
+
+    def _result(self, reply):
+        """A task's value from its (ok, value) reply, or its exception,
+        raised again with the worker's traceback as the cause."""
+        ok, value = reply
+        if not ok:
+            raise value[0] from _WorkerTraceback(value[1])
+        return value
 
 
 def _run_counts(

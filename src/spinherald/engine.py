@@ -447,7 +447,11 @@ def _apply_scatter_block(config, seq, draws, bloch):
     phi_true = TAU * draws[:, 4]
     phi_rec = phi_true  # TAU * u < TAU, so without jitter the wrap is the identity
     if err.phi_jitter_sigma > 0.0:
-        phi_rec = np.mod(phi_true + err.phi_jitter_sigma * _ndtri(draws[:, 5]), TAU)
+        # np.mod(x, TAU), ~3x faster: fmod's remainder, plus TAU where it is
+        # negative, and +0.0 for -0.0
+        phi_rec = np.fmod(phi_true + err.phi_jitter_sigma * _ndtri(draws[:, 5]), TAU)
+        np.add(phi_rec, TAU, out=phi_rec, where=phi_rec < 0.0)
+        phi_rec += 0.0
         phi_rec[dark] = phi_true[dark]
 
     # conjugate by Rz(phi_true): rotate the state into the phase-0 frame,
@@ -467,10 +471,11 @@ def _apply_scatter_block(config, seq, draws, bloch):
         for r1, r2 in zip(t1, t2)
     )
     norm = np.where(np.abs(w0) < 1e-300, 1.0, w0)
-    unkicked = bloch[:, dark]  # a dark count leaves the spin alone
+    unkicked = np.take(bloch, dark, axis=1)  # a dark count leaves the spin alone
     bloch[0], bloch[1] = _rz(wx / norm, wy / norm, c, s)
     bloch[2] = wz / norm
-    bloch[:, dark] = unkicked
+    for row, keep in zip(bloch, unkicked):
+        row[dark] = keep
 
     # possible extra scattering event whose photon was missed
     if err.p_multi > 0.0:
@@ -489,10 +494,11 @@ def _apply_correction(basis, branch, phi_rec, bloch):
         if spec is not None:
             sel = np.flatnonzero(branch == b)
             c, s = np.cos(phi_rec[sel]), np.sin(phi_rec[sel])
-            x, y, z = bloch[:, sel]
+            x, y, z = np.take(bloch, sel, axis=1)
             frame = (*_rz(x, y, c, s, inverse=True), z)
-            u, v, bloch[2, sel] = (_dot(row, frame) for row in _pulse_matrix(spec))
-            bloch[:2, sel] = _rz(u, v, c, s)
+            u, v, w = (_dot(row, frame) for row in _pulse_matrix(spec))
+            for row, new in zip(bloch, (*_rz(u, v, c, s), w)):
+                row[sel] = new
     return bloch
 
 

@@ -1,14 +1,16 @@
 import ast
 import configparser
 import errno
+import functools
 import hashlib
 import importlib
 import json
 import math
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from dataclasses import asdict
@@ -1228,7 +1230,8 @@ def test_cli_import_loads_no_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    # nor the ~15 ms of pool modules, which only a run on the pool imports
+    # nor an executor's modules, which not even a run on the pool imports
+    # (test_pooled_run_loads_no_executor_and_starts_no_thread)
     lazy = ("scipy", "multiprocessing", "concurrent")
     code = (
         "import spinherald.cli, sys; "
@@ -1238,6 +1241,34 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+POOLED_RAMSEY = """
+import os, sys, threading
+os.sched_getaffinity = lambda pid: {0, 1}
+import spinherald.cli as cli
+threads, run_counts = [], cli._run_counts
+
+def counted(manifest, pool, *args):
+    counts = run_counts(manifest, pool, *args)
+    threads.append(threading.active_count())  # the pool still runs here
+    return counts
+
+cli._run_counts = counted
+cli.cmd_ramsey(sys.argv[1], sys.argv[2], shots=3 * cli._CHUNK)
+lazy = ("multiprocessing", "concurrent")
+print(threads, sorted(m for m in sys.modules if m.split(".")[0] in lazy))
+"""
+
+
+def test_pooled_run_loads_no_executor_and_starts_no_thread(tmp_path):
+    # a fresh CLI process on a pool of two workers, which it forks itself
+    out = subprocess.run(
+        [sys.executable, "-c", POOLED_RAMSEY, str(DEMOS / "ramsey_hv.ini"), str(tmp_path)],
+        env=src_env(), capture_output=True, text=True, check=True, timeout=300,
+    ).stdout
+    assert out.strip() == "[1] []"
+    assert (tmp_path / "fringe.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1252,6 +1283,12 @@ def cpus(monkeypatch, n):
     """Let the CLI see n usable CPUs: 1 runs its chunks in process, 2 on a
     pool of two workers whatever the machine has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def assert_no_child_left():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def sha256(path) -> str:
@@ -1283,7 +1320,7 @@ def test_multi_chunk_outputs_are_pinned_on_the_pool_and_in_process(tmp_path, mon
         out = tmp_path / f"cpus{n}"
         bundle = cmd_simulate(DEMOS / "corrected_hv.ini", out / "sim", shots=65539)
         ramsey = cmd_ramsey(DEMOS / "ramsey_hv.ini", out / "ramsey", shots=131077)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         assert sha256(bundle.records_path) == (
             "e05e5bc12f7378ba4cb64341018e76904f913ddee1b5195ce5eb137904bde236"
         )
@@ -1357,7 +1394,7 @@ def test_records_spool_write_failures_fail_simulate(tmp_path, monkeypatch):
             with pytest.raises(OSError, match=message):
                 cmd_simulate(manifest, out)
             assert list(out.iterdir()) == []
-            assert multiprocessing.active_children() == []
+            assert_no_child_left()
 
 
 def test_pool_and_in_process_write_the_same_outputs(tmp_path, monkeypatch):
@@ -1382,7 +1419,7 @@ def test_pool_and_in_process_write_the_same_outputs(tmp_path, monkeypatch):
              "sweep/summary_000.json", "sweep/summary_001.json")
     cpus(monkeypatch, 2)
     pooled = run(tmp_path / "pool")
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     cpus(monkeypatch, 1)
     assert run(tmp_path / "serial") == pooled
     for name in files:
@@ -1399,9 +1436,11 @@ def test_worker_error_is_reported_and_cleaned_up(tmp_path, monkeypatch, capsys):
     with pytest.raises(ValueError, match="herald probability") as raised:
         cmd_simulate(manifest, tmp_path / "out")
     # raised in a worker: the pool attaches the worker's traceback
-    assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
+    cause = str(raised.value.__cause__)
+    assert "Traceback (most recent call last)" in cause and "in _chunk_task" in cause
+    assert cause.rstrip().endswith(f"ValueError: {raised.value}")
     assert list((tmp_path / "out").iterdir()) == []
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
     ramsey = write_manifest(
         tmp_path / "r.ini", "ramsey_HV", shots=3000, config={"p_exc": 1e-30}
@@ -1416,38 +1455,97 @@ def test_worker_error_is_reported_and_cleaned_up(tmp_path, monkeypatch, capsys):
         argv = [command, "--manifest", str(m), "--out", str(tmp_path / command), *extra]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: herald probability")
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
     assert not (tmp_path / "simulate" / "records.csv").exists()
     assert not (tmp_path / "simulate" / "records.csv.partial").exists()
 
 
-def test_pool_window_is_bounded(tmp_path, monkeypatch):
-    import concurrent.futures
+def count_pool_window(monkeypatch) -> dict:
+    """Count the tasks the pool sends and the results it yields, and the
+    peak of those sent and not yet yielded, at the pool's own send and
+    yield points."""
+    tally = {"submitted": 0, "in_flight": 0, "peak": 0}
+    submit, result = spinherald.cli._ChunkPool._submit, spinherald.cli._ChunkPool._result
 
+    def counted_submit(self, *args):
+        submit(self, *args)
+        tally["submitted"] += 1
+        tally["in_flight"] += 1
+        tally["peak"] = max(tally["peak"], tally["in_flight"])
+
+    def counted_result(self, reply):
+        tally["in_flight"] -= 1
+        return result(self, reply)
+
+    monkeypatch.setattr(spinherald.cli._ChunkPool, "_submit", counted_submit)
+    monkeypatch.setattr(spinherald.cli._ChunkPool, "_result", counted_result)
+    return tally
+
+
+def test_dead_worker_fails_the_run_and_is_reaped(tmp_path, monkeypatch):
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(spinherald.cli, "_CHUNK", 1000)  # five chunks
+    chunk_task = spinherald.cli._chunk_task
+
+    @functools.wraps(chunk_task)  # pickled by name, as the patched module has it
+    def dying(task):
+        if task[3] == 2000:  # the third chunk's worker exits without a result
+            os._exit(3)
+        return chunk_task(task)
+
+    def hung(signum, frame):
+        raise TimeoutError("the pool waits for a dead worker")
+
+    monkeypatch.setattr(spinherald.cli, "_chunk_task", dying)  # before the fork
+    manifest = write_manifest(tmp_path / "m.ini", "ramsey_HV", shots=5000, seed=3)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match=r"pool worker \d+ ended \(exit status 3\)"):
+            cmd_simulate(manifest, tmp_path / "out")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert list((tmp_path / "out").iterdir()) == []
+    assert_no_child_left()
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("this exception cannot be pickled")
+
+
+def raise_unpicklable(task):
+    raise Unpicklable(f"task {task}")
+
+
+def return_unpicklable(task):
+    return threading.Lock()
+
+
+def test_unpicklable_task_errors_and_values_come_back_as_runtime_errors(monkeypatch):
+    cpus(monkeypatch, 2)
+    # each error carries the worker's traceback: of the task, or of pickle
+    for fn, text, frame in (
+        (raise_unpicklable, "Unpicklable: task 0", "in raise_unpicklable"),
+        (return_unpicklable, "cannot pickle '_thread.lock' object", "in _serve"),
+    ):
+        with spinherald.cli._ChunkPool() as pool:
+            with pytest.raises(RuntimeError, match=text) as raised:
+                list(pool.map(fn, [0, 1]))
+        assert str(raised.value).startswith("Traceback") and frame in str(raised.value)
+        assert_no_child_left()
+
+
+def test_pool_window_is_bounded(tmp_path, monkeypatch):
     cpus(monkeypatch, 2)
     monkeypatch.setattr(spinherald.cli, "_CHUNK", 512)
-    in_flight, peak, submitted = set(), [0], [0]
-    submit = concurrent.futures.ProcessPoolExecutor.submit
-    result = concurrent.futures.Future.result
-
-    def counted_submit(self, *args, **kwargs):
-        future = submit(self, *args, **kwargs)
-        in_flight.add(future)
-        submitted[0] += 1
-        peak[0] = max(peak[0], len(in_flight))
-        return future
-
-    def counted_result(self, *args, **kwargs):
-        in_flight.discard(self)
-        return result(self, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", counted_submit)
-    monkeypatch.setattr(concurrent.futures.Future, "result", counted_result)
+    tally = count_pool_window(monkeypatch)
     manifest = write_manifest(tmp_path / "m.ini", "ramsey_HV", shots=64 * 512, seed=48)
     summary = cmd_ramsey(manifest, tmp_path / "small")
     # 64 chunks, 16 times the window of two tasks for each of two workers
-    assert submitted[0] == 64 and not in_flight
-    assert 0 < peak[0] <= 4
+    assert tally["submitted"] == 64 and not tally["in_flight"]
+    assert 0 < tally["peak"] <= 4
     monkeypatch.undo()  # default chunks, in process: records of any partition agree
     cpus(monkeypatch, 1)
     assert cmd_ramsey(manifest, tmp_path / "whole") == summary
@@ -1478,7 +1576,7 @@ def test_tomo_records_on_the_pool_equals_in_process(tmp_path, monkeypatch, capsy
         out = tmp_path / f"tomo{n}"
         assert main(["tomo", "--records", str(path), "--filter", "V", "--out", str(out)]) == 0
         capsys.readouterr()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         summary = json.loads((out / "tomo_summary.json").read_text())
         errors = []
         for k in (0, len(lines) // 2, len(lines) - 1):  # first, middle, last range
@@ -1490,7 +1588,7 @@ def test_tomo_records_on_the_pool_equals_in_process(tmp_path, monkeypatch, capsy
                 read_counts(path, 7)
             assert main(["tomo", "--records", str(path)]) == 1
             assert capsys.readouterr().err == f"error: {raised.value}\n"
-            assert multiprocessing.active_children() == []
+            assert_no_child_left()
             errors.append(str(raised.value))
         return counts, summary, errors
 
@@ -1510,7 +1608,7 @@ def test_records_ranges_on_the_pool(tmp_path, monkeypatch):
         cpus(monkeypatch, 2)
         monkeypatch.setattr(spinherald.cli, "_READ_BLOCK", 4)  # every line is longer
         assert_counts_equal(read_counts(path, 5), expected)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     # 16-byte lines and 40-byte blocks make ranges of three lines, so the
     # blank line after the third starts the second range
@@ -1521,7 +1619,7 @@ def test_records_ranges_on_the_pool(tmp_path, monkeypatch):
         cpus(monkeypatch, n)
         with pytest.raises(ValueError, match=r"r\.csv:5: malformed record \[''\]"):
             read_counts(path, 5)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     path.write_text(RECORDS_HEADER)
     for n in (2, 1):
@@ -1532,34 +1630,16 @@ def test_records_ranges_on_the_pool(tmp_path, monkeypatch):
 
 
 def test_records_pool_window_is_bounded(tmp_path, monkeypatch):
-    import concurrent.futures
-
     path = tmp_path / "r.csv"
     path.write_text(RECORDS_HEADER + random_rows(200, (0, 1), 4))
     expected = read_counts(path, 3)
     monkeypatch.setattr(spinherald.cli, "_READ_BLOCK", 40)
     ranges = count_ranges(path, monkeypatch)
     cpus(monkeypatch, 2)
-    in_flight, peak, submitted = set(), [0], [0]
-    submit = concurrent.futures.ProcessPoolExecutor.submit
-    result = concurrent.futures.Future.result
-
-    def counted_submit(self, *args, **kwargs):
-        future = submit(self, *args, **kwargs)
-        in_flight.add(future)
-        submitted[0] += 1
-        peak[0] = max(peak[0], len(in_flight))
-        return future
-
-    def counted_result(self, *args, **kwargs):
-        in_flight.discard(self)
-        return result(self, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", counted_submit)
-    monkeypatch.setattr(concurrent.futures.Future, "result", counted_result)
+    tally = count_pool_window(monkeypatch)
     assert_counts_equal(read_counts(path, 3), expected)
-    assert ranges > 50 and submitted[0] == ranges and not in_flight
-    assert 0 < peak[0] <= 4
+    assert ranges > 50 and tally["submitted"] == ranges and not tally["in_flight"]
+    assert 0 < tally["peak"] <= 4
 
 
 def test_console_entry_leaves_no_process_behind(tmp_path):

@@ -246,6 +246,27 @@ def test_scatter_and_correction_keep_bloch_rows_in_the_ball():
             assert np.linalg.norm(bloch, axis=0).max() <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("sigma", [1e-300, 0.17, 5.0, 1e3])
+def test_phi_tac_is_np_mod_of_the_jittered_phase(sigma):
+    # the reference reads the run's draws from its Philox stream, block by
+    # block as the run does, and wraps with np.mod; dark heralds keep the
+    # true phase
+    cfg = ideal_config(2 * _BLOCK + 5, 31, errors=ErrorBudget(p_dark=0.2, phi_jitter_sigma=sigma))
+    frame = run_experiment(cfg, get_sequence("corrected_HV"))
+    key = np.random.SeedSequence(cfg.seed).generate_state(2, np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    want = []
+    for lo in range(0, cfg.shots, _BLOCK):
+        draws = rng.random((min(_BLOCK, cfg.shots - lo), DRAWS_PER_SHOT))
+        phi_true = 2.0 * math.pi * draws[:, 4]
+        phi = np.mod(phi_true + sigma * _ndtri(draws[:, 5]), 2.0 * math.pi)
+        dark = draws[:, 3] < cfg.errors.p_dark
+        phi[dark] = phi_true[dark]
+        want.append(phi)
+    # bit for bit, the sign of a zero too
+    assert np.array_equal(frame.phi_tac.view(np.int64), np.concatenate(want).view(np.int64))
+
+
 def test_dark_heralds_carry_random_branch_and_skip_scattering():
     errors = ErrorBudget(p_dark=1.0)
     cfg = ExperimentConfig(shots=2000, seed=10, errors=errors)
