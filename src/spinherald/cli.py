@@ -23,7 +23,7 @@ that run the engine (simulate, tomo --manifest, ramsey, sweep) hand a worker
 a chunk of `_CHUNK` shots, which it reduces to counts.  For simulate it
 also formats the chunk's records lines and writes them into its slot of a
 spool file, from which the calling process appends them to the records
-file in shot order without reading them.  tomo --records hands a worker a
+file in shot order, 64 KiB at a time.  tomo --records hands a worker a
 range of whole lines of the records file, which it reads, parses and
 counts.  Records and summaries are the same bytes as a run in one process,
 and there is no option to set.  On Linux with glibc a worker keeps the
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import errno
 import io
 import json
 import os
@@ -618,38 +617,20 @@ def _spool_write(lines: bytes, fd: int, offset: int, size: int) -> int:
     return written
 
 
-# copy_file_range errors that leave a slot to the buffered copy
-_COPY_REFUSED = (errno.ENOSYS, errno.EXDEV, errno.EINVAL)
-_COPY_BUFFER = 1 << 16  # bytes of that copy's buffer
+_COPY_BUFFER = 1 << 16  # bytes of a slot read at a time
 
 
 def _append_slot(spool, offset: int, count: int, records) -> None:
-    """Append bytes offset ... offset+count-1 of the unbuffered `spool` file
-    to the `records` file at its position, which must have nothing left in
-    its buffer: in the kernel with os.copy_file_range, looping on short
-    copies, or where that call is missing or refused, through one buffer of
-    at most `_COPY_BUFFER` bytes."""
-    src, dst = spool.fileno(), records.fileno()
-    copy = getattr(os, "copy_file_range", None)
-    try:
-        while count and copy is not None:
-            n = copy(src, dst, count, offset)
-            if not n:  # the spool's end: the buffered copy reports it
-                break
-            offset, count = offset + n, count - n
-    except OSError as exc:
-        if exc.errno not in _COPY_REFUSED:
-            raise
-    buffer = memoryview(bytearray(min(count, _COPY_BUFFER)))
+    """Append bytes offset ... offset+count-1 of the `spool` file to the
+    `records` file object, reading at most `_COPY_BUFFER` bytes at a time;
+    EOFError if the spool ends before them."""
+    fd = spool.fileno()
     while count:
-        spool.seek(offset)
-        n = spool.readinto(buffer[:count])
-        if not n:
+        piece = os.pread(fd, min(count, _COPY_BUFFER), offset)
+        if not piece:
             raise EOFError(f"records spool ends {count} bytes short")
-        view = buffer[:n]
-        while view:
-            view = view[os.write(dst, view):]
-        offset, count = offset + n, count - n
+        records.write(piece)
+        offset, count = offset + len(piece), count - len(piece)
 
 
 # glibc's malloc thresholds for a pool worker: each array of a chunk, the
@@ -803,7 +784,12 @@ class _ChunkPool:
     def _fork(self) -> None:
         """Start a worker; it closes the pipes of the workers before it."""
         (task_read, tasks), (results, result_write) = os.pipe(), os.pipe()
-        parent, pid = os.getpid(), os.fork()
+        try:
+            parent, pid = os.getpid(), os.fork()
+        except BaseException:
+            for fd in (task_read, tasks, results, result_write):
+                os.close(fd)
+            raise
         if pid == 0:  # the worker, which never returns into the caller
             status = 1
             try:
@@ -884,11 +870,11 @@ def _run_counts(
 
     With an open records file, each chunk's lines are appended to it.  Where
     os.pwrite exists, task k writes them into slot k mod S of the unbuffered
-    `spool` file, open before the pool starts, and this process copies them
-    from there (`_append_slot`) without reading them: a slot holds _CHUNK
-    lines of at most `_LINE_MAX` bytes, and S is the pool's window (1 in
-    process), so a slot is written again only once its lines are copied
-    out.  Elsewhere tasks run in process and their lines are written here."""
+    `spool` file, open before the pool starts, and this process appends
+    them from there (`_append_slot`): a slot holds _CHUNK lines of at most
+    `_LINE_MAX` bytes, and S is the pool's window (1 in process), so a slot
+    is written again only once its lines are copied out.  Elsewhere tasks
+    run in process and their lines are written here."""
     seq = manifest.sequence()
     if manifest.analysis.tomography:
         runs = plan_runs(manifest.config, seq, tomography_plan())
@@ -902,8 +888,6 @@ def _run_counts(
     ]
     slots, size = max(pool.window(len(spans)), 1), _CHUNK * _LINE_MAX
     spooled = with_records and hasattr(os, "pwrite")
-    if spooled:
-        records.flush()  # the header goes first
     tasks = [
         (*span, n_bins, with_records,
          (spool.fileno(), k % slots * size, size) if spooled else None)

@@ -366,8 +366,8 @@ def test_read_records_rejects_lines_outside_the_grammar(tmp_path):
 
 
 def test_read_records_accepts_only_what_the_writer_writes(tmp_path):
-    # csv quoting, int() underscores, padded numbers and CRLF line ends
-    # are no part of the records grammar
+    # csv quoting, int() underscores, padded numbers, CRLF line ends and
+    # any other header are no part of the records grammar
     bad = tmp_path / "r.csv"
     for row in (
         '0,0,1,0.5,"up",1\n',
@@ -380,6 +380,13 @@ def test_read_records_accepts_only_what_the_writer_writes(tmp_path):
     ):
         bad.write_bytes((RECORDS_HEADER + GOOD_ROW + row).encode())
         with pytest.raises(ValueError, match=r"r\.csv:3: malformed record"):
+            read_counts(bad, 1)
+    for header in (
+        RECORDS_HEADER.replace(",n_attempts", ""),
+        RECORDS_HEADER.replace("\n", "\r\n"),
+    ):
+        bad.write_bytes((header + GOOD_ROW).encode())
+        with pytest.raises(ValueError, match="unexpected records header"):
             read_counts(bad, 1)
 
 
@@ -623,6 +630,8 @@ def test_read_counts_checks_its_bins_before_reading(tmp_path, n_bins):
     for records in (path, tmp_path / "missing.csv"):
         with pytest.raises(ValueError, match=rf"n_bins must be >= 1, got {n_bins}"):
             read_counts(records, n_bins)
+    with pytest.raises(FileNotFoundError, match="records file not found"):
+        read_counts(tmp_path / "missing.csv", 1)
 
 
 def test_tomo_records_in_small_blocks_equals_simulate(tmp_path, monkeypatch):
@@ -1332,22 +1341,23 @@ def test_multi_chunk_outputs_are_pinned_on_the_pool_and_in_process(tmp_path, mon
 
 
 def test_multi_chunk_outputs_are_pinned_whatever_copies_the_records(tmp_path, monkeypatch):
-    # the records spool copied out through the buffer, where copy_file_range
-    # is missing or refused, and the lines written without a spool, where
-    # os.pwrite is missing
-    def refused(*args):
-        raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+    # the lines written here without a spool, where os.pwrite is missing
+    monkeypatch.delattr(os, "pwrite")
+    test_multi_chunk_outputs_are_pinned_on_the_pool_and_in_process(tmp_path, monkeypatch)
 
-    for name, patch in (
-        ("no_copy", lambda: monkeypatch.delattr(os, "copy_file_range", raising=False)),
-        ("refused", lambda: monkeypatch.setattr(os, "copy_file_range", refused)),
-        ("no_pwrite", lambda: monkeypatch.delattr(os, "pwrite")),
-    ):
-        patch()
-        test_multi_chunk_outputs_are_pinned_on_the_pool_and_in_process(
-            tmp_path / name, monkeypatch
-        )
-        monkeypatch.undo()
+
+def test_append_slot_streams_the_slot_after_the_buffered_header(tmp_path):
+    body = np.random.default_rng(48).bytes(3 * spinherald.cli._COPY_BUFFER + 5)
+    offset, path = 4099, tmp_path / "r.csv"
+    with (tmp_path / "spool").open("w+b", buffering=0) as spool, path.open("wb") as records:
+        spool.write(b"x" * offset + body)
+        records.write(RECORDS_HEADER.encode())
+        assert path.read_bytes() == b""  # the header waits in the buffer
+        spinherald.cli._append_slot(spool, offset, len(body), records)
+        records.flush()
+        assert path.read_bytes() == RECORDS_HEADER.encode() + body
+        with pytest.raises(EOFError, match="records spool ends 7 bytes short"):
+            spinherald.cli._append_slot(spool, offset + 5, len(body) + 2, records)
 
 
 def test_simulate_on_the_pool_holds_no_records_lines(tmp_path, monkeypatch):
@@ -1535,6 +1545,28 @@ def test_unpicklable_task_errors_and_values_come_back_as_runtime_errors(monkeypa
                 list(pool.map(fn, [0, 1]))
         assert str(raised.value).startswith("Traceback") and frame in str(raised.value)
         assert_no_child_left()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="lists /proc/self/fd")
+def test_failed_fork_leaks_no_pipe_and_leaves_no_child(tmp_path, monkeypatch):
+    fork, forks = os.fork, []
+
+    def fork_once():
+        forks.append(None)
+        if len(forks) > 1:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    manifest = write_manifest(tmp_path / "r.ini", "ramsey_HV", shots=3000, seed=3)
+    monkeypatch.setattr(spinherald.cli, "_CHUNK", 1000)  # three chunks
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", fork_once)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError, match=os.strerror(errno.EAGAIN)):
+        cmd_ramsey(manifest, tmp_path / "out")
+    assert len(forks) == 2
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    assert_no_child_left()
 
 
 def test_pool_window_is_bounded(tmp_path, monkeypatch):

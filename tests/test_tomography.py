@@ -122,6 +122,9 @@ def test_estimate_ptm_missing_setting():
     del outcomes[5]
     with pytest.raises(IncompleteDataError, match="down"):
         estimate_ptm(outcomes)
+    outcomes[12] = outcomes[0]
+    with pytest.raises(ValueError, match=r"settings outside the 12-setting plan: \[12\]"):
+        estimate_ptm(outcomes)
 
 
 def test_estimate_ptm_from_counts_equals_outcome_arrays():
