@@ -47,7 +47,7 @@ import sys
 import tempfile
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 from pathlib import Path
 from types import SimpleNamespace
@@ -450,14 +450,15 @@ def _range_task(task) -> tuple[int, dict | None, tuple | None]:
 def read_counts(path, n_bins: int) -> dict[int, ShotCounts]:
     """Counts of each setting of a records file, in ascending setting order.
 
-    After the header, every line must be six comma-separated fields in the
-    writer's form, without whitespace, quotes or blank lines: a non-negative
-    int64 shot_id and setting_id, a branch in {0, 1, 2}, a finite phi_tac,
-    an outcome of up or down and a non-negative int64 n_attempts.  The first
-    line that is not raises a `path:lineno` error.  The body is counted in
-    ranges of whole lines of about `_READ_BLOCK` bytes on a `_ChunkPool`,
-    whose workers each read their own range of the file, and the counts are
-    added in file order: memory stays bounded."""
+    After the header, every line must be six comma-separated fields without
+    whitespace, quotes, digit underscores or blank lines: a non-negative
+    int64 shot_id and setting_id, a branch in {0, 1, 2}, a finite decimal
+    phi_tac, up or down and a non-negative int64 n_attempts, each read as
+    its value (also `+3`, `007` or `5E-1`, which the writer never prints).
+    The first line that is not raises a `path:lineno` error.  The body is
+    counted in ranges of whole lines of about `_READ_BLOCK` bytes on a
+    `_ChunkPool`, whose workers each read their own range of the file, and
+    the counts are added in file order: memory stays bounded."""
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins!r}")
     path = Path(path)
@@ -590,19 +591,15 @@ class ResultBundle:
     summary: dict
 
 
-def _chunk_task(task) -> tuple[int, ShotCounts, bytes | int | None]:
-    """(setting index, counts, records) of one chunk task (index, config,
-    sequence, lo, hi, n_bins, with_records, slot): shots lo ... hi-1 of one
-    setting's run.  Its records lines are formatted only when asked for.
-    With a slot (fd, offset, size) of the spool file they are written there
-    (`_spool_write`) and records is their byte count; without one, records
-    is the lines themselves."""
-    index, cfg, seq, lo, hi, n_bins, with_records, slot = task
+def _chunk_task(task) -> tuple[int, ShotCounts, int | None]:
+    """(setting index, counts, written) of one chunk task (index, config,
+    sequence, lo, hi, n_bins, write): shots lo ... hi-1 of one setting's
+    run.  A `write` (see `_run_counts`) is passed the chunk's records lines
+    and written is the byte count it returns; without one, written is None."""
+    index, cfg, seq, lo, hi, n_bins, write = task
     frame = run_experiment(cfg, seq, lo, hi)
-    records = _record_lines(index, frame) if with_records else None
-    if slot is not None:
-        records = _spool_write(records, *slot)  # the lines are freed here
-    return index, ShotCounts.of(frame, n_bins), records
+    written = None if write is None else write(_record_lines(index, frame))
+    return index, ShotCounts.of(frame, n_bins), written
 
 
 def _spool_write(lines: bytes, fd: int, offset: int, size: int) -> int:
@@ -868,37 +865,35 @@ def _run_counts(
     one run as setting 0), reduced chunk by chunk as the pool returns them in
     shot order.
 
-    With an open records file, each chunk's lines are appended to it.  Where
-    os.pwrite exists, task k writes them into slot k mod S of the unbuffered
-    `spool` file, open before the pool starts, and this process appends
-    them from there (`_append_slot`): a slot holds _CHUNK lines of at most
-    `_LINE_MAX` bytes, and S is the pool's window (1 in process), so a slot
-    is written again only once its lines are copied out.  Elsewhere tasks
-    run in process and their lines are written here."""
+    With an open records file, each chunk's lines are appended to it: by
+    its task in process; on a pool, task k writes them (`_spool_write`) into
+    slot k mod S of the unbuffered `spool` file, open before the pool
+    starts, and this process appends them from there (`_append_slot`): a
+    slot holds _CHUNK lines of at most `_LINE_MAX` bytes, and S is the
+    pool's window, so a slot is written again only once they are copied."""
     seq = manifest.sequence()
     if manifest.analysis.tomography:
         runs = plan_runs(manifest.config, seq, tomography_plan())
     else:
         runs = [(0, manifest.config, seq)]
-    n_bins, with_records = manifest.analysis.bins, records is not None
     spans = [
         (index, cfg, seq_s, lo, min(lo + _CHUNK, cfg.shots))
         for index, cfg, seq_s in runs
         for lo in range(0, cfg.shots, _CHUNK)
     ]
-    slots, size = max(pool.window(len(spans)), 1), _CHUNK * _LINE_MAX
-    spooled = with_records and hasattr(os, "pwrite")
+    slots, size = pool.window(len(spans)), _CHUNK * _LINE_MAX
+    spooled = records is not None and slots > 0
+    write = None if records is None else records.write
     tasks = [
-        (*span, n_bins, with_records,
-         (spool.fileno(), k % slots * size, size) if spooled else None)
+        (*span, manifest.analysis.bins,
+         partial(_spool_write, fd=spool.fileno(), offset=k % slots * size, size=size)
+         if spooled else write)
         for k, span in enumerate(spans)
     ]
     counts = {}
-    for k, (index, c, lines) in enumerate(pool.map(_chunk_task, tasks)):
+    for k, (index, c, written) in enumerate(pool.map(_chunk_task, tasks)):
         if spooled:
-            _append_slot(spool, k % slots * size, lines, records)
-        elif with_records:
-            records.write(lines)
+            _append_slot(spool, k % slots * size, written, records)
         counts[index] = counts[index] + c if index in counts else c
     return counts
 
@@ -940,11 +935,11 @@ def cmd_simulate(
 
     Records are written chunk by chunk while the run is reduced to counts,
     into a partial file that replaces records.csv only once the summary is
-    built; a failed run leaves the output directory as it was.  Where
-    os.pwrite exists, the tasks write their lines into an unnamed spool file
-    in the output directory, opened before the pool starts so that its
-    workers inherit it, and this process only appends them to the partial
-    file (`_run_counts`).
+    built; a failed run leaves the output directory as it was.  On a pool,
+    the workers write their lines into an unnamed spool file in the output
+    directory, opened before the pool starts so that they inherit it, and
+    this process only appends them to the partial file (`_run_counts`); in
+    process the tasks write to the partial file themselves.
     """
     manifest = load_manifest(manifest_path, {"seed": seed, "shots": shots})
     out = Path(out_dir if out_dir is not None else manifest.out_dir)
@@ -1029,8 +1024,8 @@ def cmd_ramsey(
             "block and an analysis pulse)"
         )
     harmonic = manifest.analysis.fringe_harmonic
-    if harmonic is None:
-        harmonic = 1 if seq.scatter_first else 2
+    if harmonic is None:  # without a prep pulse the kick is the first pulse
+        harmonic = 1 if seq.prep is None else 2
     analysis = AnalysisRequest(fringe_harmonic=harmonic, bins=manifest.analysis.bins)
     manifest = replace(manifest, analysis=analysis)
     with _ChunkPool() as pool:

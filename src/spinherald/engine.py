@@ -154,9 +154,6 @@ class PulseSequence:
     derives from the scatter basis, the detector branch and the recorded
     phi_tac; it needs a linear scatter basis.
 
-    scatter_first reorders the pipeline so the scattering kick (plus its
-    correction) acts before the prep pulse; the double-fringe experiment in
-    the 45 degree basis uses it so the photon kick replaces the first pulse.
     scatter = None disables scattering entirely (identity benchmark).
     """
 
@@ -165,7 +162,6 @@ class PulseSequence:
     scatter: PolarizationBasis | None = None
     corrected: bool = False
     analysis: RotationSpec | None = None
-    scatter_first: bool = False
 
     def __post_init__(self):
         if self.corrected:
@@ -507,12 +503,10 @@ def _simulate_rows(config, seq, draws, first_shot_id: int, bloch) -> ShotFrame:
     err = config.errors
     n = draws.shape[0]
 
-    # optical pumping into |up>, flipped with probability e_prep; the first
+    # optical pumping into |up>, flipped with probability e_prep; the prep
     # pulse maps it to z0 times the last column of its Bloch matrix
     z0 = np.where(draws[:, 0] < err.e_prep, -1.0, 1.0)
-    scatter_first = seq.scatter is not None and seq.scatter_first
-    first = _pulse_matrix(None if scatter_first else seq.prep)
-    np.multiply.outer(first[:, 2], z0, out=bloch)
+    np.multiply.outer(_pulse_matrix(seq.prep)[:, 2], z0, out=bloch)
 
     if seq.scatter is None:
         n_att, branch, phi_rec = (np.zeros(n, t) for t in (np.int64, np.int8, float))
@@ -520,8 +514,6 @@ def _simulate_rows(config, seq, draws, first_shot_id: int, bloch) -> ShotFrame:
         bloch, n_att, branch, phi_rec = _apply_scatter_block(config, seq, draws, bloch)
         if seq.corrected:
             bloch = _apply_correction(seq.scatter, branch, phi_rec, bloch)
-        if scatter_first and seq.prep is not None:
-            bloch[:] = [_dot(row, bloch) for row in _pulse_matrix(seq.prep)]
 
     # only z of the analysed state is measured; a uniform in [0, 1) compares
     # with P(up) as it would with P(up) clipped into [0, 1]
@@ -624,9 +616,7 @@ def standard_sequences() -> dict[str, PulseSequence]:
         "ramsey_HV": PulseSequence(
             "ramsey_HV", prep=half_x, scatter=hv, analysis=half_x
         ),
-        "ramsey_45": PulseSequence(
-            "ramsey_45", scatter=diag, analysis=half_x, scatter_first=True
-        ),
+        "ramsey_45": PulseSequence("ramsey_45", scatter=diag, analysis=half_x),
         "corrected_HV": PulseSequence("corrected_HV", scatter=hv, corrected=True),
         "corrected_45": PulseSequence("corrected_45", scatter=diag, corrected=True),
     }

@@ -39,6 +39,7 @@ from spinherald.engine import (
     UnsupportedCorrectionError,
     run_experiment,
     run_plan,
+    standard_sequences,
 )
 from spinherald.scattering import PolarizationBasis, scatter
 from spinherald.spinalg import ID2
@@ -183,8 +184,9 @@ def test_analysis_bins_have_an_upper_limit(tmp_path):
 
 
 def test_manifest_schema_doc_matches_the_parser(tmp_path):
+    doc_path = Path(__file__).resolve().parents[1] / "docs" / "manifest-schema.ini"
     doc = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
-    doc.read(Path(__file__).resolve().parents[1] / "docs" / "manifest-schema.ini")
+    doc.read(doc_path)
     schema = spinherald.cli._SCHEMA
     assert {s: set(doc[s]) for s in doc.sections()} == {
         s: set(keys) for s, keys in schema.items()
@@ -207,6 +209,12 @@ def test_manifest_schema_doc_matches_the_parser(tmp_path):
             assert schema[section][key](doc[section][key]) == value, (section, key)
     path.write_text("[run]\nsequence = ramsey_HV\n[analysis]\nfringe_harmonic =\n")
     assert load_manifest(path).analysis.fringe_harmonic is None
+    # the comment of [run] sequence lists the catalog's names, each once
+    text = doc_path.read_text()
+    block = text[text.index("\nsequence =") : text.index("\nshots =")]
+    comment = " ".join(line.partition(";")[2] for line in block.splitlines())
+    listed = [name.strip() for name in comment.split("standard_sequences():")[1].split(",")]
+    assert sorted(listed) == sorted(standard_sequences())
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +374,8 @@ def test_read_records_rejects_lines_outside_the_grammar(tmp_path):
 
 
 def test_read_records_accepts_only_what_the_writer_writes(tmp_path):
-    # csv quoting, int() underscores, padded numbers, CRLF line ends and
-    # any other header are no part of the records grammar
+    # csv quoting, digit underscores, whitespace padding, CRLF line ends
+    # and any other header are no part of the records grammar
     bad = tmp_path / "r.csv"
     for row in (
         '0,0,1,0.5,"up",1\n',
@@ -400,6 +408,11 @@ def test_read_records_header_only_and_single_row(tmp_path):
     # one shot of branch 2, outcome down, in the bin of -1.25 + 2 pi
     assert counts.n.sum() == counts.n[2, 3, 0] == 1
     assert counts.attempts == 4
+    # a field is read as its value: signs, leading zeros and exponents too
+    path.write_text(RECORDS_HEADER + "007,+3,01,.5,up,1\n-0,3,2,5E-1,down,4\n")
+    loose = read_counts(path, 4)
+    path.write_text(RECORDS_HEADER + "7,3,1,0.5,up,1\n0,3,2,0.5,down,4\n")
+    assert_counts_equal(loose, read_counts(path, 4))
 
 
 def test_read_records_checks_the_grammar_across_block_boundaries(tmp_path, monkeypatch):
@@ -719,9 +732,9 @@ def test_demo_records_bytes_are_pinned(tmp_path):
 
 
 def test_kernel_paths_records_bytes_are_pinned(tmp_path):
-    # one pin per kernel path the corrected pins above do not take: the
-    # scatter block before the prep pulse, an elliptical birefringent kick,
-    # no scatter block at all, and the Ramsey fringe table
+    # one pin per kernel path the corrected pins above do not take: a
+    # scatter block with no prep pulse before it, an elliptical
+    # birefringent kick, no scatter block at all, and the Ramsey fringe table
     def nominal(name, sequence, errors=NOMINAL_ERRORS, basis=None, tomography=True):
         return write_manifest(
             tmp_path / f"{name}.ini", sequence, shots=2000, seed=7,
@@ -765,6 +778,26 @@ def test_tomo_from_records_matches_in_memory(tmp_path):
     bundle = cmd_simulate(manifest, tmp_path / "out")
     regenerated = cmd_tomo(records_path=bundle.records_path, flt="all")
     assert regenerated["tomography"] == bundle.summary["tomography"]
+
+
+def test_ramsey_45_tomography_is_the_scatter_45_tomography(tmp_path):
+    # the plan swaps in its own prep and analysis pulses, so a sequence
+    # without a prep pulse runs the plan of its bare scatter block
+    bundles = [
+        cmd_simulate(
+            write_manifest(
+                tmp_path / f"{name}.ini", name, shots=3000, seed=7,
+                errors=NOMINAL_ERRORS, config={"p_exc": 0.075},
+                analysis={"tomography": "true"},
+            ),
+            tmp_path / name,
+        )
+        for name in ("ramsey_45", "scatter_45")
+    ]
+    r45, s45 = bundles
+    assert r45.records_path.read_bytes() == s45.records_path.read_bytes()
+    for block in ("tomography", "branch_stats"):
+        assert r45.summary[block] == s45.summary[block], block
 
 
 def test_branch_stats_follow_manifest_bins(tmp_path):
@@ -1340,12 +1373,6 @@ def test_multi_chunk_outputs_are_pinned_on_the_pool_and_in_process(tmp_path, mon
     assert outputs[2] == outputs[1]
 
 
-def test_multi_chunk_outputs_are_pinned_whatever_copies_the_records(tmp_path, monkeypatch):
-    # the lines written here without a spool, where os.pwrite is missing
-    monkeypatch.delattr(os, "pwrite")
-    test_multi_chunk_outputs_are_pinned_on_the_pool_and_in_process(tmp_path, monkeypatch)
-
-
 def test_append_slot_streams_the_slot_after_the_buffered_header(tmp_path):
     body = np.random.default_rng(48).bytes(3 * spinherald.cli._COPY_BUFFER + 5)
     offset, path = 4099, tmp_path / "r.csv"
@@ -1394,17 +1421,17 @@ def test_records_spool_write_failures_fail_simulate(tmp_path, monkeypatch):
     def full(fd, data, offset):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
+    # only a pool's workers write into the spool
+    cpus(monkeypatch, 2)
     manifest = write_manifest(tmp_path / "m.ini", "ramsey_HV", shots=5000, seed=3)
     monkeypatch.setattr(spinherald.cli, "_CHUNK", 1000)  # five chunks
     for write, message in ((short, "short write"), (full, os.strerror(errno.ENOSPC))):
         monkeypatch.setattr(os, "pwrite", write)
-        for n in (2, 1):
-            cpus(monkeypatch, n)
-            out = tmp_path / f"{write.__name__}{n}"
-            with pytest.raises(OSError, match=message):
-                cmd_simulate(manifest, out)
-            assert list(out.iterdir()) == []
-            assert_no_child_left()
+        out = tmp_path / write.__name__
+        with pytest.raises(OSError, match=message):
+            cmd_simulate(manifest, out)
+        assert list(out.iterdir()) == []
+        assert_no_child_left()
 
 
 def test_pool_and_in_process_write_the_same_outputs(tmp_path, monkeypatch):

@@ -294,24 +294,6 @@ def test_ramsey_hv_fringe_shapes_follow_convention():
     assert fit.contrast > 0.95
 
 
-def test_scatter_first_reorders_the_kick_before_the_prep_pulse():
-    # with prep and analysis both pi/2 about +x, the spin-flip branch gives a
-    # double fringe when the kick lands between the pulses, but a flat line
-    # at P(up) = 1 when it precedes them: |up> -> |down> -> +y -> +z
-    base = dict(
-        prep=RotationSpec((1, 0, 0), math.pi / 2),
-        scatter=PolarizationBasis(0.0, 0.0),
-        analysis=RotationSpec((1, 0, 0), math.pi / 2),
-    )
-    cfg = ideal_config(20_000, 24, p_exc=0.5)
-    between = run_experiment(cfg, PulseSequence("between", **base))
-    first = run_experiment(cfg, PulseSequence("first", scatter_first=True, **base))
-    h_between = between.select(between.branch == 2)
-    h_first = first.select(first.branch == 2)
-    assert abs(h_between.outcome_up.mean() - 0.5) < 0.02  # fringe averages to 1/2
-    assert h_first.outcome_up.all()
-
-
 def test_elliptical_branch_probabilities_follow_born_rule():
     # engine sampling vs the operator-level Born rule: for a circular basis
     # the branch weights depend on the state and the precession phase
@@ -525,7 +507,7 @@ def test_standard_sequence_catalog():
         "no_scatter",
     ):
         assert name in catalog
-    assert catalog["ramsey_45"].scatter_first
+    assert catalog["ramsey_45"].prep is None
     assert catalog["no_scatter"].scatter is None
     with pytest.raises(KeyError, match="ramsey_HV"):
         get_sequence("nonesuch")
