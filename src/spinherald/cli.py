@@ -11,9 +11,10 @@ sweep      repeat a manifest over a grid of one parameter and tabulate the
            summaries
 
 Manifests are flat INI files (see docs/manifest-schema.ini).  Records files
-are ASCII, one line per shot with a fixed column order; summaries are JSON and
-round-trip losslessly.  Exit status is nonzero exactly when an error was
-reported.
+are ASCII, one line per shot with a fixed column order, in the format of
+`spinherald.records`, which formats the lines and reads them back;
+summaries are JSON and round-trip losslessly.  Exit status is nonzero
+exactly when an error was reported.
 
 Every command spreads its work over a pool of worker processes sized to the
 CPUs this process may use and collects the results in order.  This process
@@ -22,35 +23,35 @@ pipe of its own: no executor, no thread, no multiprocessing.  The commands
 that run the engine (simulate, tomo --manifest, ramsey, sweep) hand a worker
 a chunk of `_CHUNK` shots, which it reduces to counts.  For simulate it
 also formats the chunk's records lines and writes them into its slot of a
-spool file, from which the calling process appends them to the records
-file in shot order, 64 KiB at a time.  tomo --records hands a worker a
-range of whole lines of the records file, which it reads, parses and
-counts.  Records and summaries are the same bytes as a run in one process,
-and there is no option to set.  On Linux with glibc a worker keeps the
-pages a chunk frees for its next chunk instead of faulting them in again;
-the calling process's allocator, which also serves a run in process, is
-left as it is.  read_counts, the one records reader, uses the same pool;
-the other library functions (run_experiment, run_plan, ...) run in the
-calling process.
+spool file, opened only when the pool has workers, from which the calling
+process appends them to the records file in shot order, 64 KiB at a time.
+tomo --records hands a worker a range of whole lines of the records file,
+about `_READ_BLOCK` bytes, which it reads, parses and counts
+(`records._range_task`: lines in the writer's form by byte arithmetic,
+any other line by np.loadtxt).  Records and summaries are the same bytes
+as a run in one process, and there is no option to set.  On Linux with
+glibc a worker keeps the pages a chunk frees for its next chunk instead of
+faulting them in again; the calling process's allocator, which also serves
+a run in process, is left as it is.  read_counts, the one records reader,
+uses the same pool; the other library functions (run_experiment, run_plan,
+...) run in the calling process.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import json
 import os
 import pickle
-import string
 import sys
 import tempfile
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial, reduce
 from operator import add
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -59,12 +60,12 @@ from .engine import (
     ErrorBudget,
     ExperimentConfig,
     PulseSequence,
-    ShotFrame,
     get_sequence,
     noisy_joint_state,
     plan_runs,
     run_experiment,
 )
+from .records import _HEADER, _LINE_MAX, _range_task, _record_lines
 from .scattering import PolarizationBasis, entanglement_fidelity
 from .spinalg import KET_UP
 from .tomography import (
@@ -74,8 +75,6 @@ from .tomography import (
     tomography_plan,
 )
 
-RECORD_COLUMNS = ("shot_id", "setting_id", "branch", "phi_tac", "outcome", "n_attempts")
-_HEADER = ",".join(RECORD_COLUMNS).encode()  # a records file's first line
 # recorded branches each filter keeps: V and H condition on their detector
 # branch, the others keep every shot
 _FILTER_BRANCHES = {
@@ -250,201 +249,7 @@ def load_manifest(path, overrides=None) -> RunManifest:
 # ---------------------------------------------------------------------------
 
 
-_READ_BLOCK = 1 << 20  # bytes of a records body read, checked and parsed at once
-_RECORD_DTYPE = np.dtype(
-    [
-        ("shot_id", np.int64),
-        ("setting_id", np.int64),
-        ("branch", np.int64),
-        ("phi_tac", np.float64),
-        ("outcome", "S5"),  # wide enough that "downx" cannot read as "down"
-        ("n_attempts", np.int64),
-    ]
-)
-# every byte a records body may hold: no whitespace, quote or comment mark
-_RECORD_BYTES = (string.ascii_letters + string.digits + "+-.,\n").encode()
-# 10**k, k = 0 ... 13: exact in int64, and in float64 too
-_POW10 = 10 ** np.arange(14, dtype=np.int64)
-# an outcome's 4 columns: "down", or "up" and two padding bytes
-_OUTCOME_BYTES = np.frombuffer(b"downup\0\0", np.uint8).reshape(2, 4).T
-# phi_tac's columns: 9 integer-part digits, the point and 13 fraction digits
-_PHI_WIDTH = 23
-# bytes of the widest records line: a 19-digit shot_id, ",<19-digit
-# setting_id>,", the branch and ",", the phi_tac columns, ",", 4 outcome
-# columns, ",", a 19-digit n_attempts and "\n"
-_LINE_MAX = 91
-
-
-def _check_records(setting_id: int, f: ShotFrame) -> None:
-    """ValueError, naming the setting and the column, unless every value of
-    the frame lies in the grammar of `read_counts`."""
-    for column, ok, rule in (
-        ("setting_id", 0 <= setting_id < 2**63, "a non-negative int64"),
-        ("shot_id", f.shot_id.min(initial=0) >= 0, "non-negative"),
-        ("branch", ((f.branch >= 0) & (f.branch <= 2)).all(), "0, 1 or 2"),
-        ("phi_tac", np.isfinite(f.phi_tac).all(), "finite"),
-        ("n_attempts", f.n_attempts.min(initial=0) >= 0, "non-negative"),
-    ):
-        if not ok:
-            raise ValueError(
-                f"records of setting {setting_id}: {column} must be {rule}"
-            )
-
-
-def _digits(rows: np.ndarray, t: np.ndarray) -> None:
-    """The decimal digits of non-negative integers t, right-aligned in
-    `rows` (one uint8 row per digit, at least as many rows as the widest
-    value has digits) as the numbers 0-9."""
-    # a copy, which the loop overwrites; int32 arithmetic is ~3x faster and
-    # holds any value of at most 9 digits
-    t = t.astype(np.int32 if len(rows) <= 9 else np.int64)
-    q, ten_q = np.empty_like(t), np.empty_like(t)
-    for row in rows[:0:-1]:
-        np.floor_divide(t, 10, out=q)
-        np.multiply(q, 10, out=ten_q)
-        np.subtract(t, ten_q, out=row, casting="unsafe")
-        t, q = q, t
-    rows[0] = t
-
-
-def _ascii(rows: np.ndarray) -> np.ndarray:
-    """Digits 0-9 in `rows` as ASCII, except that the zeros ahead of the
-    first nonzero digit in row order become 0 bytes; True where a digit is
-    nonzero."""
-    seen = np.zeros(rows.shape[1], bool)
-    for row in rows:
-        seen |= row != 0
-        row += ord("0")
-        row *= seen
-    return seen
-
-
-def _integer_column(rows: np.ndarray, t: np.ndarray) -> None:
-    """Non-negative int64 values t as decimal text right-aligned in `rows`,
-    their leading zeros 0 bytes."""
-    _digits(rows, t)
-    _ascii(rows[:-1])
-    rows[-1] += ord("0")  # the units digit, also of a 0
-
-
-def _phi_columns(rows: np.ndarray, x: np.ndarray) -> None:
-    """Finite x as `format(x, ".9g")` in `rows` (_PHI_WIDTH uint8 rows), with
-    0 bytes where the text has no character.
-
-    With e = floor(log10 |x|) clipped to [-4, 8], y = x * 10**(8 - e) takes
-    one rounding (error < 6e-8, as y < 1e9 and 10**(8 - e) is exact).  Where
-    its rint r lies in [1e8, 1e9) and y is no near-tie, r is the correctly
-    rounded 9-digit significand of a fixed-point text, written as the digits
-    of r / 10**(8 - e) with the fraction's trailing zeros (and a bare point)
-    dropped.  Every other row (zeros, negatives, exponent form, near-ties,
-    a log10 one off) is formatted by Python and copied in."""
-    with np.errstate(divide="ignore"):
-        e = np.floor(np.log10(np.abs(x)))
-    k = 8 - np.clip(e, -4, 8).astype(np.intp)
-    scale = _POW10[k]
-    y = x * scale
-    r = np.rint(y)
-    fast = (r >= 1e8) & (r < 1e9) & (np.abs(y - np.floor(y) - 0.5) > 1e-6)
-    r = np.where(fast, r, 0.0).astype(np.int64)
-    whole = r // scale
-    _integer_column(rows[:9], whole)
-    point, frac = rows[9], rows[10:]
-    fraction = (r - whole * scale) * _POW10[13 - k]  # its 13 digits, as an integer
-    high = fraction // _POW10[7]  # in two halves of 6 and 7 digits, for int32
-    _digits(frac[:6], high)
-    _digits(frac[6:], fraction - high * _POW10[7])
-    point[:] = _ascii(frac[::-1]) * ord(".")  # trailing zeros dropped
-    slow = np.flatnonzero(~fast)
-    if len(slow):
-        text = [format(v, ".9g").encode() for v in x[slow].tolist()]
-        text = np.array(text, f"S{_PHI_WIDTH}").view(np.uint8)
-        rows[:, slow] = text.reshape(-1, _PHI_WIDTH).T
-
-
-def _record_lines(setting_id: int, f: ShotFrame) -> bytes:
-    """The records lines of one frame's shots, as ASCII bytes; ValueError if
-    a value lies outside the grammar of `read_counts`.
-
-    One uint8 row per output column of a (width, shots) matrix, each written
-    whole: shot_id digits (as many as its largest value has), ",setting_id,",
-    the branch digit and ",", phi_tac (`_phi_columns`), ",", the outcome in 4
-    columns, ",", n_attempts digits and "\n".  Bytes that belong to no text
-    (leading and trailing zeros, padding) are 0 and are dropped once the
-    matrix is laid out row by row."""
-    _check_records(setting_id, f)
-    if len(f) == 0:
-        return b""
-    setting = f",{setting_id},".encode()
-    shot_width, attempts_width = (len(str(c.max())) for c in (f.shot_id, f.n_attempts))
-    widths = (shot_width, len(setting), 2, _PHI_WIDTH, 1, 4, 1, attempts_width, 1)
-    M = np.empty((sum(widths), len(f)), np.uint8)
-    shot, sid, branch, phi, comma1, outcome, comma2, attempts, newline = np.split(
-        M, np.cumsum(widths)[:-1]
-    )
-    _integer_column(shot, f.shot_id)
-    sid[:] = np.frombuffer(setting, np.uint8)[:, None]
-    np.add(f.branch, ord("0"), out=branch[0], casting="unsafe")
-    branch[1] = comma1[0] = comma2[0] = ord(",")
-    _phi_columns(phi, f.phi_tac)
-    np.take(_OUTCOME_BYTES, f.outcome_up.astype(np.intp), axis=1, out=outcome)
-    _integer_column(attempts, f.n_attempts)
-    newline[0] = ord("\n")
-    return M.T.tobytes().translate(None, b"\0")  # tobytes writes line after line
-
-
-def _parse_block(block: bytes) -> np.ndarray:
-    """The lines of a nonempty run of whole lines of a records body as one
-    structured row each; ValueError unless every line is a record."""
-    blank_line = block.startswith(b"\n") or b"\n\n" in block
-    if blank_line or block.translate(None, _RECORD_BYTES):
-        raise ValueError("blank line or a byte outside the records grammar")
-    rec = np.loadtxt(
-        io.BytesIO(block), dtype=_RECORD_DTYPE, delimiter=",", comments=None, ndmin=1
-    )
-    outcome, branch = rec["outcome"], rec["branch"]
-    if not (
-        ((outcome == b"up") | (outcome == b"down")).all()
-        and ((branch >= 0) & (branch <= 2)).all()
-        and np.isfinite(rec["phi_tac"]).all()
-        and min(rec[k].min() for k in ("shot_id", "setting_id", "n_attempts")) >= 0
-    ):
-        raise ValueError("record outside its column's range")
-    return rec
-
-
-def _range_task(task) -> tuple[int, dict | None, tuple | None]:
-    """(rows, counts by setting, None) of the whole lines in bytes lo ... hi-1
-    of a records file, or (0, None, (index, fields)) of the first line
-    `_parse_block` rejects, by bisection."""
-    path, lo, hi, n_bins = task
-    with open(path, "rb") as fh:
-        fh.seek(lo)
-        block = fh.read(hi - lo)
-    try:
-        rec = _parse_block(block)
-    except ValueError:
-        lines = block.removesuffix(b"\n").split(b"\n")
-        lo, hi = 0, len(lines)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                _parse_block(b"\n".join(lines[lo:mid]) + b"\n")
-                lo = mid
-            except ValueError:
-                hi = mid
-        return 0, None, (lo, lines[lo].decode(errors="replace").split(","))
-    del block  # the counting below peaks without it
-    setting, up, counts = rec["setting_id"], rec["outcome"] == b"up", {}
-    for key in set(setting.tolist()):
-        mask = setting == key
-        shots = SimpleNamespace(  # the columns that ShotCounts.of reads
-            branch=rec["branch"][mask],
-            phi_tac=rec["phi_tac"][mask],
-            outcome_up=up[mask],
-            n_attempts=rec["n_attempts"][mask],
-        )
-        counts[key] = ShotCounts.of(shots, n_bins)
-    return len(rec), counts, None
+_READ_BLOCK = 1 << 18  # bytes of a records body read, checked and parsed at once
 
 
 def read_counts(path, n_bins: int) -> dict[int, ShotCounts]:
@@ -457,10 +262,13 @@ def read_counts(path, n_bins: int) -> dict[int, ShotCounts]:
     its value (also `+3`, `007` or `5E-1`, which the writer never prints).
     The first line that is not raises a `path:lineno` error.  The body is
     counted in ranges of whole lines of about `_READ_BLOCK` bytes on a
-    `_ChunkPool`, whose workers each read their own range of the file, and
-    the counts are added in file order: memory stays bounded."""
+    `_ChunkPool`, whose workers each read their own range of the file
+    (`records._range_task`), and the counts are added in file order: memory
+    stays bounded.  n_bins lies in [1, _MAX_BINS], as a manifest's bins."""
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins!r}")
+    if n_bins > _MAX_BINS:
+        raise ValueError(f"n_bins must be <= {_MAX_BINS}, got {n_bins!r}")
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"records file not found: {path}")
@@ -764,17 +572,23 @@ class _ChunkPool:
         for pid, _ in workers.values():
             os.waitpid(pid, 0)
 
+    def workers(self, n_tasks: int) -> int:
+        """The workers that run `n_tasks` tasks: those running, or else as
+        many as `window` would start for them, without starting any; 0 where
+        tasks run in this process."""
+        if self._workers:
+            return len(self._workers)
+        # the affinity call exists only where fork does too
+        affinity = getattr(os, "sched_getaffinity", None)
+        workers = min(len(affinity(0)) if affinity else 1, n_tasks)
+        return workers if workers > 1 else 0
+
     def window(self, n_tasks: int) -> int:
         """The most tasks `map` keeps submitted and not yet collected, on
         the pool this starts for `n_tasks` tasks if none runs yet; 0 while
         tasks run in this process."""
         if not self._workers:
-            # the affinity call exists only where fork does too
-            affinity = getattr(os, "sched_getaffinity", None)
-            workers = min(len(affinity(0)) if affinity else 1, n_tasks)
-            if workers < 2:
-                return 0
-            for _ in range(workers):
+            for _ in range(self.workers(n_tasks)):
                 self._fork()
         return 2 * len(self._workers)
 
@@ -859,7 +673,7 @@ class _ChunkPool:
 
 
 def _run_counts(
-    manifest: RunManifest, pool: _ChunkPool, records=None, spool=None
+    manifest: RunManifest, pool: _ChunkPool, records=None
 ) -> dict[int, ShotCounts]:
     """Counts of each setting of the manifest's run (the tomography plan or
     one run as setting 0), reduced chunk by chunk as the pool returns them in
@@ -867,10 +681,12 @@ def _run_counts(
 
     With an open records file, each chunk's lines are appended to it: by
     its task in process; on a pool, task k writes them (`_spool_write`) into
-    slot k mod S of the unbuffered `spool` file, open before the pool
-    starts, and this process appends them from there (`_append_slot`): a
-    slot holds _CHUNK lines of at most `_LINE_MAX` bytes, and S is the
-    pool's window, so a slot is written again only once they are copied."""
+    slot k mod S of an unnamed spool file next to the records file, and
+    this process appends them from there (`_append_slot`): a slot holds
+    _CHUNK lines of at most `_LINE_MAX` bytes, and S is the pool's window,
+    so a slot is written again only once they are copied.  The spool is
+    opened only for a pool, before its workers start, so that they inherit
+    it: a records file needs a pool that has not started."""
     seq = manifest.sequence()
     if manifest.analysis.tomography:
         runs = plan_runs(manifest.config, seq, tomography_plan())
@@ -881,20 +697,26 @@ def _run_counts(
         for index, cfg, seq_s in runs
         for lo in range(0, cfg.shots, _CHUNK)
     ]
-    slots, size = pool.window(len(spans)), _CHUNK * _LINE_MAX
+    slots, size = 2 * pool.workers(len(spans)), _CHUNK * _LINE_MAX
     spooled = records is not None and slots > 0
+    spool = (
+        tempfile.TemporaryFile(dir=Path(records.name).parent, buffering=0)
+        if spooled
+        else nullcontext()
+    )
     write = None if records is None else records.write
-    tasks = [
-        (*span, manifest.analysis.bins,
-         partial(_spool_write, fd=spool.fileno(), offset=k % slots * size, size=size)
-         if spooled else write)
-        for k, span in enumerate(spans)
-    ]
     counts = {}
-    for k, (index, c, written) in enumerate(pool.map(_chunk_task, tasks)):
-        if spooled:
-            _append_slot(spool, k % slots * size, written, records)
-        counts[index] = counts[index] + c if index in counts else c
+    with spool:
+        tasks = [
+            (*span, manifest.analysis.bins,
+             partial(_spool_write, fd=spool.fileno(), offset=k % slots * size, size=size)
+             if spooled else write)
+            for k, span in enumerate(spans)
+        ]
+        for k, (index, c, written) in enumerate(pool.map(_chunk_task, tasks)):
+            if spooled:
+                _append_slot(spool, k % slots * size, written, records)
+            counts[index] = counts[index] + c if index in counts else c
     return counts
 
 
@@ -937,9 +759,10 @@ def cmd_simulate(
     into a partial file that replaces records.csv only once the summary is
     built; a failed run leaves the output directory as it was.  On a pool,
     the workers write their lines into an unnamed spool file in the output
-    directory, opened before the pool starts so that they inherit it, and
-    this process only appends them to the partial file (`_run_counts`); in
-    process the tasks write to the partial file themselves.
+    directory, which `_run_counts` opens before the pool starts so that they
+    inherit it, and this process only appends them to the partial file; in
+    process the tasks write to the partial file themselves, and no spool is
+    opened.
     """
     manifest = load_manifest(manifest_path, {"seed": seed, "shots": shots})
     out = Path(out_dir if out_dir is not None else manifest.out_dir)
@@ -949,13 +772,9 @@ def cmd_simulate(
     summary_path = out / "summary.json"
     partial = out / "records.csv.partial"
     try:
-        with (
-            _ChunkPool() as pool,
-            partial.open("wb") as fh,
-            tempfile.TemporaryFile(dir=out, buffering=0) as spool,
-        ):
+        with _ChunkPool() as pool, partial.open("wb") as fh:
             fh.write(_HEADER + b"\n")
-            counts = _run_counts(manifest, pool, fh, spool)
+            counts = _run_counts(manifest, pool, fh)
         summary = _build_summary(manifest, counts)
     except BaseException:
         partial.unlink(missing_ok=True)

@@ -10,6 +10,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -32,6 +33,7 @@ from spinherald.cli import (
     read_counts,
 )
 import spinherald.cli
+import spinherald.records
 from spinherald.cli import _CHUNK
 from spinherald.engine import (
     DRAWS_PER_SHOT,
@@ -645,6 +647,15 @@ def test_read_counts_checks_its_bins_before_reading(tmp_path, n_bins):
             read_counts(records, n_bins)
     with pytest.raises(FileNotFoundError, match="records file not found"):
         read_counts(tmp_path / "missing.csv", 1)
+
+
+def test_read_counts_rejects_more_bins_than_a_manifest_may_ask_for(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text(RECORDS_HEADER + random_rows(20, (0, 1), 3))
+    cap = spinherald.cli._MAX_BINS
+    for records in (path, tmp_path / "missing.csv"):  # checked before reading
+        with pytest.raises(ValueError, match=rf"n_bins must be <= {cap}, got {cap + 1}"):
+            read_counts(records, cap + 1)
 
 
 def test_tomo_records_in_small_blocks_equals_simulate(tmp_path, monkeypatch):
@@ -1434,6 +1445,26 @@ def test_records_spool_write_failures_fail_simulate(tmp_path, monkeypatch):
         assert_no_child_left()
 
 
+def test_simulate_opens_a_records_spool_only_on_a_pool(tmp_path, monkeypatch):
+    manifest = write_manifest(tmp_path / "m.ini", "ramsey_HV", shots=5000, seed=3)
+    monkeypatch.setattr(spinherald.cli, "_CHUNK", 1000)  # five chunks
+    opened, temporary_file = [], tempfile.TemporaryFile
+
+    def counted(*args, **kwargs):
+        opened.append(kwargs)
+        return temporary_file(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", counted)
+    records = {}
+    for n in (1, 2):
+        cpus(monkeypatch, n)
+        out = tmp_path / f"cpus{n}"
+        records[n] = cmd_simulate(manifest, out).records_path.read_bytes()
+        assert opened == [{"dir": out, "buffering": 0}] * (n - 1)
+        assert sorted(p.name for p in out.iterdir()) == ["records.csv", "summary.json"]
+    assert records[1] == records[2]
+
+
 def test_pool_and_in_process_write_the_same_outputs(tmp_path, monkeypatch):
     monkeypatch.setattr(spinherald.cli, "_CHUNK", 700)  # several chunks a setting
     manifest = write_manifest(
@@ -1721,7 +1752,7 @@ def test_keep_freed_pages_sets_both_malloc_thresholds():
     # so does a chunk's largest array, its records matrix: lines of at most a
     # 19-digit shot_id, ",<19-digit setting_id>,", the branch and ",", the
     # phi_tac columns, ",", 4 outcome columns, ",", a 19-digit n_attempts, "\n"
-    widest = 19 + 21 + 2 + spinherald.cli._PHI_WIDTH + 1 + 4 + 1 + 19 + 1
+    widest = 19 + 21 + 2 + spinherald.records._PHI_WIDTH + 1 + 4 + 1 + 19 + 1
     assert widest == spinherald.cli._LINE_MAX == 91 and _CHUNK * widest < mmap
     spinherald.cli._keep_freed_pages(SimpleNamespace())  # a libc without mallopt
 
