@@ -19,9 +19,12 @@ exactly when an error was reported.
 Every command spreads its work over a pool of worker processes sized to the
 CPUs this process may use and collects the results in order.  This process
 forks the workers itself and talks to each over a task pipe and a result
-pipe of its own: no executor, no thread, no multiprocessing.  The commands
-that run the engine (simulate, tomo --manifest, ramsey, sweep) hand a worker
-a chunk of `_CHUNK` shots, which it reduces to counts.  For simulate it
+pipe of its own, which carry plain pickles: no executor, no thread, no
+multiprocessing.  The schedule is static: of W workers, worker k mod W runs
+task k, and this process reads the results back in task order.  The
+commands that run the engine (simulate, tomo --manifest, ramsey, sweep) cut
+each run into chunks of equal size, within a shot, of at most `_CHUNK`
+shots, and hand a worker a chunk, which it reduces to counts.  For simulate it
 also formats the chunk's records lines and writes them into its slot of a
 spool file, opened only when the pool has workers, from which the calling
 process appends them to the records file in shot order, 64 KiB at a time.
@@ -46,8 +49,7 @@ import os
 import pickle
 import sys
 import tempfile
-from collections import deque
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial, reduce
 from operator import add
@@ -87,7 +89,7 @@ _FILTER_BRANCHES = {
 FILTERS = tuple(_FILTER_BRANCHES)
 # the most phi_tac bins a run may ask for: its counts hold 6 int64 per bin
 _MAX_BINS = 4096
-_CHUNK = 1 << 16  # shots of a pool task
+_CHUNK = 1 << 16  # the most shots of a pool task
 
 
 class ManifestError(ValueError):
@@ -111,6 +113,10 @@ class AnalysisRequest:
             )
         if not 1 <= self.bins <= _MAX_BINS:
             raise ValueError(f"bins must lie in [1, {_MAX_BINS}], got {self.bins!r}")
+        if self.fringe_harmonic is not None and self.bins < 3:
+            raise ValueError(
+                f"bins must be >= 3 to fit a fringe's 3 parameters, got {self.bins!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -477,39 +483,17 @@ def _init_worker(parent: int) -> None:
         _keep_freed_pages(libc)
 
 
-def _send(fd: int, data: bytes) -> None:
-    """Write a pickle to the pipe `fd` as one message: its byte count (8
-    bytes, little-endian), then the pickle."""
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_exactly(fd: int, n: int) -> bytearray | None:
-    """The next n bytes of the pipe `fd`, None if it ends before them."""
-    buffer, got = bytearray(n), 0
-    while got < n:
-        k = os.readv(fd, [memoryview(buffer)[got:]])
-        if not k:
-            return None
-        got += k
-    return buffer
-
-
-def _receive(fd: int):
-    """The next object `_send` wrote to the pipe `fd`, None if it ends first."""
-    head = _read_exactly(fd, 8)
-    body = None if head is None else _read_exactly(fd, int.from_bytes(head, "little"))
-    return None if body is None else pickle.loads(body)
-
-
-def _serve(tasks: int, results: int) -> None:
-    """A pool worker's loop: for each (fn, task) read from the pipe `tasks`
-    until it ends, write (True, fn(task)) or (False, (exception, traceback
-    text)) to the pipe `results`.  A value or an exception that pickle
-    refuses comes back as a RuntimeError that carries the traceback text."""
-    while (message := _receive(tasks)) is not None:
-        fn, task = message
+def _serve(tasks, results) -> None:
+    """A pool worker's loop: for each (fn, task) pickle read from the pipe
+    file `tasks` until it ends, write (True, fn(task)) or (False,
+    (exception, traceback text)) as a pickle to the pipe file `results`.  A
+    value or an exception that pickle refuses comes back as a RuntimeError
+    that carries the traceback text."""
+    while True:
+        try:
+            fn, task = pickle.load(tasks)
+        except EOFError:
+            return
         try:
             reply = True, fn(task)
         except Exception as exc:
@@ -523,7 +507,8 @@ def _serve(tasks: int, results: int) -> None:
 
             text = traceback.format_exc() if reply[0] else reply[1][1]
             data = pickle.dumps((False, (RuntimeError(text), text)))
-        _send(results, data)
+        results.write(data)
+        results.flush()
 
 
 class _WorkerTraceback(Exception):
@@ -533,48 +518,56 @@ class _WorkerTraceback(Exception):
         return "\n" + self.args[0]
 
 
+def _close(worker) -> None:
+    """Close the pipe files of a pool worker (pid, tasks, results); a task
+    that it no longer reads is dropped."""
+    worker[2].close()
+    with suppress(BrokenPipeError):  # flushing a task left for a dead worker
+        worker[1].close()
+
+
 class _ChunkPool:
     """`map(fn, tasks)` on worker processes that this process forks itself,
     one per CPU it may use (capped at the task count of the first call that
-    starts them), with no executor and no thread.  Results come in
-    submission order with at most `window` tasks, two per worker, submitted
-    and not yet collected, so memory stays O(task): task k is submitted
-    only once the caller has taken the result of task k - window.
+    starts them), with no executor and no thread.
 
-    Each worker has a task pipe and a result pipe of its own (`_serve`).  A
-    task goes to any worker that holds fewer than two; the results are
-    polled, and those that come early wait here for their turn.  A task's
-    exception is raised here with the worker's traceback as its cause; a
-    worker that dies fails the map with its pid and exit status.
+    Each of the W workers has a task pipe and a result pipe of its own
+    (`_serve`), each carrying plain pickles.  The schedule is static: task
+    k goes to worker k mod W, and its result is read back from that
+    worker's pipe in turn, so results come in submission order.  At most
+    two tasks per worker are submitted and not yet collected, so memory
+    stays O(task): task k + 2W is submitted only once the caller has taken
+    the result of task k.  A task's exception is raised here with the
+    worker's traceback as its cause; a worker that dies fails the map with
+    its pid and exit status.
 
-    The first `map` or `window` call with more than one task starts the
-    workers, and later calls reuse them.  Leaving the `with` block closes
-    every pipe, so an idle worker exits and a busy one fails on its next
-    write, and reaps every worker, killing them first on an exception.
-    With one worker, or on a platform that cannot report the CPU affinity
-    (and may lack fork), tasks run in this process.  Fork, not spawn: a
-    spawned worker would import numpy again.
+    The first `map` call with more than one task starts the workers, and
+    later calls reuse them.  Leaving the `with` block closes every pipe, so
+    an idle worker exits and a busy one fails on its next write, and reaps
+    every worker, killing them first on an exception.  With one worker, or
+    on a platform that cannot report the CPU affinity (and may lack fork),
+    tasks run in this process.  Fork, not spawn: a spawned worker would
+    import numpy again.
     """
 
     def __init__(self):
-        self._workers = {}  # result pipe -> (pid, task pipe)
+        self._workers = []  # (pid, task pipe file, result pipe file), in fork order
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, *exc_info):
-        workers, self._workers = self._workers, {}
-        for results, (pid, tasks) in workers.items():
+        workers, self._workers = self._workers, []
+        for worker in workers:
             if exc_type is not None:
-                os.kill(pid, 9)  # SIGKILL
-            os.close(tasks)
-            os.close(results)
-        for pid, _ in workers.values():
+                os.kill(worker[0], 9)  # SIGKILL
+            _close(worker)
+        for pid, _, _ in workers:
             os.waitpid(pid, 0)
 
     def workers(self, n_tasks: int) -> int:
         """The workers that run `n_tasks` tasks: those running, or else as
-        many as `window` would start for them, without starting any; 0 where
+        many as `map` would start for them, without starting any; 0 where
         tasks run in this process."""
         if self._workers:
             return len(self._workers)
@@ -583,85 +576,71 @@ class _ChunkPool:
         workers = min(len(affinity(0)) if affinity else 1, n_tasks)
         return workers if workers > 1 else 0
 
-    def window(self, n_tasks: int) -> int:
-        """The most tasks `map` keeps submitted and not yet collected, on
-        the pool this starts for `n_tasks` tasks if none runs yet; 0 while
-        tasks run in this process."""
-        if not self._workers:
-            for _ in range(self.workers(n_tasks)):
-                self._fork()
-        return 2 * len(self._workers)
-
     def _fork(self) -> None:
         """Start a worker; it closes the pipes of the workers before it."""
-        (task_read, tasks), (results, result_write) = os.pipe(), os.pipe()
+        (task_read, task_write), (result_read, result_write) = os.pipe(), os.pipe()
         try:
             parent, pid = os.getpid(), os.fork()
         except BaseException:
-            for fd in (task_read, tasks, results, result_write):
+            for fd in (task_read, task_write, result_read, result_write):
                 os.close(fd)
             raise
         if pid == 0:  # the worker, which never returns into the caller
             status = 1
             try:
-                for fd in (tasks, results, *self._workers):
-                    os.close(fd)
-                for _, fd in self._workers.values():
-                    os.close(fd)
+                os.close(task_write)
+                os.close(result_read)
+                for worker in self._workers:
+                    _close(worker)
                 _init_worker(parent)
-                _serve(task_read, result_write)
+                _serve(os.fdopen(task_read, "rb"), os.fdopen(result_write, "wb"))
                 status = 0
             finally:
                 os._exit(status)
         os.close(task_read)
         os.close(result_write)
-        self._workers[results] = pid, tasks
+        tasks, results = os.fdopen(task_write, "wb"), os.fdopen(result_read, "rb")
+        self._workers.append((pid, tasks, results))
 
     def map(self, fn, tasks: list):
-        if not self.window(len(tasks)):
-            return map(fn, tasks)
-        return self._ordered(fn, tasks)
+        if not self._workers:
+            for _ in range(self.workers(len(tasks))):
+                self._fork()
+        return self._ordered(fn, tasks) if self._workers else map(fn, tasks)
 
     def _ordered(self, fn, tasks):
-        import select
+        workers = self._workers
+        window = 2 * len(workers)
+        for k, task in enumerate(tasks[:window]):
+            self._submit(workers[k % len(workers)], fn, task)
+        for k in range(len(tasks)):
+            worker = workers[k % len(workers)]
+            try:
+                reply = pickle.load(worker[2])
+            except (EOFError, pickle.UnpicklingError):
+                self._died(worker)
+            yield self._result(reply)
+            if k + window < len(tasks):
+                self._submit(worker, fn, tasks[k + window])
 
-        poll, held = select.poll(), {results: deque() for results in self._workers}
-        for results in held:
-            poll.register(results, select.POLLIN)
-        early, sent = {}, 0  # results that came before their turn, by task
-        for taken in range(len(tasks)):
-            while sent < len(tasks) and sent - taken < 2 * len(held):
-                results = min(held, key=lambda r: len(held[r]))
-                if len(held[results]) == 2:
-                    break
-                self._submit(results, fn, tasks[sent])
-                held[results].append(sent)
-                sent += 1
-            while taken not in early:
-                for results, _ in poll.poll():
-                    reply = _receive(results)
-                    if reply is None:
-                        self._died(results)
-                    early[held[results].popleft()] = reply
-            yield self._result(early.pop(taken))
-
-    def _submit(self, results: int, fn, task) -> None:
-        """Send (fn, task) to the worker of the result pipe `results`."""
+    def _submit(self, worker, fn, task) -> None:
+        """Send (fn, task) to `worker`, one of the pool's (pid, tasks,
+        results)."""
+        data = pickle.dumps((fn, task), pickle.HIGHEST_PROTOCOL)
         try:
-            data = pickle.dumps((fn, task), pickle.HIGHEST_PROTOCOL)
-            _send(self._workers[results][1], data)
+            worker[1].write(data)
+            worker[1].flush()
         except BrokenPipeError:
-            self._died(results)
+            self._died(worker)
 
-    def _died(self, results: int):
-        """Close the pipes of the worker of the result pipe `results`, which
-        has ended, reap it and raise an error naming it."""
-        pid, tasks = self._workers.pop(results)
-        os.close(tasks)
-        os.close(results)
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    def _died(self, worker):
+        """Close the pipes of `worker`, which has ended, reap it and raise an
+        error naming it."""
+        self._workers.remove(worker)
+        _close(worker)
+        code = os.waitstatus_to_exitcode(os.waitpid(worker[0], 0)[1])
         how = f"exit status {code}" if code >= 0 else f"signal {-code}"
-        raise RuntimeError(f"pool worker {pid} ended ({how}) before its results")
+        raise RuntimeError(f"pool worker {worker[0]} ended ({how}) before its results")
 
     def _result(self, reply):
         """A task's value from its (ok, value) reply, or its exception,
@@ -692,10 +671,11 @@ def _run_counts(
         runs = plan_runs(manifest.config, seq, tomography_plan())
     else:
         runs = [(0, manifest.config, seq)]
-    spans = [
-        (index, cfg, seq_s, lo, min(lo + _CHUNK, cfg.shots))
+    spans = [  # each run in ceil(shots / _CHUNK) parts, sizes within one shot
+        (index, cfg, seq_s, cfg.shots * i // parts, cfg.shots * (i + 1) // parts)
         for index, cfg, seq_s in runs
-        for lo in range(0, cfg.shots, _CHUNK)
+        for parts in [-(-cfg.shots // _CHUNK)]
+        for i in range(parts)
     ]
     slots, size = 2 * pool.workers(len(spans)), _CHUNK * _LINE_MAX
     spooled = records is not None and slots > 0

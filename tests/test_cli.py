@@ -124,6 +124,10 @@ def test_manifest_bad_number(tmp_path):
             "[run]\nsequence = no_scatter\n[analysis]\nfringe_harmonic = 3\n",
             "fringe_harmonic",
         ),
+        (  # a fringe fit has 3 parameters
+            "[run]\nsequence = ramsey_HV\n[analysis]\nfringe_harmonic = 2\nbins = 2\n",
+            r"\[analysis\] bins must be >= 3",
+        ),
     ):
         path.write_text(text)
         with pytest.raises(ManifestError, match=key):
@@ -162,9 +166,23 @@ def test_analysis_request_checks_itself():
         ({"bins": 0}, "bins"),
         ({"fringe_harmonic": 3}, "fringe_harmonic"),
         ({"filter": "bogus"}, "filter"),
+        ({"fringe_harmonic": 1, "bins": 2}, "bins"),
     ):
         with pytest.raises(ValueError, match=key):
             AnalysisRequest(**kwargs)
+
+
+def test_ramsey_needs_three_bins_before_the_run(tmp_path, monkeypatch):
+    # ramsey always fits a fringe, of 3 parameters, so it checks the bins
+    # before it runs a shot
+    assert AnalysisRequest(bins=2).bins == 2  # no fit, no floor
+    assert AnalysisRequest(fringe_harmonic=1, bins=3).bins == 3
+    calls = []
+    monkeypatch.setattr(spinherald.cli, "_run_counts", lambda *args: calls.append(args))
+    ramsey = write_manifest(tmp_path / "r.ini", "ramsey_HV", shots=10, analysis={"bins": 2})
+    with pytest.raises(ValueError, match="bins must be >= 3"):
+        cmd_ramsey(ramsey, tmp_path / "out")
+    assert calls == [] and not (tmp_path / "out").exists()
 
 
 def test_analysis_bins_have_an_upper_limit(tmp_path):
@@ -1309,7 +1327,7 @@ def counted(manifest, pool, *args):
 
 cli._run_counts = counted
 cli.cmd_ramsey(sys.argv[1], sys.argv[2], shots=3 * cli._CHUNK)
-lazy = ("multiprocessing", "concurrent")
+lazy = ("multiprocessing", "concurrent", "select")
 print(threads, sorted(m for m in sys.modules if m.split(".")[0] in lazy))
 """
 
@@ -1365,8 +1383,9 @@ def console(argv, out):
 
 
 def test_multi_chunk_outputs_are_pinned_on_the_pool_and_in_process(tmp_path, monkeypatch):
-    # two chunks per setting, the second of 3 shots, and three for the ramsey
-    # run, the last of 5 shots: the digests pin the order of collection
+    # two chunks per setting, of 32,769 and 32,770 shots, and three of
+    # 43,692 or 43,693 for the ramsey run: the digests pin the order of
+    # collection
     outputs = {}
     for n in (2, 1):
         cpus(monkeypatch, n)
@@ -1578,6 +1597,25 @@ def test_dead_worker_fails_the_run_and_is_reaped(tmp_path, monkeypatch):
     assert_no_child_left()
 
 
+def exit_on_task_2(task):
+    if task == 2:
+        os._exit(5)
+    return task
+
+
+def test_worker_dead_before_its_next_task_fails_the_map(monkeypatch):
+    # worker 0 dies on task 2 while the caller holds result 0, so task 4,
+    # which goes to it too, meets a closed pipe, and its buffered bytes are
+    # dropped with the pipe
+    cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"pool worker \d+ ended \(exit status 5\)") as raised:
+        with spinherald.cli._ChunkPool() as pool:
+            for _ in pool.map(exit_on_task_2, list(range(8))):
+                os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)  # until worker 0 ends
+    assert isinstance(raised.value.__context__, BrokenPipeError)
+    assert_no_child_left()
+
+
 class Unpicklable(Exception):
     def __reduce__(self):
         raise TypeError("this exception cannot be pickled")
@@ -1639,6 +1677,42 @@ def test_pool_window_is_bounded(tmp_path, monkeypatch):
     monkeypatch.undo()  # default chunks, in process: records of any partition agree
     cpus(monkeypatch, 1)
     assert cmd_ramsey(manifest, tmp_path / "whole") == summary
+
+
+def worker_pid(task):
+    return os.getpid()
+
+
+def test_pool_sends_task_k_to_worker_k_mod_w(monkeypatch):
+    fork, forked = os.fork, []
+
+    def recorded():
+        pid = fork()
+        forked.append(pid)  # in this process, the workers in fork order
+        return pid
+
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", recorded)
+    with spinherald.cli._ChunkPool() as pool:
+        pids = list(pool.map(worker_pid, list(range(6))))
+    assert len(set(forked)) == 2 and pids == forked * 3
+    assert_no_child_left()
+
+
+def test_runs_are_cut_into_chunks_of_equal_size(tmp_path, monkeypatch):
+    cpus(monkeypatch, 1)
+    monkeypatch.setattr(spinherald.cli, "_CHUNK", 700)
+    spans, chunk_task = [], spinherald.cli._chunk_task
+
+    def recorded(task):
+        spans.append(task[3:5])
+        return chunk_task(task)
+
+    monkeypatch.setattr(spinherald.cli, "_chunk_task", recorded)
+    manifest = write_manifest(tmp_path / "m.ini", "ramsey_HV", shots=2000, seed=3)
+    cmd_ramsey(manifest, tmp_path / "out")
+    # ceil(2000 / 700) = 3 chunks, whose sizes differ by at most one shot
+    assert spans == [(0, 666), (666, 1333), (1333, 2000)]
 
 
 def assert_counts_equal(counts, expected):
