@@ -25,19 +25,18 @@ task k, and this process reads the results back in task order.  The
 commands that run the engine (simulate, tomo --manifest, ramsey, sweep) cut
 each run into chunks of equal size, within a shot, of at most `_CHUNK`
 shots, and hand a worker a chunk, which it reduces to counts.  For simulate it
-also formats the chunk's records lines and writes them into its slot of a
-spool file, opened only when the pool has workers, from which the calling
-process appends them to the records file in shot order, 64 KiB at a time.
-tomo --records hands a worker a range of whole lines of the records file,
-about `_READ_BLOCK` bytes, which it reads, parses and counts
-(`records._range_task`: lines in the writer's form by byte arithmetic,
-any other line by np.loadtxt).  Records and summaries are the same bytes
-as a run in one process, and there is no option to set.  On Linux with
-glibc a worker keeps the pages a chunk frees for its next chunk instead of
-faulting them in again; the calling process's allocator, which also serves
-a run in process, is left as it is.  read_counts, the one records reader,
-uses the same pool; the other library functions (run_experiment, run_plan,
-...) run in the calling process.
+also formats the chunk's records lines and sends them down its result pipe
+right after the counts, and the calling process copies them from there to
+the records file in shot order, 64 KiB at a time.  tomo --records hands a
+worker a range of whole lines of the records file, about `_READ_BLOCK`
+bytes, which it reads, parses and counts (`records._range_task`: lines in
+the writer's form by byte arithmetic, any other line by np.loadtxt).
+Records and summaries are the same bytes as a run in one process, and there
+is no option to set.  On Linux with glibc a worker keeps the pages a chunk
+frees for its next chunk instead of faulting them in again; the calling
+process's allocator, which also serves a run in process, is left as it is.
+read_counts, the one records reader, uses the same pool; the other library
+functions (run_experiment, run_plan, ...) run in the calling process.
 """
 
 from __future__ import annotations
@@ -48,10 +47,9 @@ import json
 import os
 import pickle
 import sys
-import tempfile
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial, reduce
+from functools import reduce
 from operator import add
 from pathlib import Path
 
@@ -235,16 +233,16 @@ def load_manifest(path, overrides=None) -> RunManifest:
         else {}
         for section in _SCHEMA
     )
-    config = ExperimentConfig(
-        shots=run.pop("shots", 1000),
-        seed=run.pop("seed", 0),
-        errors=ErrorBudget(**errors),
-        **config,
-    )
     try:
+        config = ExperimentConfig(
+            shots=run.pop("shots", 1000),
+            seed=run.pop("seed", 0),
+            errors=ErrorBudget(**errors),
+            **config,
+        )
         analysis = AnalysisRequest(**analysis)
-    except ValueError as exc:
-        raise ManifestError(f"[analysis] {exc}") from None
+    except ValueError as exc:  # each message starts with the field at fault
+        raise ManifestError(f"[{_SECTION_OF[str(exc).split()[0]]}] {exc}") from None
     manifest = RunManifest(run.pop("sequence"), config, basis, analysis, **run)
     manifest.sequence()  # fail fast on unknown sequence names
     return manifest
@@ -405,43 +403,18 @@ class ResultBundle:
     summary: dict
 
 
-def _chunk_task(task) -> tuple[int, ShotCounts, int | None]:
-    """(setting index, counts, written) of one chunk task (index, config,
-    sequence, lo, hi, n_bins, write): shots lo ... hi-1 of one setting's
-    run.  A `write` (see `_run_counts`) is passed the chunk's records lines
-    and written is the byte count it returns; without one, written is None."""
-    index, cfg, seq, lo, hi, n_bins, write = task
+def _chunk_task(task):
+    """(setting index, counts) of one chunk task (index, config, sequence,
+    lo, hi, n_bins, lines): shots lo ... hi-1 of one setting's run.  With
+    `lines` true, the pair comes with the chunk's records lines, as
+    ((index, counts), lines), for a map with a sink (`_ChunkPool.map`)."""
+    index, cfg, seq, lo, hi, n_bins, lines = task
     frame = run_experiment(cfg, seq, lo, hi)
-    written = None if write is None else write(_record_lines(index, frame))
-    return index, ShotCounts.of(frame, n_bins), written
+    value = index, ShotCounts.of(frame, n_bins)
+    return (value, _record_lines(index, frame)) if lines else value
 
 
-def _spool_write(lines: bytes, fd: int, offset: int, size: int) -> int:
-    """Write records lines with os.pwrite into the slot of `size` bytes at
-    `offset` of the file open as `fd`; their byte count.  ValueError if they
-    overflow the slot, OSError if the write fails or comes up short."""
-    if len(lines) > size:
-        raise ValueError(f"{len(lines)} bytes of records overflow a {size}-byte slot")
-    written = os.pwrite(fd, lines, offset)
-    if written != len(lines):
-        raise OSError(f"short write to the records spool: {written} of {len(lines)} bytes")
-    return written
-
-
-_COPY_BUFFER = 1 << 16  # bytes of a slot read at a time
-
-
-def _append_slot(spool, offset: int, count: int, records) -> None:
-    """Append bytes offset ... offset+count-1 of the `spool` file to the
-    `records` file object, reading at most `_COPY_BUFFER` bytes at a time;
-    EOFError if the spool ends before them."""
-    fd = spool.fileno()
-    while count:
-        piece = os.pread(fd, min(count, _COPY_BUFFER), offset)
-        if not piece:
-            raise EOFError(f"records spool ends {count} bytes short")
-        records.write(piece)
-        offset, count = offset + len(piece), count - len(piece)
+_COPY_BUFFER = 1 << 16  # bytes of records lines copied from a result pipe at a time
 
 
 # glibc's malloc thresholds for a pool worker: each array of a chunk, the
@@ -484,29 +457,37 @@ def _init_worker(parent: int) -> None:
 
 
 def _serve(tasks, results) -> None:
-    """A pool worker's loop: for each (fn, task) pickle read from the pipe
-    file `tasks` until it ends, write (True, fn(task)) or (False,
-    (exception, traceback text)) as a pickle to the pipe file `results`.  A
-    value or an exception that pickle refuses comes back as a RuntimeError
-    that carries the traceback text."""
+    """A pool worker's loop: for each (fn, task, split) pickle read from the
+    pipe file `tasks` until it ends, write (True, value, n) or (False,
+    (exception, traceback text), 0) as a pickle to the pipe file `results`,
+    then n bytes.  The value is fn(task), or with `split` the first item of
+    the (value, bytes) pair that fn(task) returns, and the n bytes are its
+    second (`_ChunkPool.map` with a sink).  A value or an exception that
+    pickle refuses comes back as a RuntimeError that carries the traceback
+    text."""
     while True:
         try:
-            fn, task = pickle.load(tasks)
+            fn, task, split = pickle.load(tasks)
         except EOFError:
             return
+        data = b""
         try:
-            reply = True, fn(task)
+            value = fn(task)
+            if split:
+                value, data = value
+            reply = True, value, len(data)
         except Exception as exc:
             import traceback
 
-            reply = False, (exc, traceback.format_exc())
+            reply = False, (exc, traceback.format_exc()), 0
         try:
-            data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+            head = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
         except Exception:
             import traceback
 
             text = traceback.format_exc() if reply[0] else reply[1][1]
-            data = pickle.dumps((False, (RuntimeError(text), text)))
+            head, data = pickle.dumps((False, (RuntimeError(text), text), 0)), b""
+        results.write(head)
         results.write(data)
         results.flush()
 
@@ -526,18 +507,28 @@ def _close(worker) -> None:
         worker[1].close()
 
 
+def _pass_on(pair, sink):
+    """The value of a (value, bytes) pair, once `sink` has taken the bytes."""
+    value, data = pair
+    sink(data)
+    return value
+
+
 class _ChunkPool:
-    """`map(fn, tasks)` on worker processes that this process forks itself,
-    one per CPU it may use (capped at the task count of the first call that
-    starts them), with no executor and no thread.
+    """`map(fn, tasks, sink)` on worker processes that this process forks
+    itself, one per CPU it may use (capped at the task count of the first
+    call that starts them), with no executor and no thread.
 
     Each of the W workers has a task pipe and a result pipe of its own
     (`_serve`), each carrying plain pickles.  The schedule is static: task
     k goes to worker k mod W, and its result is read back from that
-    worker's pipe in turn, so results come in submission order.  At most
-    two tasks per worker are submitted and not yet collected, so memory
-    stays O(task): task k + 2W is submitted only once the caller has taken
-    the result of task k.  A task's exception is raised here with the
+    worker's pipe in turn, so results come in submission order.  With a
+    sink, the bytes a task returns follow its pickle down the result pipe,
+    and this process passes them to the sink, at most `_COPY_BUFFER` at a
+    time, before it yields the value: it never holds a task's bytes whole.
+    At most two tasks per worker are submitted and not yet collected, so
+    memory stays O(task): task k + 2W is submitted only once the caller has
+    taken the result of task k.  A task's exception is raised here with the
     worker's traceback as its cause; a worker that dies fails the map with
     its pid and exit status.
 
@@ -565,17 +556,6 @@ class _ChunkPool:
         for pid, _, _ in workers:
             os.waitpid(pid, 0)
 
-    def workers(self, n_tasks: int) -> int:
-        """The workers that run `n_tasks` tasks: those running, or else as
-        many as `map` would start for them, without starting any; 0 where
-        tasks run in this process."""
-        if self._workers:
-            return len(self._workers)
-        # the affinity call exists only where fork does too
-        affinity = getattr(os, "sched_getaffinity", None)
-        workers = min(len(affinity(0)) if affinity else 1, n_tasks)
-        return workers if workers > 1 else 0
-
     def _fork(self) -> None:
         """Start a worker; it closes the pipes of the workers before it."""
         (task_read, task_write), (result_read, result_write) = os.pipe(), os.pipe()
@@ -602,31 +582,49 @@ class _ChunkPool:
         tasks, results = os.fdopen(task_write, "wb"), os.fdopen(result_read, "rb")
         self._workers.append((pid, tasks, results))
 
-    def map(self, fn, tasks: list):
+    def map(self, fn, tasks: list, sink=None):
+        """The value of fn(task) for each task, in order.  With a sink,
+        fn(task) returns a (value, bytes) pair, and the bytes go to sink
+        before the value is yielded: whole in process, from a worker's
+        result pipe at most `_COPY_BUFFER` at a time on the pool."""
         if not self._workers:
-            for _ in range(self.workers(len(tasks))):
+            # the affinity call exists only where fork does too
+            affinity = getattr(os, "sched_getaffinity", None)
+            workers = min(len(affinity(0)) if affinity else 1, len(tasks))
+            for _ in range(workers if workers > 1 else 0):
                 self._fork()
-        return self._ordered(fn, tasks) if self._workers else map(fn, tasks)
+        if self._workers:
+            return self._ordered(fn, tasks, sink)
+        if sink is None:
+            return map(fn, tasks)
+        # a call, not a loop variable, so the bytes die before the yield
+        return (_pass_on(fn(task), sink) for task in tasks)
 
-    def _ordered(self, fn, tasks):
-        workers = self._workers
+    def _ordered(self, fn, tasks, sink):
+        workers, split = self._workers, sink is not None
         window = 2 * len(workers)
         for k, task in enumerate(tasks[:window]):
-            self._submit(workers[k % len(workers)], fn, task)
+            self._submit(workers[k % len(workers)], fn, task, split)
         for k in range(len(tasks)):
             worker = workers[k % len(workers)]
             try:
-                reply = pickle.load(worker[2])
+                *reply, count = pickle.load(worker[2])
+                while count:  # the task's bytes, which follow its reply
+                    piece = worker[2].read(min(count, _COPY_BUFFER))
+                    if not piece:
+                        raise EOFError
+                    sink(piece)
+                    count -= len(piece)
             except (EOFError, pickle.UnpicklingError):
                 self._died(worker)
             yield self._result(reply)
             if k + window < len(tasks):
-                self._submit(worker, fn, tasks[k + window])
+                self._submit(worker, fn, tasks[k + window], split)
 
-    def _submit(self, worker, fn, task) -> None:
-        """Send (fn, task) to `worker`, one of the pool's (pid, tasks,
-        results)."""
-        data = pickle.dumps((fn, task), pickle.HIGHEST_PROTOCOL)
+    def _submit(self, worker, fn, task, split) -> None:
+        """Send (fn, task, split) to `worker`, one of the pool's (pid,
+        tasks, results)."""
+        data = pickle.dumps((fn, task, split), pickle.HIGHEST_PROTOCOL)
         try:
             worker[1].write(data)
             worker[1].flush()
@@ -658,14 +656,12 @@ def _run_counts(
     one run as setting 0), reduced chunk by chunk as the pool returns them in
     shot order.
 
-    With an open records file, each chunk's lines are appended to it: by
-    its task in process; on a pool, task k writes them (`_spool_write`) into
-    slot k mod S of an unnamed spool file next to the records file, and
-    this process appends them from there (`_append_slot`): a slot holds
-    _CHUNK lines of at most `_LINE_MAX` bytes, and S is the pool's window,
-    so a slot is written again only once they are copied.  The spool is
-    opened only for a pool, before its workers start, so that they inherit
-    it: a records file needs a pool that has not started."""
+    With an open records file, each chunk's task also formats the chunk's
+    records lines, and the pool's map appends them to the file in shot
+    order (`records.write` is its sink): on a pool they follow the chunk's
+    counts down its worker's result pipe and are copied from there at most
+    `_COPY_BUFFER` bytes at a time, so this process never holds a chunk's
+    lines; in process they are written whole."""
     seq = manifest.sequence()
     if manifest.analysis.tomography:
         runs = plan_runs(manifest.config, seq, tomography_plan())
@@ -677,26 +673,11 @@ def _run_counts(
         for parts in [-(-cfg.shots // _CHUNK)]
         for i in range(parts)
     ]
-    slots, size = 2 * pool.workers(len(spans)), _CHUNK * _LINE_MAX
-    spooled = records is not None and slots > 0
-    spool = (
-        tempfile.TemporaryFile(dir=Path(records.name).parent, buffering=0)
-        if spooled
-        else nullcontext()
-    )
-    write = None if records is None else records.write
+    tasks = [(*span, manifest.analysis.bins, records is not None) for span in spans]
+    sink = None if records is None else records.write
     counts = {}
-    with spool:
-        tasks = [
-            (*span, manifest.analysis.bins,
-             partial(_spool_write, fd=spool.fileno(), offset=k % slots * size, size=size)
-             if spooled else write)
-            for k, span in enumerate(spans)
-        ]
-        for k, (index, c, written) in enumerate(pool.map(_chunk_task, tasks)):
-            if spooled:
-                _append_slot(spool, k % slots * size, written, records)
-            counts[index] = counts[index] + c if index in counts else c
+    for index, c in pool.map(_chunk_task, tasks, sink):
+        counts[index] = counts[index] + c if index in counts else c
     return counts
 
 
@@ -738,11 +719,9 @@ def cmd_simulate(
     Records are written chunk by chunk while the run is reduced to counts,
     into a partial file that replaces records.csv only once the summary is
     built; a failed run leaves the output directory as it was.  On a pool,
-    the workers write their lines into an unnamed spool file in the output
-    directory, which `_run_counts` opens before the pool starts so that they
-    inherit it, and this process only appends them to the partial file; in
-    process the tasks write to the partial file themselves, and no spool is
-    opened.
+    each worker sends its chunk's lines down its result pipe, and this
+    process copies them from there to the partial file (`_run_counts`); in
+    process, each chunk's lines are written to it whole.
     """
     manifest = load_manifest(manifest_path, {"seed": seed, "shots": shots})
     out = Path(out_dir if out_dir is not None else manifest.out_dir)

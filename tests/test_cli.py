@@ -4,13 +4,15 @@ import errno
 import functools
 import hashlib
 import importlib
+import io
+import itertools
 import json
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 import tracemalloc
@@ -128,10 +130,19 @@ def test_manifest_bad_number(tmp_path):
             "[run]\nsequence = ramsey_HV\n[analysis]\nfringe_harmonic = 2\nbins = 2\n",
             r"\[analysis\] bins must be >= 3",
         ),
+        # values out of range name the section of their key
+        ("[run]\nsequence = scatter_HV\n[errors]\np_multi = 2\n", r"\[errors\] p_multi must lie"),
+        ("[run]\nsequence = scatter_HV\nshots = 0\n", r"\[run\] shots must be >= 1"),
+        ("[run]\nsequence = scatter_HV\nseed = -1\n", r"\[run\] seed must be"),
+        ("[run]\nsequence = scatter_HV\n[config]\neta = 1.5\n", r"\[config\] eta must lie"),
     ):
         path.write_text(text)
         with pytest.raises(ManifestError, match=key):
             load_manifest(path)
+    # so do the values of a sweep grid
+    path.write_text("[run]\nsequence = scatter_HV\nshots = 10\n")
+    with pytest.raises(ManifestError, match=r"\[errors\] p_multi must lie in \[0, 1\], got 2.0"):
+        cmd_sweep(path, "p_multi", ["2"], tmp_path / "sweep")
 
 
 def test_manifest_unknown_key(tmp_path):
@@ -1403,23 +1414,36 @@ def test_multi_chunk_outputs_are_pinned_on_the_pool_and_in_process(tmp_path, mon
     assert outputs[2] == outputs[1]
 
 
-def test_append_slot_streams_the_slot_after_the_buffered_header(tmp_path):
-    body = np.random.default_rng(48).bytes(3 * spinherald.cli._COPY_BUFFER + 5)
-    offset, path = 4099, tmp_path / "r.csv"
-    with (tmp_path / "spool").open("w+b", buffering=0) as spool, path.open("wb") as records:
-        spool.write(b"x" * offset + body)
-        records.write(RECORDS_HEADER.encode())
-        assert path.read_bytes() == b""  # the header waits in the buffer
-        spinherald.cli._append_slot(spool, offset, len(body), records)
-        records.flush()
-        assert path.read_bytes() == RECORDS_HEADER.encode() + body
-        with pytest.raises(EOFError, match="records spool ends 7 bytes short"):
-            spinherald.cli._append_slot(spool, offset + 5, len(body) + 2, records)
+def task_and_bytes(task):
+    return task, np.random.default_rng(task).bytes(40_000 * task)
+
+
+def test_pool_passes_a_tasks_bytes_to_the_sink_a_buffer_at_a_time(monkeypatch):
+    tasks = [0, 1, 5, 2]  # 0 to 200,000 bytes: up to three buffers and a part
+    expected = [task_and_bytes(task)[1] for task in tasks]
+    buffer = spinherald.cli._COPY_BUFFER
+    pieces = {  # a task's bytes on the pool, whole in process
+        2: [40_000, buffer, buffer, buffer, 200_000 - 3 * buffer, buffer, 80_000 - buffer],
+        1: [0, 40_000, 200_000, 80_000],
+    }
+    for n in (2, 1):
+        cpus(monkeypatch, n)
+        sunk = []
+        with spinherald.cli._ChunkPool() as pool:
+            # each value comes once its bytes, and no later ones, are sunk
+            seen = [
+                (value, sum(map(len, sunk)))
+                for value in pool.map(task_and_bytes, tasks, sunk.append)
+            ]
+        assert seen == list(zip(tasks, itertools.accumulate(map(len, expected))))
+        assert b"".join(sunk) == b"".join(expected)
+        assert list(map(len, sunk)) == pieces[n]
+        assert_no_child_left()
 
 
 def test_simulate_on_the_pool_holds_no_records_lines(tmp_path, monkeypatch):
-    # the workers write their lines into the spool, and this process copies
-    # them to the records file without reading them
+    # the workers send their lines down their result pipes, and this process
+    # copies them to the records file a buffer at a time
     cpus(monkeypatch, 2)
     manifest = write_manifest(
         tmp_path / "m.ini", "ramsey_HV", shots=1, seed=44, config={"p_exc": 0.075}
@@ -1442,46 +1466,48 @@ def test_simulate_on_the_pool_holds_no_records_lines(tmp_path, monkeypatch):
     assert large <= small + (1 << 16)
 
 
-def test_records_spool_write_failures_fail_simulate(tmp_path, monkeypatch):
-    pwrite = os.pwrite
+class NearlyFullDisk(io.BufferedWriter):
+    """A file that takes writes of `room` bytes in all; a write past them
+    fails as on a full disk."""
 
-    def short(fd, data, offset):
-        return pwrite(fd, data[: len(data) // 2], offset)
+    room = 60_000
 
-    def full(fd, data, offset):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    def write(self, data):
+        if len(data) > self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= len(data)
+        return super().write(data)
 
-    # only a pool's workers write into the spool
-    cpus(monkeypatch, 2)
+
+def test_records_write_failures_fail_simulate(tmp_path, monkeypatch):
     manifest = write_manifest(tmp_path / "m.ini", "ramsey_HV", shots=5000, seed=3)
     monkeypatch.setattr(spinherald.cli, "_CHUNK", 1000)  # five chunks
-    for write, message in ((short, "short write"), (full, os.strerror(errno.ENOSPC))):
-        monkeypatch.setattr(os, "pwrite", write)
-        out = tmp_path / write.__name__
-        with pytest.raises(OSError, match=message):
+    outputs = {}
+    for n in (1, 2):  # in process, then on a pool of two workers
+        cpus(monkeypatch, n)
+        out = tmp_path / f"cpus{n}"
+        cmd_simulate(manifest, out)
+        outputs[n] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(outputs[n]) == ["records.csv", "summary.json"]
+    assert outputs[1] == outputs[2]
+    assert len(outputs[1]["records.csv"]) > 2 * NearlyFullDisk.room
+
+    path_open = Path.open
+
+    def nearly_full(self, *args, **kwargs):
+        if self.name != "records.csv.partial":
+            return path_open(self, *args, **kwargs)
+        return NearlyFullDisk(path_open(self, "wb", buffering=0))
+
+    # the disk fills up partway through the records
+    monkeypatch.setattr(Path, "open", nearly_full)
+    for n in (1, 2):
+        cpus(monkeypatch, n)
+        out = tmp_path / f"full{n}"
+        with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
             cmd_simulate(manifest, out)
         assert list(out.iterdir()) == []
         assert_no_child_left()
-
-
-def test_simulate_opens_a_records_spool_only_on_a_pool(tmp_path, monkeypatch):
-    manifest = write_manifest(tmp_path / "m.ini", "ramsey_HV", shots=5000, seed=3)
-    monkeypatch.setattr(spinherald.cli, "_CHUNK", 1000)  # five chunks
-    opened, temporary_file = [], tempfile.TemporaryFile
-
-    def counted(*args, **kwargs):
-        opened.append(kwargs)
-        return temporary_file(*args, **kwargs)
-
-    monkeypatch.setattr(tempfile, "TemporaryFile", counted)
-    records = {}
-    for n in (1, 2):
-        cpus(monkeypatch, n)
-        out = tmp_path / f"cpus{n}"
-        records[n] = cmd_simulate(manifest, out).records_path.read_bytes()
-        assert opened == [{"dir": out, "buffering": 0}] * (n - 1)
-        assert sorted(p.name for p in out.iterdir()) == ["records.csv", "summary.json"]
-    assert records[1] == records[2]
 
 
 def test_pool_and_in_process_write_the_same_outputs(tmp_path, monkeypatch):
@@ -1593,6 +1619,53 @@ def test_dead_worker_fails_the_run_and_is_reaped(tmp_path, monkeypatch):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    assert list((tmp_path / "out").iterdir()) == []
+    assert_no_child_left()
+
+
+def test_worker_dead_partway_through_its_lines_fails_the_run(tmp_path, monkeypatch):
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(spinherald.cli, "_CHUNK", 1000)  # five chunks
+    chunk_task = spinherald.cli._chunk_task
+
+    @functools.wraps(chunk_task)  # pickled by name, as the patched module has it
+    def dying(task):
+        value, lines = chunk_task(task)
+        if task[3] == 4000:  # the last chunk, after which no task is sent
+            serve = sys._getframe(1)
+            assert serve.f_code is spinherald.cli._serve.__code__
+            results = serve.f_locals["results"]  # this worker's result pipe
+            results.write(pickle.dumps((True, value, len(lines))))
+            results.write(lines[: len(lines) // 2])
+            results.flush()
+            os._exit(4)
+        return value, lines
+
+    def hung(signum, frame):
+        raise TimeoutError("the pool waits for a dead worker")
+
+    monkeypatch.setattr(spinherald.cli, "_chunk_task", dying)  # before the fork
+    manifest = write_manifest(tmp_path / "m.ini", "ramsey_HV", shots=5000, seed=3)
+    path_open, sent = Path.open, []
+
+    def counted(self, *args, **kwargs):  # the writes that reach the partial file
+        fh = path_open(self, *args, **kwargs)
+        if self.name == "records.csv.partial":
+            write = fh.write
+            fh.write = lambda data: sent.append(len(data)) or write(data)
+        return fh
+
+    monkeypatch.setattr(Path, "open", counted)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match=r"pool worker \d+ ended \(exit status 4\)"):
+            cmd_simulate(manifest, tmp_path / "out")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # the header, the lines of chunks 0 to 3, and half of those of chunk 4
+    assert len(sent) == 6 and sent[-1] > 0
     assert list((tmp_path / "out").iterdir()) == []
     assert_no_child_left()
 
