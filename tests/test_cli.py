@@ -1479,7 +1479,7 @@ class NearlyFullDisk(io.BufferedWriter):
         return super().write(data)
 
 
-def test_records_write_failures_fail_simulate(tmp_path, monkeypatch):
+def test_simulate_leaves_only_records_and_summary_on_both_routes(tmp_path, monkeypatch):
     manifest = write_manifest(tmp_path / "m.ini", "ramsey_HV", shots=5000, seed=3)
     monkeypatch.setattr(spinherald.cli, "_CHUNK", 1000)  # five chunks
     outputs = {}
@@ -1489,8 +1489,16 @@ def test_records_write_failures_fail_simulate(tmp_path, monkeypatch):
         cmd_simulate(manifest, out)
         outputs[n] = {p.name: p.read_bytes() for p in out.iterdir()}
         assert sorted(outputs[n]) == ["records.csv", "summary.json"]
+        assert_no_child_left()
     assert outputs[1] == outputs[2]
-    assert len(outputs[1]["records.csv"]) > 2 * NearlyFullDisk.room
+
+
+def test_records_write_failures_fail_simulate(tmp_path, monkeypatch):
+    manifest = write_manifest(tmp_path / "m.ini", "ramsey_HV", shots=5000, seed=3)
+    monkeypatch.setattr(spinherald.cli, "_CHUNK", 1000)  # five chunks
+    cpus(monkeypatch, 1)
+    records = cmd_simulate(manifest, tmp_path / "whole").records_path
+    assert records.stat().st_size > 2 * NearlyFullDisk.room
 
     path_open = Path.open
 
