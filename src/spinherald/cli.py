@@ -17,17 +17,19 @@ summaries are JSON and round-trip losslessly.  Exit status is nonzero
 exactly when an error was reported.
 
 Every command spreads its work over a pool of worker processes sized to the
-CPUs this process may use and collects the results in order.  This process
-forks the workers itself and talks to each over a task pipe and a result
-pipe of its own, which carry plain pickles: no executor, no thread, no
-multiprocessing.  The schedule is static: of W workers, worker k mod W runs
-task k, and this process reads the results back in task order.  The
-commands that run the engine (simulate, tomo --manifest, ramsey, sweep) cut
-each run into chunks of equal size, within a shot, of at most `_CHUNK`
-shots, and hand a worker a chunk, which it reduces to counts.  For simulate it
-also formats the chunk's records lines and sends them down its result pipe
-right after the counts, and the calling process copies them from there to
-the records file in shot order, 64 KiB at a time.  tomo --records hands a
+CPUs this process may use and collects the results in order.  A command
+builds its whole task list first and then forks the workers itself, once
+(`_pool_map`; sweep runs every grid point in the one map): of W workers,
+worker k runs tasks k, k + W, k + 2W, ..., which it inherits through the
+fork, and sends each result back as a plain pickle down a result pipe of
+its own, from which this process reads the results in task order.  No
+executor, no thread, no multiprocessing.  The commands that run the engine
+(simulate, tomo --manifest, ramsey, sweep) cut each run into chunks of
+equal size, within a shot, of at most `_CHUNK` shots, and hand a worker a
+chunk, which it reduces to counts.  For simulate it also formats the
+chunk's records lines and sends them down its result pipe right after the
+counts, and the calling process copies them from there to the records file
+in shot order, 64 KiB at a time.  tomo --records hands a
 worker a range of whole lines of the records file, about `_READ_BLOCK`
 bytes, which it reads, parses and counts (`records._range_task`: lines in
 the writer's form by byte arithmetic, any other line by np.loadtxt).
@@ -47,7 +49,6 @@ import json
 import os
 import pickle
 import sys
-from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import reduce
 from operator import add
@@ -265,8 +266,8 @@ def read_counts(path, n_bins: int) -> dict[int, ShotCounts]:
     phi_tac, up or down and a non-negative int64 n_attempts, each read as
     its value (also `+3`, `007` or `5E-1`, which the writer never prints).
     The first line that is not raises a `path:lineno` error.  The body is
-    counted in ranges of whole lines of about `_READ_BLOCK` bytes on a
-    `_ChunkPool`, whose workers each read their own range of the file
+    counted in ranges of whole lines of about `_READ_BLOCK` bytes on the
+    pool (`_pool_map`), whose workers each read their own range of the file
     (`records._range_task`), and the counts are added in file order: memory
     stays bounded.  n_bins lies in [1, _MAX_BINS], as a manifest's bins."""
     if n_bins < 1:
@@ -289,14 +290,13 @@ def read_counts(path, n_bins: int) -> dict[int, ShotCounts]:
             tasks.append((path, lo, hi, n_bins))
             lo = hi
     counts, rows = {}, 0
-    with _ChunkPool() as pool:
-        for n, part, bad in pool.map(_range_task, tasks):
-            if bad is not None:
-                lineno = rows + 2 + bad[0]
-                raise ValueError(f"{path}:{lineno}: malformed record {bad[1]!r}")
-            rows += n
-            for key, c in part.items():
-                counts[key] = counts[key] + c if key in counts else c
+    for n, part, bad in _pool_map(_range_task, tasks):
+        if bad is not None:
+            lineno = rows + 2 + bad[0]
+            raise ValueError(f"{path}:{lineno}: malformed record {bad[1]!r}")
+        rows += n
+        for key, c in part.items():
+            counts[key] = counts[key] + c if key in counts else c
     return dict(sorted(counts.items()))
 
 
@@ -407,7 +407,7 @@ def _chunk_task(task):
     """(setting index, counts) of one chunk task (index, config, sequence,
     lo, hi, n_bins, lines): shots lo ... hi-1 of one setting's run.  With
     `lines` true, the pair comes with the chunk's records lines, as
-    ((index, counts), lines), for a map with a sink (`_ChunkPool.map`)."""
+    ((index, counts), lines), for a map with a sink (`_pool_map`)."""
     index, cfg, seq, lo, hi, n_bins, lines = task
     frame = run_experiment(cfg, seq, lo, hi)
     value = index, ShotCounts.of(frame, n_bins)
@@ -456,20 +456,15 @@ def _init_worker(parent: int) -> None:
         _keep_freed_pages(libc)
 
 
-def _serve(tasks, results) -> None:
-    """A pool worker's loop: for each (fn, task, split) pickle read from the
-    pipe file `tasks` until it ends, write (True, value, n) or (False,
-    (exception, traceback text), 0) as a pickle to the pipe file `results`,
-    then n bytes.  The value is fn(task), or with `split` the first item of
-    the (value, bytes) pair that fn(task) returns, and the n bytes are its
-    second (`_ChunkPool.map` with a sink).  A value or an exception that
-    pickle refuses comes back as a RuntimeError that carries the traceback
-    text."""
-    while True:
-        try:
-            fn, task, split = pickle.load(tasks)
-        except EOFError:
-            return
+def _serve(fn, tasks, split, results) -> None:
+    """A pool worker's loop: for each of its `tasks`, write (True, value, n)
+    or (False, (exception, traceback text), 0) as a pickle to the pipe file
+    `results`, then n bytes.  The value is fn(task), or with `split` the
+    first item of the (value, bytes) pair that fn(task) returns, and the n
+    bytes are its second (`_pool_map` with a sink).  A value or an exception
+    that pickle refuses comes back as a RuntimeError that carries the
+    traceback text."""
+    for task in tasks:
         data = b""
         try:
             value = fn(task)
@@ -499,185 +494,118 @@ class _WorkerTraceback(Exception):
         return "\n" + self.args[0]
 
 
-def _close(worker) -> None:
-    """Close the pipe files of a pool worker (pid, tasks, results); a task
-    that it no longer reads is dropped."""
-    worker[2].close()
-    with suppress(BrokenPipeError):  # flushing a task left for a dead worker
-        worker[1].close()
-
-
-def _pass_on(pair, sink):
-    """The value of a (value, bytes) pair, once `sink` has taken the bytes."""
-    value, data = pair
-    sink(data)
-    return value
-
-
-class _ChunkPool:
-    """`map(fn, tasks, sink)` on worker processes that this process forks
-    itself, one per CPU it may use (capped at the task count of the first
-    call that starts them), with no executor and no thread.
-
-    Each of the W workers has a task pipe and a result pipe of its own
-    (`_serve`), each carrying plain pickles.  The schedule is static: task
-    k goes to worker k mod W, and its result is read back from that
-    worker's pipe in turn, so results come in submission order.  With a
-    sink, the bytes a task returns follow its pickle down the result pipe,
-    and this process passes them to the sink, at most `_COPY_BUFFER` at a
-    time, before it yields the value: it never holds a task's bytes whole.
-    At most two tasks per worker are submitted and not yet collected, so
-    memory stays O(task): task k + 2W is submitted only once the caller has
-    taken the result of task k.  A task's exception is raised here with the
-    worker's traceback as its cause; a worker that dies fails the map with
-    its pid and exit status.
-
-    The first `map` call with more than one task starts the workers, and
-    later calls reuse them.  Leaving the `with` block closes every pipe, so
-    an idle worker exits and a busy one fails on its next write, and reaps
-    every worker, killing them first on an exception.  With one worker, or
-    on a platform that cannot report the CPU affinity (and may lack fork),
-    tasks run in this process.  Fork, not spawn: a spawned worker would
-    import numpy again.
-    """
-
-    def __init__(self):
-        self._workers = []  # (pid, task pipe file, result pipe file), in fork order
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, *exc_info):
-        workers, self._workers = self._workers, []
-        for worker in workers:
-            if exc_type is not None:
-                os.kill(worker[0], 9)  # SIGKILL
-            _close(worker)
-        for pid, _, _ in workers:
-            os.waitpid(pid, 0)
-
-    def _fork(self) -> None:
-        """Start a worker; it closes the pipes of the workers before it."""
-        (task_read, task_write), (result_read, result_write) = os.pipe(), os.pipe()
+def _fork(fn, tasks, split):
+    """(pid, result pipe file) of a new pool worker that serves `tasks`."""
+    read, write = os.pipe()
+    try:
+        parent, pid = os.getpid(), os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:  # the worker, which never returns into the caller
+        status = 1
         try:
-            parent, pid = os.getpid(), os.fork()
-        except BaseException:
-            for fd in (task_read, task_write, result_read, result_write):
-                os.close(fd)
-            raise
-        if pid == 0:  # the worker, which never returns into the caller
-            status = 1
-            try:
-                os.close(task_write)
-                os.close(result_read)
-                for worker in self._workers:
-                    _close(worker)
-                _init_worker(parent)
-                _serve(os.fdopen(task_read, "rb"), os.fdopen(result_write, "wb"))
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(task_read)
-        os.close(result_write)
-        tasks, results = os.fdopen(task_write, "wb"), os.fdopen(result_read, "rb")
-        self._workers.append((pid, tasks, results))
+            os.close(read)
+            _init_worker(parent)
+            _serve(fn, tasks, split, os.fdopen(write, "wb"))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
 
-    def map(self, fn, tasks: list, sink=None):
-        """The value of fn(task) for each task, in order.  With a sink,
-        fn(task) returns a (value, bytes) pair, and the bytes go to sink
-        before the value is yielded: whole in process, from a worker's
-        result pipe at most `_COPY_BUFFER` at a time on the pool."""
-        if not self._workers:
-            # the affinity call exists only where fork does too
-            affinity = getattr(os, "sched_getaffinity", None)
-            workers = min(len(affinity(0)) if affinity else 1, len(tasks))
-            for _ in range(workers if workers > 1 else 0):
-                self._fork()
-        if self._workers:
-            return self._ordered(fn, tasks, sink)
-        if sink is None:
-            return map(fn, tasks)
-        # a call, not a loop variable, so the bytes die before the yield
-        return (_pass_on(fn(task), sink) for task in tasks)
 
-    def _ordered(self, fn, tasks, sink):
-        workers, split = self._workers, sink is not None
-        window = 2 * len(workers)
-        for k, task in enumerate(tasks[:window]):
-            self._submit(workers[k % len(workers)], fn, task, split)
+def _pool_map(fn, tasks: list, sink=None):
+    """The value of fn(task) for each task, in order, on worker processes
+    that this call forks itself, one per CPU this process may use, capped
+    at the task count; no executor, no thread.
+
+    Of W workers, worker k runs tasks[k::W], which it inherits through the
+    fork, and writes each result down a result pipe of its own (`_serve`),
+    so this process reads result k from worker k mod W.  The pipe's
+    capacity blocks a worker that runs ahead: memory stays O(task).  With a
+    sink, fn(task) returns a (value, bytes) pair, and the bytes go to sink
+    before the value is yielded: whole in process, from the result pipe at
+    most `_COPY_BUFFER` at a time on the pool.  A task's exception is raised
+    here with the worker's traceback as its cause; a worker that dies fails
+    the map with its pid and exit status.  Every worker is reaped when the
+    map ends, and killed first if it ends early (an error, an interrupt or
+    a map left unfinished).  With one worker, or on a platform that cannot
+    report the CPU affinity (and may lack fork), tasks run in this process.
+    Fork, not spawn: a spawned worker would import numpy again."""
+    # the affinity call exists only where fork does too
+    affinity = getattr(os, "sched_getaffinity", None)
+    width = min(len(affinity(0)) if affinity else 1, len(tasks))
+    if width < 2:
+        for task in tasks:
+            value = fn(task)
+            if sink is not None:  # the pair, and so its bytes, die before the yield
+                sink(value[1])
+                value = value[0]
+            yield value
+        return
+    workers, finished = [], False
+    try:
+        for k in range(width):
+            workers.append(_fork(fn, tasks[k::width], sink is not None))
         for k in range(len(tasks)):
-            worker = workers[k % len(workers)]
+            pid, results = workers[k % width]
             try:
-                *reply, count = pickle.load(worker[2])
+                ok, value, count = pickle.load(results)
                 while count:  # the task's bytes, which follow its reply
-                    piece = worker[2].read(min(count, _COPY_BUFFER))
+                    piece = results.read(min(count, _COPY_BUFFER))
                     if not piece:
                         raise EOFError
                     sink(piece)
                     count -= len(piece)
             except (EOFError, pickle.UnpicklingError):
-                self._died(worker)
-            yield self._result(reply)
-            if k + window < len(tasks):
-                self._submit(worker, fn, tasks[k + window], split)
-
-    def _submit(self, worker, fn, task, split) -> None:
-        """Send (fn, task, split) to `worker`, one of the pool's (pid,
-        tasks, results)."""
-        data = pickle.dumps((fn, task, split), pickle.HIGHEST_PROTOCOL)
-        try:
-            worker[1].write(data)
-            worker[1].flush()
-        except BrokenPipeError:
-            self._died(worker)
-
-    def _died(self, worker):
-        """Close the pipes of `worker`, which has ended, reap it and raise an
-        error naming it."""
-        self._workers.remove(worker)
-        _close(worker)
-        code = os.waitstatus_to_exitcode(os.waitpid(worker[0], 0)[1])
-        how = f"exit status {code}" if code >= 0 else f"signal {-code}"
-        raise RuntimeError(f"pool worker {worker[0]} ended ({how}) before its results")
-
-    def _result(self, reply):
-        """A task's value from its (ok, value) reply, or its exception,
-        raised again with the worker's traceback as the cause."""
-        ok, value = reply
-        if not ok:
-            raise value[0] from _WorkerTraceback(value[1])
-        return value
+                end = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+                how = "exit status" if end.si_code == os.CLD_EXITED else "signal"
+                raise RuntimeError(
+                    f"pool worker {pid} ended ({how} {end.si_status}) before its results"
+                )
+            if not ok:
+                raise value[0] from _WorkerTraceback(value[1])
+            yield value
+        finished = True
+    finally:
+        for pid, results in workers:
+            if not finished:
+                os.kill(pid, 9)  # SIGKILL
+            results.close()
+        for pid, _ in workers:
+            os.waitpid(pid, 0)
 
 
-def _run_counts(
-    manifest: RunManifest, pool: _ChunkPool, records=None
-) -> dict[int, ShotCounts]:
-    """Counts of each setting of the manifest's run (the tomography plan or
-    one run as setting 0), reduced chunk by chunk as the pool returns them in
-    shot order.
+def _run_counts(manifests: list, records=None) -> list[dict[int, ShotCounts]]:
+    """Counts of each setting of each manifest's run (the tomography plan or
+    one run as setting 0), in manifest order, reduced chunk by chunk as one
+    `_pool_map` over the chunks of every run returns them in shot order.
 
     With an open records file, each chunk's task also formats the chunk's
-    records lines, and the pool's map appends them to the file in shot
-    order (`records.write` is its sink): on a pool they follow the chunk's
-    counts down its worker's result pipe and are copied from there at most
+    records lines, and the map appends them to the file in shot order
+    (`records.write` is its sink): on a pool they follow the chunk's counts
+    down its worker's result pipe and are copied from there at most
     `_COPY_BUFFER` bytes at a time, so this process never holds a chunk's
     lines; in process they are written whole."""
-    seq = manifest.sequence()
-    if manifest.analysis.tomography:
-        runs = plan_runs(manifest.config, seq, tomography_plan())
-    else:
-        runs = [(0, manifest.config, seq)]
-    spans = [  # each run in ceil(shots / _CHUNK) parts, sizes within one shot
-        (index, cfg, seq_s, cfg.shots * i // parts, cfg.shots * (i + 1) // parts)
-        for index, cfg, seq_s in runs
-        for parts in [-(-cfg.shots // _CHUNK)]
-        for i in range(parts)
-    ]
-    tasks = [(*span, manifest.analysis.bins, records is not None) for span in spans]
+    counts = [{} for _ in manifests]
+    tasks, targets = [], []  # a chunk's task and the counts it adds to
+    for manifest, into in zip(manifests, counts):
+        seq, bins = manifest.sequence(), manifest.analysis.bins
+        if manifest.analysis.tomography:
+            runs = plan_runs(manifest.config, seq, tomography_plan())
+        else:
+            runs = [(0, manifest.config, seq)]
+        for index, cfg, seq_s in runs:
+            parts = -(-cfg.shots // _CHUNK)  # sizes within one shot
+            for i in range(parts):
+                lo, hi = cfg.shots * i // parts, cfg.shots * (i + 1) // parts
+                tasks.append((index, cfg, seq_s, lo, hi, bins, records is not None))
+                targets.append(into)
     sink = None if records is None else records.write
-    counts = {}
-    for index, c in pool.map(_chunk_task, tasks, sink):
-        counts[index] = counts[index] + c if index in counts else c
+    for (index, c), into in zip(_pool_map(_chunk_task, tasks, sink), targets):
+        into[index] = into[index] + c if index in into else c
     return counts
 
 
@@ -719,9 +647,10 @@ def cmd_simulate(
     Records are written chunk by chunk while the run is reduced to counts,
     into a partial file that replaces records.csv only once the summary is
     built; a failed run leaves the output directory as it was.  On a pool,
-    each worker sends its chunk's lines down its result pipe, and this
-    process copies them from there to the partial file (`_run_counts`); in
-    process, each chunk's lines are written to it whole.
+    forked for this run alone, each worker sends its chunks' lines down its
+    result pipe, and this process copies them from there to the partial
+    file (`_run_counts`); in process, each chunk's lines are written to it
+    whole.
     """
     manifest = load_manifest(manifest_path, {"seed": seed, "shots": shots})
     out = Path(out_dir if out_dir is not None else manifest.out_dir)
@@ -731,9 +660,9 @@ def cmd_simulate(
     summary_path = out / "summary.json"
     partial = out / "records.csv.partial"
     try:
-        with _ChunkPool() as pool, partial.open("wb") as fh:
+        with partial.open("wb") as fh:
             fh.write(_HEADER + b"\n")
-            counts = _run_counts(manifest, pool, fh)
+            [counts] = _run_counts([manifest], fh)
         summary = _build_summary(manifest, counts)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -779,8 +708,7 @@ def cmd_tomo(
             filter=flt or manifest.analysis.filter,
         )
         manifest = replace(manifest, analysis=analysis)
-        with _ChunkPool() as pool:
-            counts = _run_counts(manifest, pool)
+        [counts] = _run_counts([manifest])
         summary = _build_summary(manifest, counts)
 
     if out_dir is not None:
@@ -806,8 +734,7 @@ def cmd_ramsey(
         harmonic = 1 if seq.prep is None else 2
     analysis = AnalysisRequest(fringe_harmonic=harmonic, bins=manifest.analysis.bins)
     manifest = replace(manifest, analysis=analysis)
-    with _ChunkPool() as pool:
-        counts = _run_counts(manifest, pool)
+    [counts] = _run_counts([manifest])
     summary = _build_summary(manifest, counts)
 
     out = Path(out_dir if out_dir is not None else manifest.out_dir)
@@ -837,28 +764,30 @@ def cmd_sweep(manifest_path, parameter: str, grid, out_dir=None) -> list[dict]:
         )
     if len(grid) == 0:
         raise ValueError("sweep grid must be nonempty")
-    base = load_manifest(manifest_path)
+    # every grid value is checked before any runs
+    manifests = [load_manifest(manifest_path, {parameter: raw}) for raw in grid]
     read = _SCHEMA[_SECTION_OF[parameter]][parameter]
-    out = Path(out_dir if out_dir is not None else base.out_dir)
+    out = Path(out_dir if out_dir is not None else manifests[0].out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     summaries = []
     rows = []
-    with _ChunkPool() as pool:  # one pool for every grid point
-        for i, raw in enumerate(grid):
-            manifest = load_manifest(manifest_path, {parameter: raw})
-            value = read(str(raw))  # as load_manifest parsed it
-            summary = _build_summary(manifest, _run_counts(manifest, pool))
-            summary["sweep"] = {"parameter": parameter, "value": value}
-            write_summary(out / f"summary_{i:03d}.json", summary)
-            summaries.append(summary)
-            stats = summary["branch_stats"]
-            rows.append((
-                value,
-                stats["n_shots"],
-                stats["branch_1_fraction"],
-                summary.get("tomography", {}).get("identity_overlap"),
-            ))
+    # one map over the chunks of every grid point
+    for i, (raw, manifest, counts) in enumerate(
+        zip(grid, manifests, _run_counts(manifests))
+    ):
+        value = read(str(raw))  # as load_manifest parsed it
+        summary = _build_summary(manifest, counts)
+        summary["sweep"] = {"parameter": parameter, "value": value}
+        write_summary(out / f"summary_{i:03d}.json", summary)
+        summaries.append(summary)
+        stats = summary["branch_stats"]
+        rows.append((
+            value,
+            stats["n_shots"],
+            stats["branch_1_fraction"],
+            summary.get("tomography", {}).get("identity_overlap"),
+        ))
 
     header = (parameter, "n_shots", "branch_1_fraction", "identity_overlap")
     _write_table(out / "sweep.csv", header, rows)

@@ -1,5 +1,6 @@
 import ast
 import configparser
+import contextlib
 import errno
 import functools
 import hashlib
@@ -1329,17 +1330,17 @@ POOLED_RAMSEY = """
 import os, sys, threading
 os.sched_getaffinity = lambda pid: {0, 1}
 import spinherald.cli as cli
-threads, run_counts = [], cli._run_counts
+threads, pool_map = set(), cli._pool_map
 
-def counted(manifest, pool, *args):
-    counts = run_counts(manifest, pool, *args)
-    threads.append(threading.active_count())  # the pool still runs here
-    return counts
+def counted(*args):
+    for value in pool_map(*args):
+        threads.add(threading.active_count())  # the workers run here
+        yield value
 
-cli._run_counts = counted
+cli._pool_map = counted
 cli.cmd_ramsey(sys.argv[1], sys.argv[2], shots=3 * cli._CHUNK)
 lazy = ("multiprocessing", "concurrent", "select")
-print(threads, sorted(m for m in sys.modules if m.split(".")[0] in lazy))
+print(sorted(threads), sorted(m for m in sys.modules if m.split(".")[0] in lazy))
 """
 
 
@@ -1429,12 +1430,11 @@ def test_pool_passes_a_tasks_bytes_to_the_sink_a_buffer_at_a_time(monkeypatch):
     for n in (2, 1):
         cpus(monkeypatch, n)
         sunk = []
-        with spinherald.cli._ChunkPool() as pool:
-            # each value comes once its bytes, and no later ones, are sunk
-            seen = [
-                (value, sum(map(len, sunk)))
-                for value in pool.map(task_and_bytes, tasks, sunk.append)
-            ]
+        # each value comes once its bytes, and no later ones, are sunk
+        seen = [
+            (value, sum(map(len, sunk)))
+            for value in spinherald.cli._pool_map(task_and_bytes, tasks, sunk.append)
+        ]
         assert seen == list(zip(tasks, itertools.accumulate(map(len, expected))))
         assert b"".join(sunk) == b"".join(expected)
         assert list(map(len, sunk)) == pieces[n]
@@ -1581,28 +1581,6 @@ def test_worker_error_is_reported_and_cleaned_up(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "simulate" / "records.csv.partial").exists()
 
 
-def count_pool_window(monkeypatch) -> dict:
-    """Count the tasks the pool sends and the results it yields, and the
-    peak of those sent and not yet yielded, at the pool's own send and
-    yield points."""
-    tally = {"submitted": 0, "in_flight": 0, "peak": 0}
-    submit, result = spinherald.cli._ChunkPool._submit, spinherald.cli._ChunkPool._result
-
-    def counted_submit(self, *args):
-        submit(self, *args)
-        tally["submitted"] += 1
-        tally["in_flight"] += 1
-        tally["peak"] = max(tally["peak"], tally["in_flight"])
-
-    def counted_result(self, reply):
-        tally["in_flight"] -= 1
-        return result(self, reply)
-
-    monkeypatch.setattr(spinherald.cli._ChunkPool, "_submit", counted_submit)
-    monkeypatch.setattr(spinherald.cli._ChunkPool, "_result", counted_result)
-    return tally
-
-
 def test_dead_worker_fails_the_run_and_is_reaped(tmp_path, monkeypatch):
     cpus(monkeypatch, 2)
     monkeypatch.setattr(spinherald.cli, "_CHUNK", 1000)  # five chunks
@@ -1685,15 +1663,16 @@ def exit_on_task_2(task):
 
 
 def test_worker_dead_before_its_next_task_fails_the_map(monkeypatch):
-    # worker 0 dies on task 2 while the caller holds result 0, so task 4,
-    # which goes to it too, meets a closed pipe, and its buffered bytes are
-    # dropped with the pipe
+    # worker 0, which runs tasks 0, 2, 4 and 6, dies on task 2 while the
+    # caller holds result 0: result 1 still comes from worker 1, and result
+    # 2 fails the map
     cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match=r"pool worker \d+ ended \(exit status 5\)") as raised:
-        with spinherald.cli._ChunkPool() as pool:
-            for _ in pool.map(exit_on_task_2, list(range(8))):
-                os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)  # until worker 0 ends
-    assert isinstance(raised.value.__context__, BrokenPipeError)
+    taken = []
+    with pytest.raises(RuntimeError, match=r"pool worker \d+ ended \(exit status 5\)"):
+        for value in spinherald.cli._pool_map(exit_on_task_2, list(range(8))):
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)  # until a worker ends
+            taken.append(value)
+    assert taken == [0, 1]
     assert_no_child_left()
 
 
@@ -1717,9 +1696,8 @@ def test_unpicklable_task_errors_and_values_come_back_as_runtime_errors(monkeypa
         (raise_unpicklable, "Unpicklable: task 0", "in raise_unpicklable"),
         (return_unpicklable, "cannot pickle '_thread.lock' object", "in _serve"),
     ):
-        with spinherald.cli._ChunkPool() as pool:
-            with pytest.raises(RuntimeError, match=text) as raised:
-                list(pool.map(fn, [0, 1]))
+        with pytest.raises(RuntimeError, match=text) as raised:
+            list(spinherald.cli._pool_map(fn, [0, 1]))
         assert str(raised.value).startswith("Traceback") and frame in str(raised.value)
         assert_no_child_left()
 
@@ -1746,20 +1724,6 @@ def test_failed_fork_leaks_no_pipe_and_leaves_no_child(tmp_path, monkeypatch):
     assert_no_child_left()
 
 
-def test_pool_window_is_bounded(tmp_path, monkeypatch):
-    cpus(monkeypatch, 2)
-    monkeypatch.setattr(spinherald.cli, "_CHUNK", 512)
-    tally = count_pool_window(monkeypatch)
-    manifest = write_manifest(tmp_path / "m.ini", "ramsey_HV", shots=64 * 512, seed=48)
-    summary = cmd_ramsey(manifest, tmp_path / "small")
-    # 64 chunks, 16 times the window of two tasks for each of two workers
-    assert tally["submitted"] == 64 and not tally["in_flight"]
-    assert 0 < tally["peak"] <= 4
-    monkeypatch.undo()  # default chunks, in process: records of any partition agree
-    cpus(monkeypatch, 1)
-    assert cmd_ramsey(manifest, tmp_path / "whole") == summary
-
-
 def worker_pid(task):
     return os.getpid()
 
@@ -1774,10 +1738,87 @@ def test_pool_sends_task_k_to_worker_k_mod_w(monkeypatch):
 
     cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", recorded)
-    with spinherald.cli._ChunkPool() as pool:
-        pids = list(pool.map(worker_pid, list(range(6))))
+    pids = list(spinherald.cli._pool_map(worker_pid, list(range(6))))
     assert len(set(forked)) == 2 and pids == forked * 3
     assert_no_child_left()
+
+
+def task_and_200_kb(task):
+    return task, bytes(200_000)
+
+
+def sleep_long(task):
+    time.sleep(30)
+    return task
+
+
+@contextlib.contextmanager
+def fail_after(seconds, error):
+    """Raise `error` in this process if the block runs `seconds` or more."""
+
+    def raise_error(signum, frame):
+        raise error
+
+    previous = signal.signal(signal.SIGALRM, raise_error)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_abandoned_map_kills_and_reaps_its_workers(monkeypatch):
+    # each task's 200 KB overfill its worker's 64 KiB pipe, so both workers
+    # are blocked in a write when the map is left
+    cpus(monkeypatch, 2)
+    with fail_after(60, TimeoutError("the map waits for its blocked workers")):
+        pool = spinherald.cli._pool_map(task_and_200_kb, list(range(8)), [].append)
+        assert next(pool) == 0
+        pool.close()
+        assert_no_child_left()
+
+        with pytest.raises(LookupError, match="the consumer fails"):
+            for _ in spinherald.cli._pool_map(task_and_200_kb, list(range(8)), len):
+                raise LookupError("the consumer fails")
+        assert_no_child_left()
+
+
+def test_interrupted_map_kills_and_reaps_its_workers(monkeypatch):
+    # the workers are killed, not waited for
+    cpus(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        with fail_after(0.5, KeyboardInterrupt()):  # while the map waits
+            list(spinherald.cli._pool_map(sleep_long, [0, 1]))
+    assert time.monotonic() - start < 10
+    assert_no_child_left()
+
+
+def test_sweep_forks_its_workers_once(tmp_path, monkeypatch):
+    fork, forks = os.fork, []
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    manifest = write_manifest(tmp_path / "r.ini", "ramsey_HV", shots=3000, seed=3)
+    monkeypatch.setattr(spinherald.cli, "_CHUNK", 1000)  # three chunks a point
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", counted)
+    summaries = cmd_sweep(manifest, "seed", ["1", "2", "3"], tmp_path / "out")
+    assert len(summaries) == 3 and len(forks) == 2
+    assert_no_child_left()
+
+
+def test_sweep_checks_every_grid_value_before_it_runs_any(tmp_path, capsys):
+    manifest = write_manifest(tmp_path / "r.ini", "ramsey_HV", shots=1000, seed=3)
+    out = tmp_path / "out"
+    argv = ["sweep", "--manifest", str(manifest), "--parameter", "p_multi",
+            "--grid", "0,2", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: [errors] p_multi must lie in [0, 1], got 2.0\n"
+    assert not out.exists()
 
 
 def test_runs_are_cut_into_chunks_of_equal_size(tmp_path, monkeypatch):
@@ -1872,19 +1913,6 @@ def test_records_ranges_on_the_pool(tmp_path, monkeypatch):
         assert read_counts(path, 5) == {}
         with pytest.raises(IncompleteDataError, match="settings without records"):
             cmd_tomo(records_path=path)
-
-
-def test_records_pool_window_is_bounded(tmp_path, monkeypatch):
-    path = tmp_path / "r.csv"
-    path.write_text(RECORDS_HEADER + random_rows(200, (0, 1), 4))
-    expected = read_counts(path, 3)
-    monkeypatch.setattr(spinherald.cli, "_READ_BLOCK", 40)
-    ranges = count_ranges(path, monkeypatch)
-    cpus(monkeypatch, 2)
-    tally = count_pool_window(monkeypatch)
-    assert_counts_equal(read_counts(path, 3), expected)
-    assert ranges > 50 and tally["submitted"] == ranges and not tally["in_flight"]
-    assert 0 < tally["peak"] <= 4
 
 
 def test_console_entry_leaves_no_process_behind(tmp_path):
