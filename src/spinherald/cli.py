@@ -4,8 +4,8 @@ Subcommands
 -----------
 simulate   run a sequence (or the full 12-setting tomography plan), write a
            records file and a JSON summary
-tomo       reconstruct the process matrix from a records file or a manifest,
-           with optional branch conditioning
+tomo       reconstruct the process matrix from a records file, with
+           optional branch conditioning
 ramsey     run a Ramsey sequence and emit the binned fringe table plus fits
 sweep      repeat a manifest over a grid of one parameter and tabulate the
            summaries
@@ -24,19 +24,19 @@ worker k runs tasks k, k + W, k + 2W, ..., which it inherits through the
 fork, and sends each result back as a plain pickle down a result pipe of
 its own, from which this process reads the results in task order.  No
 executor, no thread, no multiprocessing.  The commands that run the engine
-(simulate, tomo --manifest, ramsey, sweep) cut each run into chunks of
-equal size, within a shot, of at most `_CHUNK` shots, and hand a worker a
-chunk, which it reduces to counts.  For simulate it also formats the
-chunk's records lines and sends them down its result pipe right after the
-counts, and the calling process copies them from there to the records file
-in shot order, 64 KiB at a time.  tomo --records hands a
-worker a range of whole lines of the records file, about `_READ_BLOCK`
-bytes, which it reads, parses and counts (`records._range_task`: lines in
-the writer's form by byte arithmetic, any other line by np.loadtxt).
-Records and summaries are the same bytes as a run in one process, and there
-is no option to set.  On Linux with glibc a worker keeps the pages a chunk
-frees for its next chunk instead of faulting them in again; the calling
-process's allocator, which also serves a run in process, is left as it is.
+(simulate, ramsey, sweep) cut each run into chunks of equal size, within a
+shot, of at most `_CHUNK` shots, and hand a worker a chunk, which it
+reduces to counts.  For simulate it also formats the chunk's records lines
+and sends them down its result pipe right after the counts, and the
+calling process copies them from there to the records file in shot order,
+64 KiB at a time.  tomo hands a worker a range of whole lines of the
+records file, about `_READ_BLOCK` bytes, which it reads, checks and counts
+(`records._range_task`: lines in the writer's form by byte arithmetic, any
+other line by np.loadtxt).  Records and summaries are the same bytes as a
+run in one process, and there is no option to set.  On Linux with glibc a
+worker keeps the pages a chunk frees for its next chunk instead of faulting
+them in again; the calling process's allocator, which also serves a run in
+process, is left as it is.
 read_counts, the one records reader, uses the same pool; the other library
 functions (run_experiment, run_plan, ...) run in the calling process.
 """
@@ -257,23 +257,21 @@ def load_manifest(path, overrides=None) -> RunManifest:
 _READ_BLOCK = 1 << 18  # bytes of a records body read, checked and parsed at once
 
 
-def read_counts(path, n_bins: int) -> dict[int, ShotCounts]:
-    """Counts of each setting of a records file, in ascending setting order.
+def read_counts(path) -> dict[int, ShotCounts]:
+    """Counts of each setting of a records file, in ascending setting order,
+    in one phase bin: the tomography reads no phi_tac.
 
     After the header, every line must be six comma-separated fields without
     whitespace, quotes, digit underscores or blank lines: a non-negative
     int64 shot_id and setting_id, a branch in {0, 1, 2}, a finite decimal
-    phi_tac, up or down and a non-negative int64 n_attempts, each read as
-    its value (also `+3`, `007` or `5E-1`, which the writer never prints).
+    phi_tac, up or down and a non-negative int64 n_attempts, each in any
+    form `np.loadtxt` reads (also `+3`, `007` or `5E-1`, which the writer
+    never prints).
     The first line that is not raises a `path:lineno` error.  The body is
     counted in ranges of whole lines of about `_READ_BLOCK` bytes on the
     pool (`_pool_map`), whose workers each read their own range of the file
     (`records._range_task`), and the counts are added in file order: memory
-    stays bounded.  n_bins lies in [1, _MAX_BINS], as a manifest's bins."""
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins!r}")
-    if n_bins > _MAX_BINS:
-        raise ValueError(f"n_bins must be <= {_MAX_BINS}, got {n_bins!r}")
+    stays bounded."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"records file not found: {path}")
@@ -287,7 +285,7 @@ def read_counts(path, n_bins: int) -> dict[int, ShotCounts]:
             fh.seek(lo + _READ_BLOCK)
             fh.readline()  # on to a line end or the end of the file
             hi = min(fh.tell(), size)
-            tasks.append((path, lo, hi, n_bins))
+            tasks.append((path, lo, hi))
             lo = hi
     counts, rows = {}, 0
     for n, part, bad in _pool_map(_range_task, tasks):
@@ -639,78 +637,53 @@ def _build_summary(manifest: RunManifest, counts_by_setting: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(
-    manifest_path, out_dir=None, seed=None, shots=None
-) -> ResultBundle:
-    """Run the manifest, write records.csv and summary.json.
+def cmd_simulate(path, out_dir=None, seed=None, shots=None) -> ResultBundle:
+    """Run the manifest at `path`, write records.csv and summary.json.
 
     Records are written chunk by chunk while the run is reduced to counts,
-    into a partial file that replaces records.csv only once the summary is
-    built; a failed run leaves the output directory as it was.  On a pool,
-    forked for this run alone, each worker sends its chunks' lines down its
-    result pipe, and this process copies them from there to the partial
-    file (`_run_counts`); in process, each chunk's lines are written to it
-    whole.
+    into a partial file, and the summary into one of its own; they replace
+    summary.json and then records.csv only once both are written, so a run
+    that fails up to the summary's rename leaves the output directory as it
+    was.  On a pool, forked for this run alone, each worker sends its
+    chunks' lines down its result pipe, and this process copies them from
+    there to the partial file (`_run_counts`); in process, each chunk's
+    lines are written to it whole.
     """
-    manifest = load_manifest(manifest_path, {"seed": seed, "shots": shots})
+    manifest = load_manifest(path, {"seed": seed, "shots": shots})
     out = Path(out_dir if out_dir is not None else manifest.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     records_path = out / "records.csv"
     summary_path = out / "summary.json"
-    partial = out / "records.csv.partial"
+    partials = out / "records.csv.partial", out / "summary.json.partial"
     try:
-        with partial.open("wb") as fh:
+        with partials[0].open("wb") as fh:
             fh.write(_HEADER + b"\n")
             [counts] = _run_counts([manifest], fh)
         summary = _build_summary(manifest, counts)
+        write_summary(partials[1], summary)
+        partials[1].replace(summary_path)
+        partials[0].replace(records_path)  # last: no new records without a summary
     except BaseException:
-        partial.unlink(missing_ok=True)
+        for partial in partials:
+            partial.unlink(missing_ok=True)
         raise
-    partial.replace(records_path)
-    write_summary(summary_path, summary)
     return ResultBundle(records_path, summary_path, summary)
 
 
-def cmd_tomo(
-    records_path=None,
-    manifest_path=None,
-    flt: str | None = None,
-    out_dir=None,
-    seed=None,
-    shots=None,
-) -> dict:
-    """Reconstruct the process matrix from records (or simulate first).
+def cmd_tomo(records_path, flt: str = "all", out_dir=None) -> dict:
+    """Reconstruct the process matrix from a records file.
 
     Records must cover all 12 plan settings; the summary carries the
-    projected chi, the identity overlap and the Bloch ellipsoid.  A filter
-    of None takes the manifest's own, or all shots of a records file.  The
-    seed and shot overrides apply to a manifest only.
+    projected chi, the identity overlap and the Bloch ellipsoid of the
+    shots that the filter keeps.
     """
-    if (records_path is None) == (manifest_path is None):
-        raise ValueError("tomo needs exactly one of a records file and a manifest")
-    if flt is not None:
-        AnalysisRequest(filter=flt)  # checks the filter
-    if records_path is not None:
-        if (seed, shots) != (None, None):
-            raise ValueError("seed and shots overrides need a manifest, not records")
-        counts = read_counts(records_path, 1)  # the tomography needs no phase bins
-        summary = {
-            "version": __version__,
-            "records": str(records_path),
-            "tomography": _tomography_summary(counts, flt or AnalysisRequest.filter),
-        }
-    else:
-        manifest = load_manifest(manifest_path, {"seed": seed, "shots": shots})
-        analysis = AnalysisRequest(
-            tomography=True,
-            bins=manifest.analysis.bins,
-            filter=flt or manifest.analysis.filter,
-        )
-        manifest = replace(manifest, analysis=analysis)
-        [counts] = _run_counts([manifest])
-        summary = _build_summary(manifest, counts)
-
+    AnalysisRequest(filter=flt)  # checks the filter before the file is read
+    summary = {
+        "version": __version__,
+        "records": str(records_path),
+        "tomography": _tomography_summary(read_counts(records_path), flt),
+    }
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -718,11 +691,10 @@ def cmd_tomo(
     return summary
 
 
-def cmd_ramsey(
-    manifest_path, out_dir=None, seed=None, shots=None
-) -> dict:
-    """Run a Ramsey sequence; emit per-branch binned fringes and their fits."""
-    manifest = load_manifest(manifest_path, {"seed": seed, "shots": shots})
+def cmd_ramsey(path, out_dir=None, seed=None, shots=None) -> dict:
+    """Run the Ramsey sequence of the manifest at `path`; emit per-branch
+    binned fringes and their fits."""
+    manifest = load_manifest(path, {"seed": seed, "shots": shots})
     seq = manifest.sequence()
     if seq.scatter is None or seq.analysis is None:
         raise ValueError(
@@ -752,8 +724,8 @@ def cmd_ramsey(
     return summary
 
 
-def cmd_sweep(manifest_path, parameter: str, grid, out_dir=None) -> list[dict]:
-    """Repeat the manifest over `grid` values of one parameter.
+def cmd_sweep(path, parameter: str, grid, out_dir=None) -> list[dict]:
+    """Repeat the manifest at `path` over `grid` values of one parameter.
 
     Writes sweep.csv keyed by the parameter value plus one summary per grid
     point; returns the summaries in grid order.
@@ -765,7 +737,7 @@ def cmd_sweep(manifest_path, parameter: str, grid, out_dir=None) -> list[dict]:
     if len(grid) == 0:
         raise ValueError("sweep grid must be nonempty")
     # every grid value is checked before any runs
-    manifests = [load_manifest(manifest_path, {parameter: raw}) for raw in grid]
+    manifests = [load_manifest(path, {parameter: raw}) for raw in grid]
     read = _SCHEMA[_SECTION_OF[parameter]][parameter]
     out = Path(out_dir if out_dir is not None else manifests[0].out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -816,17 +788,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--manifest", required=True)
     common(p_sim)
 
-    p_tomo = sub.add_parser("tomo", help="process tomography from records or manifest")
-    p_tomo.add_argument("--records", help="records.csv from a tomography run")
-    p_tomo.add_argument("--manifest", help="manifest to simulate first")
+    p_tomo = sub.add_parser("tomo", help="process tomography from a records file")
+    p_tomo.add_argument("--records", required=True, help="records.csv of a tomography run")
     p_tomo.add_argument(
         "--filter",
         choices=FILTERS,
+        default="all",
         help="shots to reconstruct from: V/H keep branch 1/2, while all, "
-        "unconditioned and corrected keep every shot (default: the "
-        "manifest's [analysis] filter, or all with --records)",
+        "unconditioned and corrected keep every shot (default: all)",
     )
-    common(p_tomo)
+    p_tomo.add_argument("--out", help="directory for tomo_summary.json")
 
     p_ram = sub.add_parser("ramsey", help="fringe table and fits for a Ramsey run")
     p_ram.add_argument("--manifest", required=True)
@@ -850,9 +821,7 @@ def main(argv=None) -> int:
             print(f"records: {bundle.records_path}")
             print(f"summary: {bundle.summary_path}")
         elif args.command == "tomo":
-            summary = cmd_tomo(
-                args.records, args.manifest, args.filter, args.out, args.seed, args.shots
-            )
+            summary = cmd_tomo(args.records, args.filter, args.out)
             print(f"identity_overlap: {summary['tomography']['identity_overlap']:.6f}")
         elif args.command == "ramsey":
             summary = cmd_ramsey(args.manifest, args.out, args.seed, args.shots)

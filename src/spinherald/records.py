@@ -1,5 +1,4 @@
-"""Records files: the line format that `simulate` writes and `tomo --records`
-reads.
+"""Records files: the line format that `simulate` writes and `tomo` reads.
 
 A records file is ASCII: the header line `_HEADER`, then one line per shot
 of six comma-separated fields, shot_id, setting_id, branch, phi_tac,
@@ -7,13 +6,14 @@ outcome and n_attempts.  `_record_lines` formats a frame's shots as such
 lines by array arithmetic on a byte matrix, with phi_tac as
 `format(x, ".9g")`.
 
-`_range_task` counts the lines of one range of a file.  Its reader,
-`_read_block`, reads the lines in the writer's own form (digits, a point in
-phi_tac, `up`/`down`) by array arithmetic on the range's bytes, and every
-other line with `np.loadtxt` (`_parse_block`), so the accepted grammar is
-that of `np.loadtxt` under `_parse_block`'s checks either way.  A range
-that holds a line outside it is bisected with `_parse_block` down to its
-first such line.
+`_range_task` counts the lines of one range of a file into one phase bin
+per setting, which is all the tomography reads.  Its reader, `_read_block`,
+reads the lines in the writer's own form (digits, a point in phi_tac,
+`up`/`down`) by array arithmetic on the range's bytes, and every other line
+with `np.loadtxt` (`_parse_block`), so the accepted grammar is that of
+`np.loadtxt` under `_parse_block`'s checks either way.  It checks phi_tac's
+grammar and reads no phi_tac value.  A range that holds a line outside it
+is bisected with `_parse_block` down to its first such line.
 """
 
 from __future__ import annotations
@@ -240,18 +240,16 @@ def _columns(rec: np.ndarray) -> SimpleNamespace:
     return SimpleNamespace(
         setting_id=rec["setting_id"],
         branch=rec["branch"],
-        phi_tac=rec["phi_tac"],
         outcome_up=rec["outcome"] == b"up",
         n_attempts=rec["n_attempts"],
     )
 
 
-def _read_block(block: bytes, n_bins: int) -> SimpleNamespace:
-    """The setting_id, branch, phi_tac, outcome_up and n_attempts columns of
-    a nonempty run of whole lines of a records body (the last may lack its
+def _read_block(block: bytes) -> SimpleNamespace:
+    """The setting_id, branch, outcome_up and n_attempts columns of a
+    nonempty run of whole lines of a records body (the last may lack its
     line end), one row per line; ValueError exactly where `_parse_block`
-    raises.  With one phase bin, phi_tac reads 0 on the lines in the
-    writer's form, which puts them in the bin of every finite value.
+    raises.  phi_tac is checked, not read: no count needs its value.
 
     A line is in the writer's form when its bytes below "0" are ",,,.,,\\n",
     its outcome is up or down, its branch one digit 0-2, shot_id has 1-18
@@ -259,12 +257,9 @@ def _read_block(block: bytes, n_bins: int) -> SimpleNamespace:
     part and fraction with at most 15 digits in all.  Its other bytes are
     checked in bulk: the block's bytes above "9" must be the outcome letters
     of those lines and the letters of the others, or the whole block goes
-    to `_parse_block`.  Their values are read from 8-byte words of the
-    block (`_decimal`), and phi_tac as the quotient (integer part * 10**k +
-    fraction) / 10**k for a k-digit fraction: an exact significand below
-    2**53 over an exact 10**k takes one rounding, as `np.loadtxt` reads it.
-    Every other line goes to `_parse_block` and its values are put back in
-    their rows."""
+    to `_parse_block`.  Their integers are read from 8-byte words of the
+    block (`_decimal`).  Every other line goes to `_parse_block` and its
+    values are put back in their rows."""
     if not block.endswith(b"\n"):
         block += b"\n"
     text = b"0" * 8 + block  # so that the word up to each field lies in the text
@@ -305,14 +300,9 @@ def _read_block(block: bytes, n_bins: int) -> SimpleNamespace:
     rows = SimpleNamespace(
         setting_id=_decimal(words, at[:, 1], gap[:, 1] - 1),
         branch=branch,
-        phi_tac=np.zeros(len(at)),
         outcome_up=up,
         n_attempts=_decimal(words, at[:, 6], gap[:, 6] - 1),
     )
-    if n_bins > 1:
-        scale = _POW10[gap[:, 4] - 1]
-        whole = _decimal(words, at[:, 3], gap[:, 3] - 1)
-        rows.phi_tac = (whole * scale + _decimal(words, at[:, 4], gap[:, 4] - 1)) / scale
     if len(other):
         slow = _columns(_parse_block(lines))
         for name, column in vars(rows).items():
@@ -324,14 +314,15 @@ def _read_block(block: bytes, n_bins: int) -> SimpleNamespace:
 
 def _range_task(task) -> tuple[int, dict | None, tuple | None]:
     """(rows, counts by setting, None) of the whole lines in bytes lo ... hi-1
-    of a records file, or (0, None, (index, fields)) of the first line
-    `_parse_block` rejects, by bisection."""
-    path, lo, hi, n_bins = task
+    of a records file, each setting's counted into one phase bin, or (0,
+    None, (index, fields)) of the first line `_parse_block` rejects, by
+    bisection."""
+    path, lo, hi = task
     with open(path, "rb") as fh:
         fh.seek(lo)
         block = fh.read(hi - lo)
     try:
-        rec = _read_block(block, n_bins)
+        rec = _read_block(block)
     except ValueError:
         lines = block.removesuffix(b"\n").split(b"\n")
         lo, hi = 0, len(lines)
@@ -344,16 +335,13 @@ def _range_task(task) -> tuple[int, dict | None, tuple | None]:
                 hi = mid
         return 0, None, (lo, lines[lo].decode(errors="replace").split(","))
     del block  # the counting below peaks without it
-    setting, counts = rec.setting_id, {}
+    setting = rec.setting_id
+    rec.phi_tac = np.zeros(len(setting))  # in the one bin, as every finite phi_tac
     if setting.min() == setting.max():  # one setting, as in most ranges
-        return len(setting), {int(setting[0]): ShotCounts.of(rec, n_bins)}, None
+        return len(setting), {int(setting[0]): ShotCounts.of(rec, 1)}, None
+    counts = {}
     for key in set(setting.tolist()):
         mask = setting == key
-        shots = SimpleNamespace(  # the columns that ShotCounts.of reads
-            branch=rec.branch[mask],
-            phi_tac=rec.phi_tac[mask],
-            outcome_up=rec.outcome_up[mask],
-            n_attempts=rec.n_attempts[mask],
-        )
-        counts[key] = ShotCounts.of(shots, n_bins)
+        shots = SimpleNamespace(**{name: c[mask] for name, c in vars(rec).items()})
+        counts[key] = ShotCounts.of(shots, 1)
     return len(setting), counts, None

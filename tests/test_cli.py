@@ -207,7 +207,6 @@ def test_analysis_bins_have_an_upper_limit(tmp_path):
     ramsey = write_manifest(tmp_path / "r.ini", "ramsey_HV", shots=10, analysis=big)
     for run in (
         lambda: cmd_simulate(tomo, tmp_path / "out"),
-        lambda: cmd_tomo(manifest_path=tomo),
         lambda: cmd_ramsey(ramsey, tmp_path / "out"),
     ):
         with pytest.raises(ManifestError, match=r"\[analysis\] bins"):
@@ -247,6 +246,51 @@ def test_manifest_schema_doc_matches_the_parser(tmp_path):
     comment = " ".join(line.partition(";")[2] for line in block.splitlines())
     listed = [name.strip() for name in comment.split("standard_sequences():")[1].split(",")]
     assert sorted(listed) == sorted(standard_sequences())
+
+
+def key_paths(value, prefix=""):
+    """The dotted path of each value of a JSON object, as the summary schema
+    names them: `name[]` for a list of objects, and an empty object or any
+    other list as one value."""
+    if isinstance(value, dict) and value:
+        items = value.items()
+    elif isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+        items = (("[]", v) for v in value)
+    else:
+        return {prefix}
+    return set().union(*(
+        key_paths(v, prefix + k if k == "[]" or not prefix else f"{prefix}.{k}")
+        for k, v in items
+    ))
+
+
+def test_summary_schema_doc_matches_the_summaries(tmp_path):
+    doc_path = Path(__file__).resolve().parents[1] / "docs" / "summary-schema.ini"
+    doc = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    doc.optionxform = str
+    doc.read(doc_path)
+    # every optional block of a summary, and a sweep's own
+    manifest = write_manifest(
+        tmp_path / "m.ini", "corrected_HV", shots=50,
+        analysis={"tomography": "true", "fringe_harmonic": 2,
+                  "entanglement_fidelity": "true"},
+    )
+    ramsey = write_manifest(tmp_path / "r.ini", "ramsey_HV", shots=500)
+    records = cmd_simulate(manifest, tmp_path / "sim").records_path
+    cmd_sweep(manifest, "p_multi", ["0.1"], tmp_path / "sweep")
+    cmd_ramsey(ramsey, tmp_path / "ramsey")
+    cmd_tomo(records, "V", tmp_path / "tomo")
+
+    def written(name):
+        return key_paths(json.loads((tmp_path / name).read_text()))
+
+    simulate, sweep = written("sim/summary.json"), written("sweep/summary_000.json")
+    assert sweep - simulate == {"sweep.parameter", "sweep.value"}
+    assert {s: set(doc[s]) for s in doc.sections()} == {
+        "summary.json": simulate | sweep,
+        "ramsey_summary.json": written("ramsey/ramsey_summary.json"),
+        "tomo_summary.json": written("tomo/tomo_summary.json"),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +407,7 @@ def test_read_records_rejects_malformed(tmp_path):
     ):
         bad.write_text(f"shot_id,setting_id,branch,phi_tac,outcome,n_attempts\n{row}\n")
         with pytest.raises(ValueError, match=r"r\.csv:2: malformed record"):
-            read_counts(bad, 1)
+            read_counts(bad)
 
 
 RECORDS_HEADER = "shot_id,setting_id,branch,phi_tac,outcome,n_attempts\n"
@@ -384,7 +428,7 @@ def count_ranges(path, monkeypatch) -> int:
     with monkeypatch.context() as m:
         cpus(m, 1)
         m.setattr(spinherald.cli, "_range_task", lambda t: calls.append(t) or task(t))
-        read_counts(path, 1)
+        read_counts(path)
     return len(calls)
 
 
@@ -402,7 +446,7 @@ def test_read_records_rejects_lines_outside_the_grammar(tmp_path):
     ):
         bad.write_text(RECORDS_HEADER + body)
         with pytest.raises(ValueError, match=rf"r\.csv:{lineno}: malformed record"):
-            read_counts(bad, 1)
+            read_counts(bad)
 
 
 def test_read_records_accepts_only_what_the_writer_writes(tmp_path):
@@ -420,31 +464,33 @@ def test_read_records_accepts_only_what_the_writer_writes(tmp_path):
     ):
         bad.write_bytes((RECORDS_HEADER + GOOD_ROW + row).encode())
         with pytest.raises(ValueError, match=r"r\.csv:3: malformed record"):
-            read_counts(bad, 1)
+            read_counts(bad)
     for header in (
         RECORDS_HEADER.replace(",n_attempts", ""),
         RECORDS_HEADER.replace("\n", "\r\n"),
     ):
         bad.write_bytes((header + GOOD_ROW).encode())
         with pytest.raises(ValueError, match="unexpected records header"):
-            read_counts(bad, 1)
+            read_counts(bad)
 
 
 def test_read_records_header_only_and_single_row(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text(RECORDS_HEADER)
-    assert read_counts(path, 1) == {}
+    assert read_counts(path) == {}
+    with pytest.raises(FileNotFoundError, match="records file not found"):
+        read_counts(tmp_path / "missing.csv")
     path.write_text(RECORDS_HEADER + "5,3,2,-1.25,down,4")  # no final newline
-    (setting, counts), = read_counts(path, 4).items()
+    (setting, counts), = read_counts(path).items()
     assert setting == 3
-    # one shot of branch 2, outcome down, in the bin of -1.25 + 2 pi
-    assert counts.n.sum() == counts.n[2, 3, 0] == 1
+    # one shot of branch 2, outcome down, in the one phase bin
+    assert counts.n.sum() == counts.n[2, 0, 0] == 1
     assert counts.attempts == 4
     # a field is read as its value: signs, leading zeros and exponents too
     path.write_text(RECORDS_HEADER + "007,+3,01,.5,up,1\n-0,3,2,5E-1,down,4\n")
-    loose = read_counts(path, 4)
+    loose = read_counts(path)
     path.write_text(RECORDS_HEADER + "7,3,1,0.5,up,1\n0,3,2,0.5,down,4\n")
-    assert_counts_equal(loose, read_counts(path, 4))
+    assert_counts_equal(loose, read_counts(path))
 
 
 def test_read_records_checks_the_grammar_across_block_boundaries(tmp_path, monkeypatch):
@@ -453,14 +499,14 @@ def test_read_records_checks_the_grammar_across_block_boundaries(tmp_path, monke
     path = tmp_path / "r.csv"
     body = "".join(f"{i},0,1,0.5,up,1\n" for i in range(9))
     path.write_text(RECORDS_HEADER + body)
-    expected = read_counts(path, 3)
+    expected = read_counts(path)
     monkeypatch.setattr(spinherald.cli, "_READ_BLOCK", 4)
-    assert_counts_equal(read_counts(path, 3), expected)
+    assert_counts_equal(read_counts(path), expected)
     lines = body.splitlines(keepends=True)
     for k in range(len(lines) + 1):
         path.write_text(RECORDS_HEADER + "".join(lines[:k]) + "\n" + "".join(lines[k:]))
         with pytest.raises(ValueError, match=rf"r\.csv:{k + 2}: malformed record"):
-            read_counts(path, 1)
+            read_counts(path)
 
 
 def test_records_write_read_write_is_byte_identical(tmp_path):
@@ -480,8 +526,8 @@ def test_records_write_read_write_is_byte_identical(tmp_path):
     assert sorted(frames) == [1, 4]
     assert len(frames[4]) == n
     assert records_bytes(frames) == path.read_bytes()
-    expected = {k: ShotCounts.of(f, 9) for k, f in frames.items()}
-    assert_counts_equal(read_counts(path, 9), expected)
+    expected = {k: ShotCounts.of(f, 1) for k, f in frames.items()}
+    assert_counts_equal(read_counts(path), expected)
 
 
 def test_records_write_phi_tac_as_nine_significant_digits(tmp_path):
@@ -612,7 +658,7 @@ def test_write_records_rejects_what_read_records_rejects(tmp_path):
     path = tmp_path / "r.csv"
     path.write_bytes(records_bytes({5: frame()}))
     assert read_frames(path)[5].equals(frame())
-    assert_counts_equal(read_counts(path, 2), {5: ShotCounts.of(frame(), 2)})
+    assert_counts_equal(read_counts(path), {5: ShotCounts.of(frame(), 1)})
 
 
 def random_rows(n: int, settings, seed: int) -> str:
@@ -640,7 +686,7 @@ def test_record_blocks_report_the_line_number_in_the_file(tmp_path, monkeypatch)
             ValueError,
             match=rf"r\.csv:{k + 2}: malformed record \['{k}', '0', '1', '0.5', 'UP', '1'\]",
         ):
-            read_counts(path, 1)
+            read_counts(path)
 
 
 def test_read_counts_adds_settings_across_blocks(tmp_path, monkeypatch):
@@ -651,41 +697,13 @@ def test_read_counts_adds_settings_across_blocks(tmp_path, monkeypatch):
     frames = read_frames(path)
     assert list(frames) == [0, 1, 2]
     assert frames[0].shot_id.tolist() == [i for i in range(60) if i % 7 in (0, 1, 3)]
-    whole = read_counts(path, 5)  # the body in one range
+    whole = read_counts(path)  # the body in one range
     monkeypatch.setattr(spinherald.cli, "_READ_BLOCK", 40)
     assert count_ranges(path, monkeypatch) > 10
-    counts = read_counts(path, 5)
+    counts = read_counts(path)
     assert list(counts) == [0, 1, 2]
     assert_counts_equal(counts, whole)
-    assert_counts_equal(counts, {k: ShotCounts.of(f, 5) for k, f in frames.items()})
-
-
-@pytest.mark.parametrize("n_bins", [0, -1])
-def test_read_counts_rejects_fewer_than_one_bin(tmp_path, n_bins):
-    path = tmp_path / "r.csv"
-    path.write_text(RECORDS_HEADER + random_rows(20, (0, 1), 3))
-    with pytest.raises(ValueError, match=rf"n_bins must be >= 1, got {n_bins}"):
-        read_counts(path, n_bins)
-
-
-@pytest.mark.parametrize("n_bins", [0, -1])
-def test_read_counts_checks_its_bins_before_reading(tmp_path, n_bins):
-    path = tmp_path / "r.csv"
-    path.write_text(RECORDS_HEADER)  # no rows, so no range is ever counted
-    for records in (path, tmp_path / "missing.csv"):
-        with pytest.raises(ValueError, match=rf"n_bins must be >= 1, got {n_bins}"):
-            read_counts(records, n_bins)
-    with pytest.raises(FileNotFoundError, match="records file not found"):
-        read_counts(tmp_path / "missing.csv", 1)
-
-
-def test_read_counts_rejects_more_bins_than_a_manifest_may_ask_for(tmp_path):
-    path = tmp_path / "r.csv"
-    path.write_text(RECORDS_HEADER + random_rows(20, (0, 1), 3))
-    cap = spinherald.cli._MAX_BINS
-    for records in (path, tmp_path / "missing.csv"):  # checked before reading
-        with pytest.raises(ValueError, match=rf"n_bins must be <= {cap}, got {cap + 1}"):
-            read_counts(records, cap + 1)
+    assert_counts_equal(counts, {k: ShotCounts.of(f, 1) for k, f in frames.items()})
 
 
 def test_tomo_records_in_small_blocks_equals_simulate(tmp_path, monkeypatch):
@@ -763,7 +781,7 @@ def test_demo_records_bytes_are_pinned(tmp_path):
         bundle = cmd_simulate(manifest, tmp_path / f"out{i}", shots=2000)
         digest = hashlib.sha256(bundle.records_path.read_bytes()).hexdigest()
         assert digest == expected, manifest
-        regenerated = cmd_tomo(records_path=bundle.records_path, flt="corrected")
+        regenerated = cmd_tomo(bundle.records_path, "corrected")
         assert regenerated["tomography"] == bundle.summary["tomography"]
 
     # the correction inverts the basis in use, and an elliptical kick has none
@@ -817,7 +835,7 @@ def test_tomo_from_records_matches_in_memory(tmp_path):
         analysis={"tomography": "true"},
     )
     bundle = cmd_simulate(manifest, tmp_path / "out")
-    regenerated = cmd_tomo(records_path=bundle.records_path, flt="all")
+    regenerated = cmd_tomo(bundle.records_path, "all")
     assert regenerated["tomography"] == bundle.summary["tomography"]
 
 
@@ -850,14 +868,12 @@ def test_branch_stats_follow_manifest_bins(tmp_path):
             basis={"ellipticity": 0.3},
             analysis={"tomography": "true", "bins": bins},
         )
-        return cmd_simulate(manifest, tmp_path / name).summary, manifest
+        return cmd_simulate(manifest, tmp_path / name).summary
 
-    coarse, manifest = summary(4, "coarse")
-    fine, _ = summary(20, "fine")
+    coarse = summary(4, "coarse")
+    fine = summary(20, "fine")
     asym = "phase_resolved_branch_asymmetry"
     assert coarse["branch_stats"][asym] != fine["branch_stats"][asym]
-    # tomo --manifest bins its branch statistics the same way
-    assert cmd_tomo(manifest_path=manifest)["branch_stats"] == coarse["branch_stats"]
 
 
 def test_tomo_branch_filters(tmp_path):
@@ -866,8 +882,8 @@ def test_tomo_branch_filters(tmp_path):
         analysis={"tomography": "true"},
     )
     bundle = cmd_simulate(manifest, tmp_path / "out")
-    v = cmd_tomo(records_path=bundle.records_path, flt="V")
-    h = cmd_tomo(records_path=bundle.records_path, flt="H")
+    v = cmd_tomo(bundle.records_path, "V")
+    h = cmd_tomo(bundle.records_path, "H")
     assert v["tomography"]["identity_overlap"] > 0.98
     zz = h["tomography"]["ptm"][3][3]
     assert abs(zz + 1.0) < 0.05
@@ -877,7 +893,7 @@ def test_tomo_incomplete_settings(tmp_path):
     manifest = write_manifest(tmp_path / "m.ini", "scatter_HV", shots=50)
     bundle = cmd_simulate(manifest, tmp_path / "out")  # single-setting records
     with pytest.raises(IncompleteDataError, match="plus_x"):
-        cmd_tomo(records_path=bundle.records_path, flt="all")
+        cmd_tomo(bundle.records_path, "all")
     # a complete plan plus rows of a setting the plan does not have
     manifest = write_manifest(
         tmp_path / "m.ini", "scatter_HV", shots=50, analysis={"tomography": "true"}
@@ -886,7 +902,7 @@ def test_tomo_incomplete_settings(tmp_path):
     with records.open("a") as fh:
         fh.writelines(f"{i},12,1,0.5,up,1\n" for i in range(50))
     with pytest.raises(ValueError, match=r"\[12\]"):
-        cmd_tomo(records_path=records, flt="all")
+        cmd_tomo(records, "all")
 
 
 def test_failed_simulate_leaves_no_records(tmp_path):
@@ -897,6 +913,31 @@ def test_failed_simulate_leaves_no_records(tmp_path):
     with pytest.raises(ValueError, match="herald probability"):
         cmd_simulate(manifest, tmp_path / "out")
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_simulate_failing_at_its_summary_leaves_the_outputs_as_they_were(
+    tmp_path, monkeypatch
+):
+    manifest = write_manifest(tmp_path / "m.ini", "scatter_HV", shots=50, seed=1)
+    out = tmp_path / "out"
+    (out / "summary.json").mkdir(parents=True)  # the summary cannot be renamed
+    with pytest.raises(IsADirectoryError):
+        cmd_simulate(manifest, out)
+    assert [p.name for p in out.iterdir()] == ["summary.json"]
+    (out / "summary.json").rmdir()
+
+    cmd_simulate(manifest, out, seed=2)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def full_disk(path, summary):  # a write that fails partway
+        Path(path).write_text("{")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(spinherald.cli, "write_summary", full_disk)
+    with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+        cmd_simulate(manifest, out)
+    # the older records and summary, and no partial file
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_overflowing_phase_jitter_is_rejected(tmp_path):
@@ -922,17 +963,16 @@ def test_overflowing_phase_jitter_is_rejected(tmp_path):
     assert math.isfinite(bundle.summary["entanglement_fidelity"]["fidelity"])
 
 
-def test_tomo_manifest_takes_the_manifest_filter(tmp_path):
+def test_simulate_takes_the_manifest_filter_and_tomo_takes_all(tmp_path):
     manifest = write_manifest(
         tmp_path / "m.ini", "corrected_HV", shots=300, seed=49,
         errors=NOMINAL_ERRORS, analysis={"tomography": "true", "filter": "V"},
     )
     sim = cmd_simulate(manifest, tmp_path / "sim").summary
-    assert cmd_tomo(manifest_path=manifest)["tomography"] == sim["tomography"]
-    # an explicit filter still wins; records carry no filter and take all
-    assert cmd_tomo(manifest_path=manifest, flt="H")["tomography"]["filter"] == "H"
+    assert sim["tomography"]["filter"] == "V"
+    # records carry no filter, so tomo keeps every shot unless told otherwise
     records = tmp_path / "sim" / "records.csv"
-    assert cmd_tomo(records_path=records)["tomography"]["filter"] == "all"
+    assert cmd_tomo(records)["tomography"]["filter"] == "all"
 
 
 def test_tomo_rejects_a_bad_filter_before_any_work(tmp_path, monkeypatch):
@@ -941,12 +981,9 @@ def test_tomo_rejects_a_bad_filter_before_any_work(tmp_path, monkeypatch):
 
     manifest = write_manifest(tmp_path / "m.ini", "corrected_HV", shots=20)
     records = cmd_simulate(manifest, tmp_path / "sim").records_path
-    monkeypatch.setattr(spinherald.cli, "_run_counts", never)
     monkeypatch.setattr(spinherald.cli, "read_counts", never)
     with pytest.raises(ValueError, match="filter must be one of"):
-        cmd_tomo(manifest_path=manifest, flt="bogus")
-    with pytest.raises(ValueError, match="filter must be one of"):
-        cmd_tomo(records_path=records, flt="bogus")
+        cmd_tomo(records, "bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -1018,18 +1055,22 @@ def test_ramsey_summary_equals_frame_oracle(tmp_path):
     assert summary["fringes"] == oracle_fringes(frames, 13, 1)
 
 
-def test_tomo_manifest_summary_equals_frame_oracle(tmp_path):
-    manifest = write_manifest(
-        tmp_path / "m.ini", "tomo_input_3", shots=3000, seed=42,
-        errors=NOMINAL_ERRORS, config={"eta": 0.2},
-        basis={"ellipticity": 0.25}, analysis={"bins": 7},
-    )
-    m = load_manifest(manifest)
+def test_simulate_and_tomo_summaries_equal_frame_oracle(tmp_path):
+    def manifest(flt):
+        return write_manifest(
+            tmp_path / f"{flt}.ini", "tomo_input_3", shots=3000, seed=42,
+            errors=NOMINAL_ERRORS, config={"eta": 0.2}, basis={"ellipticity": 0.25},
+            analysis={"tomography": "true", "filter": flt, "bins": 7},
+        )
+
+    m = load_manifest(manifest("all"))
     frames = run_plan(m.config, m.sequence(), tomography_plan())
     for flt in ("V", "H", "all"):
-        summary = cmd_tomo(manifest_path=manifest, flt=flt)
-        assert summary["branch_stats"] == oracle_branch_stats(frames, 7)
-        assert summary["tomography"] == oracle_tomography(frames, flt)
+        bundle = cmd_simulate(manifest(flt), tmp_path / flt)
+        expected = oracle_tomography(frames, flt)
+        assert bundle.summary["branch_stats"] == oracle_branch_stats(frames, 7)
+        assert bundle.summary["tomography"] == expected
+        assert cmd_tomo(bundle.records_path, flt)["tomography"] == expected
 
 
 def test_sweep_summaries_equal_frame_oracle(tmp_path):
@@ -1115,7 +1156,7 @@ def test_tomo_records_memory_does_not_grow_with_rows(tmp_path):
         records.write_bytes(records_bytes(frames))
         tracemalloc.start()
         try:
-            summary = cmd_tomo(records_path=records, flt="all")
+            summary = cmd_tomo(records, "all")
             traced = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1282,24 +1323,23 @@ def test_main_unknown_sequence_fails(tmp_path, capsys):
     assert "nonesuch" in capsys.readouterr().err
 
 
-def test_main_tomo_requires_input(capsys):
-    assert main(["tomo"]) != 0
-    assert "error" in capsys.readouterr().err
-
-
-def test_main_tomo_records_rejects_run_options(tmp_path, capsys):
+def test_main_tomo_requires_input(tmp_path, capsys):
+    # tomo reads a records file and takes no run options
     manifest = write_manifest(
         tmp_path / "m.ini", "corrected_HV", shots=50, analysis={"tomography": "true"}
     )
     records = str(cmd_simulate(manifest, tmp_path / "run").records_path)
     assert main(["tomo", "--records", records]) == 0
     capsys.readouterr()
-    for extra, message in (
-        (["--seed", "3"], "overrides need a manifest"),
-        (["--shots", "5"], "overrides need a manifest"),
-        (["--manifest", str(manifest)], "exactly one"),
+    for argv, message in (
+        ([], "the following arguments are required: --records"),
+        (["--records", records, "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["--records", records, "--shots", "5"], "unrecognized arguments: --shots 5"),
+        (["--records", records, "--manifest", str(manifest)], "unrecognized arguments"),
     ):
-        assert main(["tomo", "--records", records, *extra]) != 0
+        with pytest.raises(SystemExit) as raised:  # argparse's usage error
+            main(["tomo", *argv])
+        assert raised.value.code == 2
         assert message in capsys.readouterr().err
 
 
@@ -1530,7 +1570,7 @@ def test_pool_and_in_process_write_the_same_outputs(tmp_path, monkeypatch):
     def run(out):
         return (
             cmd_simulate(manifest, out / "sim").summary,
-            cmd_tomo(manifest_path=manifest, flt="H"),
+            cmd_tomo(out / "sim" / "records.csv", "H")["tomography"],
             cmd_ramsey(ramsey, out / "ramsey"),
             cmd_sweep(manifest, "p_dark", ["0", "0.1"], out / "sweep"),
         )
@@ -1569,7 +1609,6 @@ def test_worker_error_is_reported_and_cleaned_up(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(spinherald.cli, "_CHUNK", 1000)  # three chunks a run
     for command, m, extra in (
         ("simulate", manifest, []),
-        ("tomo", manifest, []),
         ("ramsey", ramsey, []),
         ("sweep", manifest, ["--parameter", "seed", "--grid", "1,2"]),
     ):
@@ -1858,7 +1897,7 @@ def test_tomo_records_on_the_pool_equals_in_process(tmp_path, monkeypatch, capsy
     def run(n):
         cpus(monkeypatch, n)
         path.write_text(header + "".join(lines))
-        counts = read_counts(path, 7)
+        counts = read_counts(path)
         out = tmp_path / f"tomo{n}"
         assert main(["tomo", "--records", str(path), "--filter", "V", "--out", str(out)]) == 0
         capsys.readouterr()
@@ -1871,7 +1910,7 @@ def test_tomo_records_on_the_pool_equals_in_process(tmp_path, monkeypatch, capsy
             path.write_text(header + "".join(bad))
             message = rf"r\.csv:{k + 2}: malformed record \['{k}', '0', '1', '0.5', 'UP', '1'\]"
             with pytest.raises(ValueError, match=message) as raised:
-                read_counts(path, 7)
+                read_counts(path)
             assert main(["tomo", "--records", str(path)]) == 1
             assert capsys.readouterr().err == f"error: {raised.value}\n"
             assert_no_child_left()
@@ -1890,10 +1929,10 @@ def test_records_ranges_on_the_pool(tmp_path, monkeypatch):
     for text in (body, body.rstrip("\n")):  # with and without a final line end
         path.write_text(RECORDS_HEADER + text)
         monkeypatch.undo()
-        expected = {k: ShotCounts.of(f, 5) for k, f in read_frames(path).items()}
+        expected = {k: ShotCounts.of(f, 1) for k, f in read_frames(path).items()}
         cpus(monkeypatch, 2)
         monkeypatch.setattr(spinherald.cli, "_READ_BLOCK", 4)  # every line is longer
-        assert_counts_equal(read_counts(path, 5), expected)
+        assert_counts_equal(read_counts(path), expected)
         assert_no_child_left()
 
     # 16-byte lines and 40-byte blocks make ranges of three lines, so the
@@ -1904,15 +1943,15 @@ def test_records_ranges_on_the_pool(tmp_path, monkeypatch):
     for n in (2, 1):
         cpus(monkeypatch, n)
         with pytest.raises(ValueError, match=r"r\.csv:5: malformed record \[''\]"):
-            read_counts(path, 5)
+            read_counts(path)
         assert_no_child_left()
 
     path.write_text(RECORDS_HEADER)
     for n in (2, 1):
         cpus(monkeypatch, n)
-        assert read_counts(path, 5) == {}
+        assert read_counts(path) == {}
         with pytest.raises(IncompleteDataError, match="settings without records"):
-            cmd_tomo(records_path=path)
+            cmd_tomo(path)
 
 
 def test_console_entry_leaves_no_process_behind(tmp_path):

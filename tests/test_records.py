@@ -1,10 +1,9 @@
 """The records reader against `np.loadtxt`: `_read_block` reads the lines in
 the writer's form by byte arithmetic and any other line with `_parse_block`,
-and must read every block as `_parse_block` alone does, value for value and
-bit for bit on phi_tac, and raise exactly where it raises."""
+and must read every block as `_parse_block` alone does, value for value on
+the columns it returns, and raise exactly where it raises."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +33,6 @@ def loadtxt_columns(block: bytes) -> dict:
     return {
         "setting_id": rec["setting_id"],
         "branch": rec["branch"],
-        "phi_tac": rec["phi_tac"],
         "outcome_up": rec["outcome"] == b"up",
         "n_attempts": rec["n_attempts"],
     }
@@ -42,17 +40,12 @@ def loadtxt_columns(block: bytes) -> dict:
 
 def assert_reads_as_loadtxt(block: bytes) -> None:
     expected = loadtxt_columns(block)
-    for n_bins in (1, 2):
-        rows = _read_block(block, n_bins)
-        assert sorted(vars(rows)) == sorted(expected)
-        for name, column in expected.items():
-            got = getattr(rows, name)
-            assert len(got) == len(column), name
-            if name != "phi_tac":
-                assert np.array_equal(got, column), name
-            elif n_bins > 1:  # bit for bit, also the sign of a zero
-                got = np.asarray(got, np.float64)
-                assert np.array_equal(got.view(np.uint64), column.view(np.uint64))
+    rows = _read_block(block)
+    assert sorted(vars(rows)) == sorted(expected)
+    for name, column in expected.items():
+        got = getattr(rows, name)
+        assert len(got) == len(column), name
+        assert np.array_equal(got, column), name
 
 
 def test_reader_reads_writer_lines_as_loadtxt(tmp_path):
@@ -77,16 +70,12 @@ def test_reader_reads_writer_lines_as_loadtxt(tmp_path):
     assert_reads_as_loadtxt(body.removesuffix(b"\n"))  # the file's last line
     path = tmp_path / "r.csv"
     path.write_bytes(_HEADER + b"\n" + body)
-    columns = loadtxt_columns(body)  # phi_tac as the records hold it
-    for n_bins in (1, 20):
-        counts = read_counts(path, n_bins)
-        assert list(counts) == sorted(frames)
-        for key in frames:
-            rows = columns["setting_id"] == key
-            shots = SimpleNamespace(**{k: c[rows] for k, c in columns.items()})
-            expected = ShotCounts.of(shots, n_bins)
-            assert np.array_equal(counts[key].n, expected.n)
-            assert counts[key].attempts == expected.attempts
+    counts = read_counts(path)
+    assert list(counts) == sorted(frames)
+    for key, f in frames.items():
+        expected = ShotCounts.of(f, 1)
+        assert np.array_equal(counts[key].n, expected.n)
+        assert counts[key].attempts == expected.attempts
 
 
 def test_reader_parses_only_lines_outside_the_writer_form_with_loadtxt(monkeypatch):
@@ -101,12 +90,11 @@ def test_reader_parses_only_lines_outside_the_writer_form_with_loadtxt(monkeypat
         return _parse_block(block)
 
     monkeypatch.setattr(spinherald.records, "_parse_block", parse)
-    rows = _read_block(body, 2)
+    _read_block(body)
     lines = body.splitlines(keepends=True)
     assert calls == [lines[3] + lines[250]]
-    assert rows.phi_tac[3] == 5e-5 and rows.phi_tac[250] == 0.0
     calls.clear()
-    _read_block(b"".join(lines[4:250]), 2)
+    _read_block(b"".join(lines[4:250]))
     assert calls == []
 
 
@@ -157,7 +145,7 @@ def test_reader_rejects_writer_like_lines_outside_the_grammar(bad):
         with pytest.raises(ValueError):
             _parse_block(block)
         with pytest.raises(ValueError):
-            _read_block(block, 2)
+            _read_block(block)
 
 
 # bytes a mutation writes: the records grammar, other separators, and bytes
@@ -180,9 +168,7 @@ def test_reader_raises_where_loadtxt_raises_on_single_byte_mutations(tmp_path):
         except ValueError:
             raised += 1
             with pytest.raises(ValueError):
-                _read_block(text, 2)
-            with pytest.raises(ValueError):
-                _read_block(text, 1)
+                _read_block(text)
             lines = text.removesuffix(b"\n").split(b"\n")
             for k, line in enumerate(lines):  # the first line rejected alone
                 try:
@@ -192,7 +178,7 @@ def test_reader_raises_where_loadtxt_raises_on_single_byte_mutations(tmp_path):
             fields = lines[k].decode(errors="replace").split(",")
             path.write_bytes(_HEADER + b"\n" + text)
             with pytest.raises(ValueError) as error:
-                read_counts(path, 1)
+                read_counts(path)
             assert str(error.value) == f"{path}:{k + 2}: malformed record {fields!r}"
         else:
             assert_reads_as_loadtxt(text)
