@@ -1323,7 +1323,14 @@ def test_main_unknown_sequence_fails(tmp_path, capsys):
     assert "nonesuch" in capsys.readouterr().err
 
 
-def test_main_tomo_requires_input(tmp_path, capsys):
+def test_main_tomo_requires_input(capsys):
+    with pytest.raises(SystemExit) as raised:  # argparse's usage error
+        main(["tomo"])
+    assert raised.value.code == 2
+    assert "the following arguments are required: --records" in capsys.readouterr().err
+
+
+def test_main_tomo_records_rejects_run_options(tmp_path, capsys):
     # tomo reads a records file and takes no run options
     manifest = write_manifest(
         tmp_path / "m.ini", "corrected_HV", shots=50, analysis={"tomography": "true"}
@@ -1331,14 +1338,13 @@ def test_main_tomo_requires_input(tmp_path, capsys):
     records = str(cmd_simulate(manifest, tmp_path / "run").records_path)
     assert main(["tomo", "--records", records]) == 0
     capsys.readouterr()
-    for argv, message in (
-        ([], "the following arguments are required: --records"),
-        (["--records", records, "--seed", "3"], "unrecognized arguments: --seed 3"),
-        (["--records", records, "--shots", "5"], "unrecognized arguments: --shots 5"),
-        (["--records", records, "--manifest", str(manifest)], "unrecognized arguments"),
+    for extra, message in (
+        (["--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["--shots", "5"], "unrecognized arguments: --shots 5"),
+        (["--manifest", str(manifest)], "unrecognized arguments"),
     ):
         with pytest.raises(SystemExit) as raised:  # argparse's usage error
-            main(["tomo", *argv])
+            main(["tomo", "--records", records, *extra])
         assert raised.value.code == 2
         assert message in capsys.readouterr().err
 
