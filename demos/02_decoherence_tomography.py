@@ -14,14 +14,13 @@ from spinherald import (
     get_sequence,
     reconstruct,
     run_plan,
-    tomography_plan,
 )
 
 np.set_printoptions(precision=3, suppress=True)
 
 SHOTS = 50_000
 cfg = ExperimentConfig(shots=SHOTS, seed=42, p_exc=0.075, errors=ErrorBudget())
-frames = run_plan(cfg, get_sequence("scatter_HV"), tomography_plan())
+frames = run_plan(cfg, get_sequence("scatter_HV"))
 print(f"simulated {12 * SHOTS} shots across the 12 tomography settings\n")
 
 

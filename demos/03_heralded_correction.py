@@ -18,16 +18,14 @@ from spinherald import (
     noisy_joint_state,
     reconstruct,
     run_plan,
-    tomography_plan,
 )
 
 SHOTS = 50_000
-plan = tomography_plan()
 
 
 def corrected_overlap(sequence_name, errors, seed):
     cfg = ExperimentConfig(shots=SHOTS, seed=seed, p_exc=0.075, errors=errors)
-    return reconstruct(run_plan(cfg, get_sequence(sequence_name), plan))
+    return reconstruct(run_plan(cfg, get_sequence(sequence_name)))
 
 
 nominal = ErrorBudget.nominal()

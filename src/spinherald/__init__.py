@@ -47,7 +47,6 @@ from .engine import (
     get_sequence,
     noisy_joint_state,
     run_experiment,
-    run_plan,
     standard_sequences,
 )
 from .tomography import (
@@ -62,5 +61,6 @@ from .tomography import (
     project_cptp,
     ptm_to_chi,
     reconstruct,
+    run_plan,
     tomography_plan,
 )

@@ -2,8 +2,8 @@
 
 Subcommands
 -----------
-simulate   run a sequence (or the full 12-setting tomography plan), write a
-           records file and a JSON summary
+simulate   run a sequence (or, with tomography = true, each setting of
+           `tomography.plan_runs`), write a records file and a JSON summary
 tomo       reconstruct the process matrix from a records file, with
            optional branch conditioning
 ramsey     run a Ramsey sequence and emit the binned fringe table plus fits
@@ -38,7 +38,8 @@ worker keeps the pages a chunk frees for its next chunk instead of faulting
 them in again; the calling process's allocator, which also serves a run in
 process, is left as it is.
 read_counts, the one records reader, uses the same pool; the other library
-functions (run_experiment, run_plan, ...) run in the calling process.
+functions (engine.run_experiment, tomography.run_plan, ...) run in the
+calling process.
 """
 
 from __future__ import annotations
@@ -63,18 +64,12 @@ from .engine import (
     PulseSequence,
     get_sequence,
     noisy_joint_state,
-    plan_runs,
     run_experiment,
 )
 from .records import _HEADER, _LINE_MAX, _range_task, _record_lines
 from .scattering import PolarizationBasis, entanglement_fidelity
 from .spinalg import KET_UP
-from .tomography import (
-    ShotCounts,
-    fit_fringe,
-    reconstruct,
-    tomography_plan,
-)
+from .tomography import ShotCounts, fit_fringe, plan_runs, reconstruct
 
 # recorded branches each filter keeps: V and H condition on their detector
 # branch, the others keep every shot
@@ -82,7 +77,6 @@ _FILTER_BRANCHES = {
     "all": (0, 1, 2),
     "V": (1,),
     "H": (2,),
-    "unconditioned": (0, 1, 2),
     "corrected": (0, 1, 2),
 }
 FILTERS = tuple(_FILTER_BRANCHES)
@@ -592,7 +586,7 @@ def _run_counts(manifests: list, records=None) -> list[dict[int, ShotCounts]]:
     for manifest, into in zip(manifests, counts):
         seq, bins = manifest.sequence(), manifest.analysis.bins
         if manifest.analysis.tomography:
-            runs = plan_runs(manifest.config, seq, tomography_plan())
+            runs = plan_runs(manifest.config, seq)
         else:
             runs = [(0, manifest.config, seq)]
         for index, cfg, seq_s in runs:
@@ -644,10 +638,12 @@ def cmd_simulate(path, out_dir=None, seed=None, shots=None) -> ResultBundle:
     into a partial file, and the summary into one of its own; they replace
     summary.json and then records.csv only once both are written, so a run
     that fails up to the summary's rename leaves the output directory as it
-    was.  On a pool, forked for this run alone, each worker sends its
-    chunks' lines down its result pipe, and this process copies them from
-    there to the partial file (`_run_counts`); in process, each chunk's
-    lines are written to it whole.
+    was.  A failure of the last rename (a records.csv that is a directory,
+    say) leaves the new summary.json beside whatever records.csv was there,
+    and no partial file.  On a pool, forked for this run alone, each worker
+    sends its chunks' lines down its result pipe, and this process copies
+    them from there to the partial file (`_run_counts`); in process, each
+    chunk's lines are written to it whole.
     """
     manifest = load_manifest(path, {"seed": seed, "shots": shots})
     out = Path(out_dir if out_dir is not None else manifest.out_dir)
@@ -794,8 +790,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--filter",
         choices=FILTERS,
         default="all",
-        help="shots to reconstruct from: V/H keep branch 1/2, while all, "
-        "unconditioned and corrected keep every shot (default: all)",
+        help="shots to reconstruct from: V/H keep branch 1/2, while all and "
+        "corrected keep every shot (default: all)",
     )
     p_tomo.add_argument("--out", help="directory for tomo_summary.json")
 

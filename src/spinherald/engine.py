@@ -23,7 +23,7 @@ cos/sin of which serves both conjugations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -45,13 +45,10 @@ __all__ = [
     "ExperimentConfig",
     "PulseSequence",
     "ShotFrame",
-    "PREPARATIONS",
     "correction_for",
     "standard_sequences",
     "get_sequence",
     "run_experiment",
-    "plan_runs",
-    "run_plan",
     "derive_seed",
     "noisy_joint_state",
 ]
@@ -100,16 +97,6 @@ class RotationSpec:
 
 X_AXIS = (1.0, 0.0, 0.0)
 Y_AXIS = (0.0, 1.0, 0.0)
-Z_AXIS = (0.0, 0.0, 1.0)
-
-# Named state preparations (rotation applied to |up>): the four tomography
-# inputs.  plus_x = (|up>+|down>)/sqrt2, plus_y = (|up>+i|down>)/sqrt2.
-PREPARATIONS: dict[str, RotationSpec | None] = {
-    "up": None,
-    "down": RotationSpec(X_AXIS, math.pi),
-    "plus_x": RotationSpec(Y_AXIS, math.pi / 2),
-    "plus_y": RotationSpec(X_AXIS, -math.pi / 2),
-}
 
 
 def _wrap_angle(a: float) -> float:
@@ -564,30 +551,6 @@ def run_experiment(
     return ShotFrame(*columns)
 
 
-def plan_runs(config: ExperimentConfig, seq: PulseSequence, settings):
-    """(setting.index, config, sequence) of the run of each setting, in
-    order: its prep/analysis pulses swapped into `seq` and its own child
-    seed derived from (config.seed, setting.index)."""
-    for setting in settings:
-        seq_s = replace(
-            seq,
-            name=f"{seq.name}:{setting.label}",
-            prep=setting.prep,
-            analysis=setting.analysis,
-        )
-        cfg_s = replace(config, seed=derive_seed(config.seed, setting.index))
-        yield setting.index, cfg_s, seq_s
-
-
-def run_plan(config: ExperimentConfig, seq: PulseSequence, settings) -> dict:
-    """Run one sequence under every (preparation, analysis) setting, as
-    `plan_runs` lays them out; returns {setting.index: ShotFrame}."""
-    return {
-        index: run_experiment(cfg_s, seq_s)
-        for index, cfg_s, seq_s in plan_runs(config, seq, settings)
-    }
-
-
 # ---------------------------------------------------------------------------
 # sequence catalog
 # ---------------------------------------------------------------------------
@@ -596,20 +559,19 @@ def run_plan(config: ExperimentConfig, seq: PulseSequence, settings) -> dict:
 def standard_sequences() -> dict[str, PulseSequence]:
     """Named catalog of the standard sequences.
 
-    tomo_input_1..4   the four tomography preparations over an H/V scatter
     ramsey_HV         pi/2 -- scatter (H/V) -- pi/2, both pulses about +x
     ramsey_45         scatter in the 45-degree basis acts as the first
                       Ramsey pulse, then pi/2 about +x
     corrected_HV      H/V scatter followed by its heralded inverse pulse
     corrected_45      45-degree scatter followed by +-pi/2 inverse pulses
-    scatter_HV/45     uncorrected scatter blocks (tomography drivers swap in
-                      their own prep/analysis pulses)
+    scatter_HV/45     uncorrected scatter blocks (a tomography run swaps in
+                      each setting's prep/analysis pulses)
     no_scatter        preparation and measurement only (identity benchmark)
     """
     hv = PolarizationBasis(0.0, 0.0)
     diag = PolarizationBasis(math.pi / 4, 0.0)
     half_x = RotationSpec(X_AXIS, math.pi / 2)
-    catalog = {
+    return {
         "no_scatter": PulseSequence("no_scatter"),
         "scatter_HV": PulseSequence("scatter_HV", scatter=hv),
         "scatter_45": PulseSequence("scatter_45", scatter=diag),
@@ -620,11 +582,6 @@ def standard_sequences() -> dict[str, PulseSequence]:
         "corrected_HV": PulseSequence("corrected_HV", scatter=hv, corrected=True),
         "corrected_45": PulseSequence("corrected_45", scatter=diag, corrected=True),
     }
-    for i, (label, prep) in enumerate(PREPARATIONS.items(), start=1):
-        catalog[f"tomo_input_{i}"] = PulseSequence(
-            f"tomo_input_{i}", prep=prep, scatter=hv
-        )
-    return catalog
 
 
 def get_sequence(name: str) -> PulseSequence:

@@ -12,17 +12,24 @@ the overlap with the identity process.  The Pauli transfer matrix T is the
 4x4 real matrix acting on (1, x, y, z); its first row is (1, 0, 0, 0) and
 its 3x3 lower-right block carries the Bloch-ball image whose singular values
 are the semi-axes of the ellipsoid that the pure-state sphere maps onto.
+
+The 12-setting plan (four preparations times three measurement axes) is
+defined here alone; `plan_runs` and `run_plan` run one engine sequence
+under each of its settings.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import PREPARATIONS, RotationSpec, X_AXIS, Y_AXIS
+from .engine import (
+    ExperimentConfig, PulseSequence, RotationSpec, X_AXIS, Y_AXIS, derive_seed,
+    run_experiment,
+)
 from .spinalg import ID2, PAULIS, pauli_transfer
 
 __all__ = [
@@ -35,6 +42,8 @@ __all__ = [
     "ShotCounts",
     "TomographyResult",
     "tomography_plan",
+    "plan_runs",
+    "run_plan",
     "estimate_ptm",
     "ptm_to_chi",
     "chi_to_ptm",
@@ -91,14 +100,16 @@ class TomographySetting:
         return f"{self.prep_label}/{self.axis_label}"
 
 
-_PREP_BLOCH = {
-    "up": (0.0, 0.0, 1.0),
-    "down": (0.0, 0.0, -1.0),
-    "plus_x": (1.0, 0.0, 0.0),
-    "plus_y": (0.0, 1.0, 0.0),
+# the four prepared states: the pulse applied to |up> and the state's Bloch
+# vector; plus_x = (|up>+|down>)/sqrt2, plus_y = (|up>+i|down>)/sqrt2
+_PREPARATIONS = {
+    "up": (None, (0.0, 0.0, 1.0)),
+    "down": (RotationSpec(X_AXIS, math.pi), (0.0, 0.0, -1.0)),
+    "plus_x": (RotationSpec(Y_AXIS, math.pi / 2), (1.0, 0.0, 0.0)),
+    "plus_y": (RotationSpec(X_AXIS, -math.pi / 2), (0.0, 1.0, 0.0)),
 }
 
-# analysis pulse rotates the measured axis onto +z
+# the analysis pulse rotates the measured axis onto +z
 _MEASUREMENTS = {
     "x": (RotationSpec(Y_AXIS, -math.pi / 2), (1.0, 0.0, 0.0)),
     "y": (RotationSpec(X_AXIS, math.pi / 2), (0.0, 1.0, 0.0)),
@@ -110,20 +121,45 @@ def tomography_plan() -> list[TomographySetting]:
     """The informationally complete 12-setting plan: preparations
     {up, down, plus_x, plus_y} x measurement axes {x, y, z}."""
     plan = []
-    for prep_label, prep in PREPARATIONS.items():
+    for prep_label, (prep, prep_bloch) in _PREPARATIONS.items():
         for axis_label, (analysis, axis_bloch) in _MEASUREMENTS.items():
             plan.append(
                 TomographySetting(
                     index=len(plan),
                     prep_label=prep_label,
                     prep=prep,
-                    prep_bloch=_PREP_BLOCH[prep_label],
+                    prep_bloch=prep_bloch,
                     axis_label=axis_label,
                     analysis=analysis,
                     axis_bloch=axis_bloch,
                 )
             )
     return plan
+
+
+def plan_runs(config: ExperimentConfig, seq: PulseSequence):
+    """(setting.index, config, sequence) of the run of each plan setting, in
+    plan order: its prep/analysis pulses swapped into `seq`, its label
+    appended to the sequence name and its own child seed derived from
+    (config.seed, setting.index)."""
+    for setting in tomography_plan():
+        seq_s = replace(
+            seq,
+            name=f"{seq.name}:{setting.label}",
+            prep=setting.prep,
+            analysis=setting.analysis,
+        )
+        cfg_s = replace(config, seed=derive_seed(config.seed, setting.index))
+        yield setting.index, cfg_s, seq_s
+
+
+def run_plan(config: ExperimentConfig, seq: PulseSequence) -> dict:
+    """Run one sequence under every setting of the plan, as `plan_runs` lays
+    them out; returns {setting.index: ShotFrame}."""
+    return {
+        index: run_experiment(cfg_s, seq_s)
+        for index, cfg_s, seq_s in plan_runs(config, seq)
+    }
 
 
 def _up_counts(setting, value) -> tuple[int, int]:
@@ -163,9 +199,9 @@ def estimate_ptm(outcomes_by_setting) -> np.ndarray:
         raise IncompleteDataError(f"settings without records: {missing}")
 
     # the plan runs preparations in the outer loop and axes in the inner one
-    design = np.array([[1.0, *(_PREP_BLOCH[p])] for p in PREPARATIONS])
+    design = np.array([[1.0, *bloch] for _, bloch in _PREPARATIONS.values()])
     means = np.array([n_up / n for n_up, n in (counts[s.index] for s in plan)])
-    measured = (2.0 * means - 1.0).reshape(len(PREPARATIONS), len(_MEASUREMENTS))
+    measured = (2.0 * means - 1.0).reshape(len(_PREPARATIONS), len(_MEASUREMENTS))
 
     coeff, *_ = np.linalg.lstsq(design, measured, rcond=None)
 
@@ -398,6 +434,12 @@ def fit_fringe(bins, harmonic: int) -> FringeFit:
     are ignored.  amplitude = hypot(a, b) and phase = atan2(-b, a), so the
     fitted model reads offset + amplitude * cos(m*phi + phase).  Noiseless
     synthetic data is recovered exactly.
+
+    The model is sampled at the bin centres, not averaged over the bins.
+    When a bin's phases spread evenly over its width 2 pi / N (N bins), its
+    P(up) is the bin average, whose cosine is damped by sinc(m pi / N) =
+    sin(m pi / N) / (m pi / N): amplitude and contrast then read low by that
+    factor (0.984 at m = 2 and N = 20), while offset and phase do not.
     """
     if harmonic not in (1, 2):
         raise ValueError(f"harmonic must be 1 or 2, got {harmonic!r}")

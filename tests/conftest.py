@@ -9,10 +9,9 @@ from spinherald.engine import (
     ShotFrame,
     get_sequence,
     run_experiment,
-    run_plan,
 )
 from spinherald.spinalg import PAULIS, from_bloch, to_bloch
-from spinherald.tomography import tomography_plan
+from spinherald.tomography import run_plan, tomography_plan
 
 ACCEPT_SEED = 20211
 SHOTS_PER_SETTING = 100_000
@@ -23,7 +22,7 @@ PLAN = tomography_plan()
 def tomography_frames(sequence_name, errors, seed, shots=SHOTS_PER_SETTING):
     """Run the full 12-setting plan for one channel block."""
     cfg = ExperimentConfig(shots=shots, seed=seed, p_exc=0.075, eta=1.0, errors=errors)
-    return run_plan(cfg, get_sequence(sequence_name), PLAN)
+    return run_plan(cfg, get_sequence(sequence_name))
 
 
 def ranges_equal_serial(serial, config, seq, parts):

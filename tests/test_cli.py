@@ -43,7 +43,6 @@ from spinherald.engine import (
     ShotFrame,
     UnsupportedCorrectionError,
     run_experiment,
-    run_plan,
     standard_sequences,
 )
 from spinherald.scattering import PolarizationBasis, scatter
@@ -53,7 +52,7 @@ from spinherald.tomography import (
     ShotCounts,
     fit_fringe,
     reconstruct,
-    tomography_plan,
+    run_plan,
 )
 
 from conftest import oracle_fringe, read_frames
@@ -178,6 +177,7 @@ def test_analysis_request_checks_itself():
         ({"bins": 0}, "bins"),
         ({"fringe_harmonic": 3}, "fringe_harmonic"),
         ({"filter": "bogus"}, "filter"),
+        ({"filter": "unconditioned"}, "filter"),
         ({"fringe_harmonic": 1, "bins": 2}, "bins"),
     ):
         with pytest.raises(ValueError, match=key):
@@ -370,7 +370,7 @@ def test_paper_eta_keeps_the_heralded_overlap(tmp_path):
 
 def test_records_file_round_trip(tmp_path):
     manifest = write_manifest(
-        tmp_path / "m.ini", "tomo_input_1", shots=200, seed=9,
+        tmp_path / "m.ini", "scatter_HV", shots=200, seed=9,
         analysis={"tomography": "true"},
     )
     bundle = cmd_simulate(manifest, tmp_path / "out")
@@ -864,7 +864,7 @@ def test_branch_stats_follow_manifest_bins(tmp_path):
     # the phase-resolved asymmetry depends on the bin count
     def summary(bins, name):
         manifest = write_manifest(
-            tmp_path / f"{name}.ini", "tomo_input_3", shots=500, seed=24,
+            tmp_path / f"{name}.ini", "scatter_HV", shots=500, seed=24,
             basis={"ellipticity": 0.3},
             analysis={"tomography": "true", "bins": bins},
         )
@@ -938,6 +938,23 @@ def test_simulate_failing_at_its_summary_leaves_the_outputs_as_they_were(
         cmd_simulate(manifest, out)
     # the older records and summary, and no partial file
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_simulate_failing_at_its_records_rename_keeps_the_new_summary(tmp_path):
+    # the summary is renamed first, so a records.csv that cannot be replaced
+    # is left beside the new summary; no partial file stays
+    manifest = write_manifest(tmp_path / "m.ini", "scatter_HV", shots=50, seed=1)
+    expected = cmd_simulate(manifest, tmp_path / "fresh").summary_path.read_bytes()
+    out = tmp_path / "out"
+    cmd_simulate(manifest, out, seed=2)  # an older summary, of another seed
+    assert (out / "summary.json").read_bytes() != expected
+    (out / "records.csv").unlink()
+    (out / "records.csv").mkdir()  # the records cannot be renamed
+    with pytest.raises(IsADirectoryError):
+        cmd_simulate(manifest, out)
+    assert sorted(p.name for p in out.iterdir()) == ["records.csv", "summary.json"]
+    assert (out / "records.csv").is_dir()
+    assert (out / "summary.json").read_bytes() == expected
 
 
 def test_overflowing_phase_jitter_is_rejected(tmp_path):
@@ -1058,13 +1075,13 @@ def test_ramsey_summary_equals_frame_oracle(tmp_path):
 def test_simulate_and_tomo_summaries_equal_frame_oracle(tmp_path):
     def manifest(flt):
         return write_manifest(
-            tmp_path / f"{flt}.ini", "tomo_input_3", shots=3000, seed=42,
+            tmp_path / f"{flt}.ini", "scatter_HV", shots=3000, seed=42,
             errors=NOMINAL_ERRORS, config={"eta": 0.2}, basis={"ellipticity": 0.25},
             analysis={"tomography": "true", "filter": flt, "bins": 7},
         )
 
     m = load_manifest(manifest("all"))
-    frames = run_plan(m.config, m.sequence(), tomography_plan())
+    frames = run_plan(m.config, m.sequence())
     for flt in ("V", "H", "all"):
         bundle = cmd_simulate(manifest(flt), tmp_path / flt)
         expected = oracle_tomography(frames, flt)
@@ -1082,7 +1099,7 @@ def test_sweep_summaries_equal_frame_oracle(tmp_path):
     grid = ["0", "0.2"]
     for value, summary in zip(grid, cmd_sweep(manifest, "p_multi", grid, tmp_path / "out")):
         m = load_manifest(manifest, {"p_multi": value})
-        frames = run_plan(m.config, m.sequence(), tomography_plan())
+        frames = run_plan(m.config, m.sequence())
         assert summary["branch_stats"] == oracle_branch_stats(frames, 9)
         assert summary["tomography"] == oracle_tomography(frames, "V")
         assert summary["fringes"] == oracle_fringes(frames, 9, 2)
@@ -1243,7 +1260,7 @@ def test_sweep_ellipticity_toward_projective_limit(tmp_path):
 
     # the records show the same trend as a phase-resolved branch asymmetry
     manifest = write_manifest(
-        tmp_path / "m.ini", "tomo_input_3", shots=40_000, seed=33
+        tmp_path / "m.ini", "ramsey_HV", shots=40_000, seed=33
     )
     summaries = cmd_sweep(manifest, "ellipticity", grid, tmp_path / "out")
     asym = [s["branch_stats"]["phase_resolved_branch_asymmetry"] for s in summaries]

@@ -502,8 +502,6 @@ def test_standard_sequence_catalog():
         "ramsey_45",
         "corrected_HV",
         "corrected_45",
-        "tomo_input_1",
-        "tomo_input_4",
         "no_scatter",
     ):
         assert name in catalog

@@ -1,8 +1,16 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from spinherald.engine import (
+    ErrorBudget,
+    ExperimentConfig,
+    derive_seed,
+    get_sequence,
+    run_experiment,
+)
 from spinherald.scattering import unconditioned_channel
 from spinherald.spinalg import SIGMA_X, from_bloch, to_bloch
 from spinherald.tomography import (
@@ -19,7 +27,9 @@ from spinherald.tomography import (
     identity_overlap,
     project_cptp,
     ptm_to_chi,
+    plan_runs,
     reconstruct,
+    run_plan,
     tomography_plan,
 )
 
@@ -72,6 +82,39 @@ def test_plan_rotations_map_preparation_and_axis():
         assert np.allclose(to_bloch(density(psi)), s.prep_bloch, atol=1e-12)
         rot = np.eye(3) if s.analysis is None else s.analysis.bloch_matrix()
         assert np.allclose(rot @ np.asarray(s.axis_bloch), (0, 0, 1), atol=1e-12)
+
+
+def test_plan_runs_lays_out_each_setting_in_plan_order():
+    # a setting's run is the given one with the setting's pulses, its label
+    # after the sequence name and the child seed of (seed, index)
+    config = ExperimentConfig(
+        shots=17, seed=123, p_exc=0.3, eta=0.5, errors=ErrorBudget(p_dark=0.1)
+    )
+    seq = get_sequence("corrected_HV")
+    runs = list(plan_runs(config, seq))
+    plan = tomography_plan()
+    assert [index for index, _, _ in runs] == list(range(12))
+    for (index, cfg, seq_s), s in zip(runs, plan, strict=True):
+        assert index == s.index
+        assert cfg == replace(config, seed=derive_seed(123, index))
+        assert seq_s == replace(
+            seq, name=f"corrected_HV:{s.label}", prep=s.prep, analysis=s.analysis
+        )
+    # preparations in the outer loop, measurement axes in the inner one
+    names = [seq_s.name for _, _, seq_s in runs]
+    assert names[:4] == [
+        "corrected_HV:up/x", "corrected_HV:up/y", "corrected_HV:up/z", "corrected_HV:down/x"
+    ]
+    assert names[-1] == "corrected_HV:plus_y/z"
+    frames = run_plan(config, seq)
+    assert list(frames) == list(range(12))
+    for index, cfg, seq_s in runs:
+        assert frames[index].equals(run_experiment(cfg, seq_s))
+    # the plan is no argument
+    with pytest.raises(TypeError):
+        plan_runs(config, seq, plan)
+    with pytest.raises(TypeError):
+        run_plan(config, seq, plan)
 
 
 # ---------------------------------------------------------------------------
