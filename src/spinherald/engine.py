@@ -120,8 +120,8 @@ def correction_for(
     """
     if not basis.is_linear:
         raise UnsupportedCorrectionError(
-            "heralded correction requires a linear analysis basis; "
-            f"ellipticity = {basis.ellipticity!r} is projective and irreversible"
+            f"ellipticity = {basis.ellipticity!r} is projective and irreversible: "
+            "heralded correction requires a linear analysis basis"
         )
     if branch not in (1, 2):
         raise ValueError(f"branch must be 1 or 2, got {branch!r}")
@@ -222,7 +222,10 @@ class ExperimentConfig:
     experiment measured eta = 2.5e-3).  Each attempt starts from a fresh
     preparation and runs without a detected photon are discarded, so failed
     attempts leave no trace on the heralded shot; an undetected scatter
-    within the heralded attempt is errors.p_multi.
+    within the heralded attempt is errors.p_multi.  The engine reads p_exc
+    and eta only as their product, in the herald probability
+    p_exc * eta / (1 - p_dark), so two configs with the same product run the
+    same shots.
     """
 
     shots: int
@@ -590,7 +593,7 @@ def get_sequence(name: str) -> PulseSequence:
         return catalog[name]
     except KeyError:
         raise KeyError(
-            f"unknown sequence {name!r}; available: {sorted(catalog)}"
+            f"sequence {name!r} is unknown; available: {sorted(catalog)}"
         ) from None
 
 
@@ -624,6 +627,9 @@ def noisy_joint_state(state_in, phase: float, errors: ErrorBudget) -> np.ndarray
     admixture (unscattered spin with a maximally mixed photon record) and
     the extra-scattering channel on the spin side.  Detection errors e_meas
     affect recorded outcomes, not the state, and are not applied here.
+    The scatter is always in the H/V basis, PolarizationBasis(0, 0), before
+    pol_misalign and biref_phase act on it, so a sequence's own scatter
+    basis or a [basis] override of a manifest does not enter.
     """
     if not math.isfinite(phase):
         raise ValueError(f"phase must be finite, got {phase!r}")

@@ -41,7 +41,6 @@ from spinherald.cli import _CHUNK
 from spinherald.engine import (
     DRAWS_PER_SHOT,
     ShotFrame,
-    UnsupportedCorrectionError,
     run_experiment,
     standard_sequences,
 )
@@ -106,12 +105,12 @@ def test_manifest_defaults(tmp_path):
     assert m.config.shots == 100
     assert m.config.eta == 1.0
     assert m.analysis.filter == "all"
-    assert m.sequence().name == "scatter_HV"
+    assert m.sequence.name == "scatter_HV"
 
 
 def test_manifest_unknown_sequence(tmp_path):
     path = write_manifest(tmp_path / "m.ini", "nonesuch")
-    with pytest.raises(KeyError):
+    with pytest.raises(ManifestError, match=r"^\[run\] sequence 'nonesuch' is unknown"):
         load_manifest(path)
 
 
@@ -135,6 +134,21 @@ def test_manifest_bad_number(tmp_path):
         ("[run]\nsequence = scatter_HV\nshots = 0\n", r"\[run\] shots must be >= 1"),
         ("[run]\nsequence = scatter_HV\nseed = -1\n", r"\[run\] seed must be"),
         ("[run]\nsequence = scatter_HV\n[config]\neta = 1.5\n", r"\[config\] eta must lie"),
+        # so do the sequence and its [basis] overrides
+        ("[run]\nsequence = nonesuch\n", r"\[run\] sequence 'nonesuch' is unknown"),
+        ("[run]\nsequence = scatter_HV\n[basis]\ntheta = nan\n", r"\[basis\] theta must be"),
+        (
+            "[run]\nsequence = scatter_HV\n[basis]\nellipticity = 2\n",
+            r"\[basis\] ellipticity must lie",
+        ),
+        (  # the correction needs a linear basis
+            "[run]\nsequence = corrected_HV\n[basis]\nellipticity = 0.2\n",
+            r"\[basis\] ellipticity = 0.2 is projective",
+        ),
+        (
+            "[run]\nsequence = no_scatter\n[basis]\ntheta = 0.1\n",
+            r"\[basis\] theta is set, but sequence 'no_scatter' has no scatter block",
+        ),
     ):
         path.write_text(text)
         with pytest.raises(ManifestError, match=key):
@@ -197,6 +211,19 @@ def test_ramsey_needs_three_bins_before_the_run(tmp_path, monkeypatch):
     assert calls == [] and not (tmp_path / "out").exists()
 
 
+def test_ramsey_rejects_tomography_before_the_run(tmp_path, monkeypatch):
+    # the plan would replace the Ramsey pulses, and fringe.csv has no
+    # setting column
+    calls = []
+    monkeypatch.setattr(spinherald.cli, "_run_counts", lambda *args: calls.append(args))
+    ramsey = write_manifest(
+        tmp_path / "r.ini", "ramsey_HV", shots=10, analysis={"tomography": "true"}
+    )
+    with pytest.raises(ManifestError, match=r"^\[analysis\] tomography = true"):
+        cmd_ramsey(ramsey, tmp_path / "out")
+    assert calls == [] and not (tmp_path / "out").exists()
+
+
 def test_analysis_bins_have_an_upper_limit(tmp_path):
     # a run's counts hold 6 int64 per phi_tac bin, whatever its shot count
     assert AnalysisRequest(bins=4096).bins == 4096
@@ -232,7 +259,7 @@ def test_manifest_schema_doc_matches_the_parser(tmp_path):
         "run": {"shots": cfg.shots, "seed": cfg.seed, "out_dir": m.out_dir},
         "config": {"p_exc": cfg.p_exc, "eta": cfg.eta},
         "errors": asdict(cfg.errors),
-        "basis": asdict(m.sequence().scatter),
+        "basis": asdict(m.sequence.scatter),
         "analysis": asdict(m.analysis),
     }
     for section, values in loaded.items():
@@ -275,7 +302,10 @@ def test_summary_schema_doc_matches_the_summaries(tmp_path):
         analysis={"tomography": "true", "fringe_harmonic": 2,
                   "entanglement_fidelity": "true"},
     )
-    ramsey = write_manifest(tmp_path / "r.ini", "ramsey_HV", shots=500)
+    ramsey = write_manifest(
+        tmp_path / "r.ini", "ramsey_HV", shots=500,
+        analysis={"entanglement_fidelity": "true"},
+    )
     records = cmd_simulate(manifest, tmp_path / "sim").records_path
     cmd_sweep(manifest, "p_multi", ["0.1"], tmp_path / "sweep")
     cmd_ramsey(ramsey, tmp_path / "ramsey")
@@ -786,7 +816,7 @@ def test_demo_records_bytes_are_pinned(tmp_path):
 
     # the correction inverts the basis in use, and an elliptical kick has none
     elliptical = corrected("chv_elliptical", "corrected_HV", basis={"ellipticity": 0.2})
-    with pytest.raises(UnsupportedCorrectionError, match="ellipticity"):
+    with pytest.raises(ManifestError, match=r"\[basis\] ellipticity"):
         load_manifest(elliptical)
 
 
@@ -1067,9 +1097,21 @@ def test_ramsey_summary_equals_frame_oracle(tmp_path):
     )
     summary = cmd_ramsey(manifest, tmp_path / "out")
     m = load_manifest(manifest)
-    frames = {0: run_experiment(m.config, m.sequence())}
+    frames = {0: run_experiment(m.config, m.sequence)}
     assert summary["branch_stats"] == oracle_branch_stats(frames, 13)
     assert summary["fringes"] == oracle_fringes(frames, 13, 1)
+
+
+def test_ramsey_summary_equals_the_simulate_summary(tmp_path):
+    # ramsey keeps every analysis the manifest asks for, not only the fringes
+    manifest = write_manifest(
+        tmp_path / "m.ini", "ramsey_HV", shots=5000, seed=45,
+        errors=NOMINAL_ERRORS, config={"p_exc": 0.075},
+        analysis={"fringe_harmonic": 2, "entanglement_fidelity": "true"},
+    )
+    summary = cmd_ramsey(manifest, tmp_path / "ramsey")
+    assert "entanglement_fidelity" in summary
+    assert summary == cmd_simulate(manifest, tmp_path / "sim").summary
 
 
 def test_simulate_and_tomo_summaries_equal_frame_oracle(tmp_path):
@@ -1081,7 +1123,7 @@ def test_simulate_and_tomo_summaries_equal_frame_oracle(tmp_path):
         )
 
     m = load_manifest(manifest("all"))
-    frames = run_plan(m.config, m.sequence())
+    frames = run_plan(m.config, m.sequence)
     for flt in ("V", "H", "all"):
         bundle = cmd_simulate(manifest(flt), tmp_path / flt)
         expected = oracle_tomography(frames, flt)
@@ -1099,7 +1141,7 @@ def test_sweep_summaries_equal_frame_oracle(tmp_path):
     grid = ["0", "0.2"]
     for value, summary in zip(grid, cmd_sweep(manifest, "p_multi", grid, tmp_path / "out")):
         m = load_manifest(manifest, {"p_multi": value})
-        frames = run_plan(m.config, m.sequence())
+        frames = run_plan(m.config, m.sequence)
         assert summary["branch_stats"] == oracle_branch_stats(frames, 9)
         assert summary["tomography"] == oracle_tomography(frames, "V")
         assert summary["fringes"] == oracle_fringes(frames, 9, 2)
@@ -1337,7 +1379,27 @@ def test_main_unknown_sequence_fails(tmp_path, capsys):
     manifest = write_manifest(tmp_path / "m.ini", "nonesuch", shots=10)
     code = main(["simulate", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
     assert code != 0
-    assert "nonesuch" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "nonesuch" in err and '"' not in err
+
+
+def test_main_reports_each_bad_manifest_with_its_section(tmp_path, capsys):
+    out = tmp_path / "out"
+    for command, text, section in (
+        ("simulate", "[run]\nsequence = nonesuch\n", "run"),
+        ("simulate", "[run]\nsequence = scatter_HV\n[basis]\ntheta = nan\n", "basis"),
+        ("simulate", "[run]\nsequence = scatter_HV\n[basis]\nellipticity = 2\n", "basis"),
+        ("simulate", "[run]\nsequence = corrected_HV\n[basis]\nellipticity = 0.2\n", "basis"),
+        ("simulate", "[run]\nsequence = no_scatter\n[basis]\ntheta = 0.1\n", "basis"),
+        ("ramsey", "[run]\nsequence = no_scatter\n", "run"),
+        ("ramsey", "[run]\nsequence = ramsey_HV\n[analysis]\ntomography = true\n", "analysis"),
+    ):
+        manifest = tmp_path / "m.ini"
+        manifest.write_text(text)
+        assert main([command, "--manifest", str(manifest), "--out", str(out)]) == 1, text
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [{section}] ") and '"' not in err, err
+        assert not out.exists(), text
 
 
 def test_main_tomo_requires_input(capsys):
